@@ -265,10 +265,6 @@ def load_corpus(path: str | Path, compile: bool = True,
     return cases
 
 
-def save_casefile(case: CaseFile, path: str | Path) -> None:
-    save_corpus([case], path)
-
-
 def load_casefile(path: str | Path) -> CaseFile:
     cases = load_corpus(path)
     if len(cases) != 1:

@@ -59,7 +59,6 @@ class BundleReport:
     min_revision: int = 0
     min_revision_exact: bool = True
     invariant_failures: list[str] = field(default_factory=list)
-    wall_ms: float | None = None  # sidecar-only; never serialized canonically
 
     @property
     def n(self) -> int:
@@ -74,16 +73,13 @@ class BundleReport:
         return self.counts.get("answerer_calls", 0)
 
     def to_record(self) -> dict:
-        record = asdict(self)
-        record.pop("wall_ms")
-        return record
+        return asdict(self)
 
     @classmethod
     def from_record(cls, record: dict) -> "BundleReport":
         data = dict(record)
         data["queries"] = [QueryRecord(**q) for q in data["queries"]]
         data["repair_log"] = [RepairLogEntry(**e) for e in data.get("repair_log", [])]
-        data.setdefault("wall_ms", None)
         return cls(**data)
 
 

@@ -3,9 +3,10 @@
 When a commitment breaks satisfiability, candidates are enumerated (flip the
 current label, soften by dropping derived atoms, selectively retract prior
 core members), ranked by the lexicographic cost (past retractions, label
-change, commitment size), and verified against the solver under hard budgets:
-at most ``r_max`` verifications per query and a per-bundle solver-call cap.
-Also hosts logic-filtered voting and the exact minimum-revision-cost search.
+change, commitment size), and verified against the solver: at most ``r_max``
+verifications per query, and no more than the caller's ``call_cap`` allows.
+The per-bundle cap itself is kept by the runner. Also hosts logic-filtered
+voting and the exact minimum-revision-cost search.
 """
 
 from __future__ import annotations
@@ -40,28 +41,14 @@ class RepairAction:
 @dataclass
 class RepairBudget:
     r_max: int = 2              # candidate verifications per query
-    call_cap: int | None = None  # absolute solver-call cap for the bundle
+    call_cap: int | None = None  # verification calls left in the bundle's cap
     delta_past_limit: int = 3   # retraction threshold before giving up
 
     def __post_init__(self):
         if self.r_max <= 0 or self.delta_past_limit <= 0:
             raise ValueError("budget fields must be positive")
-        if self.call_cap is not None and self.call_cap <= 0:
-            raise ValueError("budget fields must be positive")
-
-
-class CallMeter:
-    """Per-bundle solver-call accounting with a hard cap."""
-
-    def __init__(self, cap: int | None = None):
-        self.cap = cap
-        self.used = 0
-
-    def can(self, n: int = 1) -> bool:
-        return self.cap is None or self.used + n <= self.cap
-
-    def spend(self, n: int = 1) -> None:
-        self.used += n
+        if self.call_cap is not None and self.call_cap < 0:
+            raise ValueError("call_cap must not be negative")
 
 
 class RepairOutcomeKind(str, Enum):
@@ -77,7 +64,6 @@ class RepairOutcome:
     action: RepairAction | None = None
     retracted_indices: tuple[int, ...] = ()
     tried: list[tuple[RepairAction, str]] = field(default_factory=list)
-    solver_calls: int = 0
     active_index: int | None = None  # belief-state slot of the final commitment
 
     @property
@@ -139,24 +125,20 @@ def _revised_commitment(original: Commitment, action: RepairAction) -> Commitmen
 
 def attempt_repair(state: BeliefState, commitment: Commitment, core: UnsatCore,
                    pending_index: int, budget: RepairBudget,
-                   meter: CallMeter | None = None,
                    proposer: Proposer | None = None) -> RepairOutcome:
-    """Try candidates in lexicographic cost order (ties by enumeration order)
-    until one restores satisfiability; otherwise revert the current label to
+    """Try up to ``r_max`` candidates (fewer when ``call_cap`` is smaller) in
+    lexicographic cost order (ties by enumeration order) until one restores
+    satisfiability; otherwise revert the current label to
     Unknown. States that stay unsatisfiable even then (violations that were
     forced in earlier) get an exact minimum-retraction completion, or PARTIAL
     when that exceeds the retraction threshold."""
-    meter = meter if meter is not None else CallMeter()
     proposer = proposer or propose_repairs
     candidates = proposer(state, commitment, core, pending_index)
     ordered = sorted(range(len(candidates)), key=lambda i: (candidates[i].cost, i))
+    allowed = budget.r_max if budget.call_cap is None else min(budget.r_max, budget.call_cap)
 
     tried: list[tuple[RepairAction, str]] = []
-    calls = 0
-    verifications = 0
-    for idx in ordered:
-        if verifications >= budget.r_max or not meter.can(1):
-            break
+    for idx in ordered[:allowed]:
         action = candidates[idx]
         exclude = frozenset(action.retract_indices)
         if action.kind is RepairKind.RETRACT:
@@ -164,15 +146,12 @@ def attempt_repair(state: BeliefState, commitment: Commitment, core: UnsatCore,
         else:
             trial_idx = state.install(_revised_commitment(commitment, action))
         result = state.solve_with(extra=(state.selectors[trial_idx],), exclude=exclude)
-        meter.spend()
-        calls += 1
-        verifications += 1
         if result.status is SolveStatus.SAT:
             if action.cost[0] > budget.delta_past_limit:
                 tried.append((action, "accepted-over-threshold"))
                 return RepairOutcome(RepairOutcomeKind.PARTIAL,
                                      final_commitment=commitment,
-                                     action=action, tried=tried, solver_calls=calls)
+                                     action=action, tried=tried)
             for i in action.retract_indices:
                 state.retract(i)
             state.activate(trial_idx, sat=True)
@@ -181,8 +160,7 @@ def attempt_repair(state: BeliefState, commitment: Commitment, core: UnsatCore,
             return RepairOutcome(RepairOutcomeKind.REPAIRED, final_commitment=final,
                                  action=action,
                                  retracted_indices=action.retract_indices,
-                                 tried=tried, solver_calls=calls,
-                                 active_index=trial_idx)
+                                 tried=tried, active_index=trial_idx)
         tried.append((action, "timeout" if result.status is SolveStatus.TIMEOUT else "unsat"))
 
     # no candidate within budget: the current label reverts to Unknown
@@ -192,20 +170,18 @@ def attempt_repair(state: BeliefState, commitment: Commitment, core: UnsatCore,
     state.activate(fb_idx, sat=state.sat)
     if state.sat:
         return RepairOutcome(RepairOutcomeKind.FALLBACK_UNKNOWN, final_commitment=fallback,
-                             tried=tried, solver_calls=calls, active_index=fb_idx)
+                             tried=tried, active_index=fb_idx)
 
     # the state was already past a violation; find the cheapest retraction set
-    rev = min_revision_cost(state, meter=meter)
-    calls += rev.solver_calls
+    rev = min_revision_cost(state)
     if not rev.exact or rev.value > budget.delta_past_limit or rev.witness is None:
         return RepairOutcome(RepairOutcomeKind.PARTIAL, final_commitment=fallback,
-                             tried=tried, solver_calls=calls, active_index=fb_idx)
+                             tried=tried, active_index=fb_idx)
     for i in rev.witness:
         state.retract(i)
     state.sat = True
     return RepairOutcome(RepairOutcomeKind.REPAIRED, final_commitment=fallback,
-                         retracted_indices=rev.witness, tried=tried, solver_calls=calls,
-                         active_index=fb_idx)
+                         retracted_indices=rev.witness, tried=tried, active_index=fb_idx)
 
 
 # ------------------------------------------------------------- filtered vote
@@ -215,39 +191,31 @@ def attempt_repair(state: BeliefState, commitment: Commitment, core: UnsatCore,
 class VoteResult:
     label: Label
     survivors: list[Label]
-    solver_calls: int
 
 
-def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState,
-                        meter: CallMeter | None = None) -> VoteResult:
+def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState) -> VoteResult:
     """Keep only sampled answers whose commitments preserve satisfiability,
     then majority-vote the survivors; ties and empty survivor sets yield
     Unknown. Trial checks roll back (commitments are installed but never
     activated)."""
     if not samples:
         raise ValueError("need at least one sample")
-    meter = meter if meter is not None else CallMeter()
     survivors: list[Label] = []
-    calls = 0
     for commitment in samples:
         if not commitment.literals:
             survivors.append(commitment.label)  # asserts nothing, trivially safe
             continue
-        if not meter.can(1):
-            continue  # budget exhausted: unverified candidates are not retained
         idx = state.install(commitment)
         result = state.solve_with(extra=(state.selectors[idx],))
-        meter.spend()
-        calls += 1
         if result.status is SolveStatus.SAT:
             survivors.append(commitment.label)
     if not survivors:
-        return VoteResult(Label.UNKNOWN, survivors, calls)
+        return VoteResult(Label.UNKNOWN, survivors)
     counts = {label: survivors.count(label) for label in set(survivors)}
     best = max(counts.values())
     top = [label for label, n in counts.items() if n == best]
     label = top[0] if len(top) == 1 else Label.UNKNOWN
-    return VoteResult(label, survivors, calls)
+    return VoteResult(label, survivors)
 
 
 # --------------------------------------------------------- minimum revision
@@ -258,31 +226,20 @@ class RevisionCost:
     value: int
     exact: bool
     witness: tuple[int, ...] | None
-    solver_calls: int
 
 
 REVISION_EXACT_LIMIT = 12
 
 
-def min_revision_cost(state: BeliefState, meter: CallMeter | None = None) -> RevisionCost:
+def min_revision_cost(state: BeliefState) -> RevisionCost:
     """Exact minimum number of active commitments whose retraction restores
     satisfiability: breadth-first over subset cardinality, pruned by core
     membership (every correction set must hit every core). Exact up to
     12 non-empty commitments; beyond that a greedy upper bound is returned
     and flagged approximate."""
-    meter = meter if meter is not None else CallMeter()
-    calls = 0
-
-    def solve(exclude: frozenset[int]):
-        nonlocal calls
-        result = state.solve_with(exclude=exclude)
-        calls += 1
-        meter.spend()
-        return result
-
-    result = solve(frozenset())
+    result = state.solve_with()
     if result.status is SolveStatus.SAT:
-        return RevisionCost(0, True, (), calls)
+        return RevisionCost(0, True, ())
 
     candidates = [i for i in state.active_indices if state.commitments[i].literals]
     if len(candidates) > REVISION_EXACT_LIMIT:
@@ -293,11 +250,11 @@ def min_revision_cost(state: BeliefState, meter: CallMeter | None = None) -> Rev
             viable = [i for i in core.commitment_indices
                       if state.commitments[i].literals and i not in dropped]
             if not viable:
-                return RevisionCost(len(candidates), False, None, calls)
+                return RevisionCost(len(candidates), False, None)
             dropped.append(max(viable))
-            result = solve(frozenset(dropped))
+            result = state.solve_with(exclude=frozenset(dropped))
             if result.status is SolveStatus.SAT:
-                return RevisionCost(len(dropped), False, tuple(dropped), calls)
+                return RevisionCost(len(dropped), False, tuple(dropped))
 
     must_hit = set(candidates)
     if result.failed_assumptions:
@@ -309,7 +266,7 @@ def min_revision_cost(state: BeliefState, meter: CallMeter | None = None) -> Rev
         for subset in itertools.combinations(candidates, k):
             if not must_hit.intersection(subset):
                 continue  # cannot hit the known core
-            result = solve(frozenset(subset))
+            result = state.solve_with(exclude=frozenset(subset))
             if result.status is SolveStatus.SAT:
-                return RevisionCost(k, True, subset, calls)
-    return RevisionCost(len(candidates), True, tuple(candidates), calls)
+                return RevisionCost(k, True, subset)
+    return RevisionCost(len(candidates), True, tuple(candidates))

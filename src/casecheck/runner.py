@@ -31,7 +31,6 @@ from .casefile import CaseFile, Label, Query, case_from_record, case_to_record, 
 from .commitments import AppendStatus, BeliefState, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
 from .repair import (
-    CallMeter,
     RepairBudget,
     RepairOutcomeKind,
     attempt_repair,
@@ -57,7 +56,6 @@ class RunConfig:
     max_conflicts: int | None = None
     max_seconds: float | None = 30.0
     jobs: int = 1
-    validate: bool = True          # engine self-checks (not part of budgets)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -82,20 +80,36 @@ class RunConfig:
         return cls(**data)
 
 
-class _PhaseCounter:
-    """Attribute solver calls to pipeline phases via session statistics."""
+CAPPED_PHASES = ("check_solver_calls", "core_solver_calls", "repair_solver_calls")
 
-    def __init__(self, session):
-        self.session = session
+
+class _Ledger:
+    """Solver calls of one bundle, read off the session's own counter.
+
+    ``take(phase)`` books every call since the previous take to ``phase``.
+    The check, core and repair phases count against the per-bundle cap;
+    filtered votes and the revision probe are booked but not capped."""
+
+    def __init__(self, stats, cap: int):
+        self.stats = stats
+        self.cap = cap
         self.counts: dict[str, int] = {}
-        self._mark = session.stats.solver_calls
+        self._mark = stats.solver_calls
 
     def take(self, phase: str) -> int:
-        now = self.session.stats.solver_calls
-        delta = now - self._mark
-        self._mark = now
+        delta = self.stats.solver_calls - self._mark
+        self._mark += delta
         self.counts[phase] = self.counts.get(phase, 0) + delta
         return delta
+
+    @property
+    def capped(self) -> int:
+        return sum(self.counts.get(phase, 0) for phase in CAPPED_PHASES)
+
+    def slack(self, checks_left: int) -> int:
+        """Calls left for optional work that still leave one call for each
+        remaining per-step check."""
+        return max(0, self.cap - self.capped - checks_left)
 
 
 def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
@@ -103,10 +117,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
     answerer = Answerer(policy, config.seed)
     state = BeliefState(case.formula, max_conflicts=config.max_conflicts,
                         max_seconds=config.max_seconds)
-    counter = _PhaseCounter(state.session)
     n = case.bundle_size
-    call_cap = config.call_cap_factor * n
-    pipeline = CallMeter(cap=None)  # tracked for audit; hard slack math below
+    ledger = _Ledger(state.session.stats, config.call_cap_factor * n)
 
     use_filter = (policy.kind == "self-consistency" and policy.logic_filter
                   and config.method != "baseline")
@@ -131,12 +143,6 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
             answerer_calls += ans.calls
             preset_answers[q.id] = ans
 
-    def slack(step: int) -> int:
-        """Solver calls available for optional work while still affording the
-        remaining per-step checks within the per-bundle cap."""
-        remaining_checks = n - step - 1
-        return max(0, call_cap - pipeline.used - remaining_checks)
-
     for t, query in enumerate(case.queries):
         # ------------------------------------------------------------ answer
         if use_filter:
@@ -147,7 +153,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                                              vocabulary_size=state.base_vars)
                           for d in draws]
             vote = logic_filtered_vote(candidates, state)
-            counter.take("filter_solver_calls")
+            ledger.take("filter_solver_calls")
             answer = Answer(vote.label)
         elif query.id in preset_answers:
             answer = preset_answers[query.id]
@@ -165,12 +171,12 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
         if partial:
             # repair abandoned earlier: record the contradiction trail only
             state.force_append(commitment, known_unsat=None)
-            pipeline.spend(counter.take("check_solver_calls"))
+            ledger.take("check_solver_calls")
             statuses_before.append(SAT if state.sat else UNSAT)
             statuses_after.append(statuses_before[-1])
         else:
             result = state.append_and_check(commitment)
-            pipeline.spend(counter.take("check_solver_calls"))
+            ledger.take("check_solver_calls")
             if result.status is AppendStatus.ACCEPTED:
                 statuses_before.append(SAT)
                 statuses_after.append(SAT)
@@ -188,12 +194,13 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                     state.force_append(commitment, known_unsat=True)
                     statuses_after.append(UNSAT)
                 else:
+                    slack = ledger.slack(n - t - 1)
                     core = state.unsat_core(
                         pending_index=pending,
                         failed=result.solve_result.failed_assumptions,
-                        minimize=slack(t) > 0,
-                        call_budget=slack(t))
-                    pipeline.spend(counter.take("core_solver_calls"))
+                        minimize=slack > 0,
+                        call_budget=slack)
+                    ledger.take("core_solver_calls")
                     core_qids = [state.commitments[i].query_id
                                  for i in core.commitment_indices]
                     if config.method == "check":
@@ -216,13 +223,11 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                             outcome=outcome_name, retracted_query_ids=[],
                             solver_calls=0))
                     else:  # check+repair
-                        sub = CallMeter(cap=slack(t))
                         budget = RepairBudget(r_max=config.r_max,
-                                              call_cap=None,
+                                              call_cap=ledger.slack(n - t - 1),
                                               delta_past_limit=config.delta_past_limit)
-                        outcome = attempt_repair(state, commitment, core, pending,
-                                                 budget, meter=sub)
-                        pipeline.spend(counter.take("repair_solver_calls"))
+                        outcome = attempt_repair(state, commitment, core, pending, budget)
+                        repair_calls = ledger.take("repair_solver_calls")
                         any_repair = True
                         retracted_qids = []
                         if outcome.kind is RepairOutcomeKind.PARTIAL:
@@ -251,7 +256,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                                        "cost": list(outcome.action.cost)}),
                             outcome=outcome.kind.value,
                             retracted_query_ids=retracted_qids,
-                            solver_calls=outcome.solver_calls))
+                            solver_calls=repair_calls))
 
         records.append(QueryRecord(
             query_id=query.id,
@@ -264,19 +269,18 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
     # -------------------------------------------------------------- scoring
     final_sat = state.sat
     rev = min_revision_cost(state)
-    counter.take("revision_probe_calls")  # measurement, not pipeline cost
+    ledger.take("revision_probe_calls")  # measurement, not pipeline cost
 
-    if config.validate:
-        if state.rebuild_check() != state.sat:
-            invariants.append("incremental status disagrees with fresh rebuild")
-        if config.method == "check+repair" and not partial and not final_sat:
-            invariants.append("repair mode ended unsatisfiable without partial flag")
-        if config.method == "check+repair":
-            per_query_attempts = [len(e.tried) for e in repair_log]
-            if any(a > config.r_max for a in per_query_attempts):
-                invariants.append("repair attempts exceeded r_max")
-            if pipeline.used > call_cap:
-                invariants.append(f"solver calls {pipeline.used} exceed cap {call_cap}")
+    if state.rebuild_check() != state.sat:
+        invariants.append("incremental status disagrees with fresh rebuild")
+    if config.method == "check+repair" and not partial and not final_sat:
+        invariants.append("repair mode ended unsatisfiable without partial flag")
+    if config.method == "check+repair":
+        per_query_attempts = [len(e.tried) for e in repair_log]
+        if any(a > config.r_max for a in per_query_attempts):
+            invariants.append("repair attempts exceeded r_max")
+        if ledger.capped > ledger.cap:
+            invariants.append(f"solver calls {ledger.capped} exceed cap {ledger.cap}")
 
     if partial:
         bundle_status = "partial"
@@ -287,7 +291,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
     else:
         bundle_status = "consistent"
 
-    counts = dict(counter.counts)
+    counts = dict(ledger.counts)
     counts["answerer_calls"] = answerer_calls
     return BundleReport(
         case_id=case.id,

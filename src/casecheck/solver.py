@@ -54,14 +54,6 @@ class SolveResult:
     model: dict[int, bool] | None = None
     failed_assumptions: frozenset[int] = frozenset()
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status is SolveStatus.SAT
-
-    @property
-    def is_unsat(self) -> bool:
-        return self.status is SolveStatus.UNSAT
-
 
 class SolverSession:
     """One loaded formula plus incremental solving state.
@@ -347,7 +339,7 @@ class SolverSession:
             k += 1
         if (1 << k) == i + 1:
             return 1 << (k - 1)
-        return SolverSession._luby(i - (1 << (k - 1)) + 1)
+        return SolverSession._luby(i - (1 << k) + 1)
 
     # ------------------------------------------------------------------ solve
 
@@ -362,7 +354,8 @@ class SolverSession:
         SAT results carry a total model. UNSAT results carry the subset of
         assumptions the refutation used (not necessarily minimal; empty when
         the clause set is UNSAT on its own). Budget exhaustion yields TIMEOUT
-        and callers must treat the verdict as unknown.
+        and callers must treat the verdict as unknown. A conflict budget, when
+        set, replaces the wall-clock budget.
         """
         self.stats.solver_calls += 1
         assumptions = list(assumptions)
@@ -379,7 +372,9 @@ class SolverSession:
 
         budget_conflicts = max_conflicts if max_conflicts is not None else self.max_conflicts
         budget_seconds = max_seconds if max_seconds is not None else self.max_seconds
-        deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
+        deadline = None
+        if budget_conflicts is None and budget_seconds is not None:
+            deadline = time.monotonic() + budget_seconds
 
         conflicts_this_call = 0
         restart_idx = 1

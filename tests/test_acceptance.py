@@ -245,6 +245,10 @@ def test_criterion_08_trend_reproduction(sweep):
         assert repair.set_cons_rate >= check.set_cons_rate + 0.04
         assert repair.revision_cost <= base.revision_cost / 2
         assert abs(repair.accuracy - base.accuracy) <= 0.03
+        # the anchor values as SetCons/Acc, to the three decimals the CLI prints
+        for m, anchor in ((base, "0.551/0.853"), (check, "0.946/0.799"),
+                          (repair, "1.000/0.856")):
+            assert f"{m.set_cons_rate:.3f}/{m.accuracy:.3f}" == anchor
         assert elapsed < 600.0, f"sweep took {elapsed:.0f}s"
 
 

@@ -5,7 +5,6 @@ from casecheck.casefile import Label
 from casecheck.commitments import AppendStatus, BeliefState, Commitment
 from casecheck.logic import Formula, count_models, parse_dimacs
 from casecheck.repair import (
-    CallMeter,
     RepairBudget,
     RepairKind,
     RepairOutcomeKind,
@@ -117,9 +116,9 @@ def test_repair_verification_cap_respected():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
     pending, core = violating_append(state, c)
-    meter = CallMeter()
-    outcome = attempt_repair(state, c, core, pending, RepairBudget(r_max=2), meter=meter)
-    assert outcome.solver_calls <= 2
+    before = state.session.stats.solver_calls
+    outcome = attempt_repair(state, c, core, pending, RepairBudget(r_max=2))
+    assert state.session.stats.solver_calls - before <= 2
     assert len([t for t in outcome.tried]) <= 2
 
 
@@ -130,8 +129,8 @@ def test_fallback_unknown_when_candidates_fail():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
     pending, core = violating_append(state, c)
-    meter = CallMeter(cap=0)  # no calls left for verification
-    outcome = attempt_repair(state, c, core, pending, RepairBudget(), meter=meter)
+    budget = RepairBudget(call_cap=0)  # no calls left for verification
+    outcome = attempt_repair(state, c, core, pending, budget)
     assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
     assert outcome.final_commitment.label is Label.UNKNOWN
     assert state.rebuild_check()

@@ -81,18 +81,21 @@ def test_repair_budget_compliance(cases):
 
 
 def test_retracted_queries_revert_to_unknown(cases):
-    # find a run where a retraction happened; verify label bookkeeping
+    # Flip-to-Unknown ranks before every retraction and verifies SAT on a
+    # satisfiable state, so repair retracts only after that check times out.
+    # A one-conflict budget makes the timeout deterministic: case rel-0004
+    # retracts q1.
+    cfg = config("check+repair", max_conflicts=1, r_max=6)
     found = False
-    for seed in range(40):
-        for case in cases:
-            cfg = config("check+repair", seed=seed)
-            report = evaluate_bundle(case, cfg)
-            for entry in report.repair_log:
-                for qid in entry.retracted_query_ids:
-                    rec = next(r for r in report.queries if r.query_id == qid)
-                    assert rec.final == Label.UNKNOWN.value
-                    found = True
-    assert found or True  # retraction is rare under default budgets
+    for case in cases:
+        report = evaluate_bundle(case, cfg)
+        for entry in report.repair_log:
+            for qid in entry.retracted_query_ids:
+                rec = next(r for r in report.queries if r.query_id == qid)
+                assert rec.final == Label.UNKNOWN.value
+                found = True
+        assert not report.invariant_failures
+    assert found
 
 
 def test_overhead_ordering_check_cheaper_than_sampling(cases):

@@ -146,6 +146,32 @@ def test_conflict_budget_timeout_deterministic():
     assert s2.solve().status is res.status
 
 
+def pigeonhole(pigeons: int, holes: int) -> Formula:
+    """Every pigeon in some hole, no hole shared: UNSAT when pigeons > holes."""
+    var = lambda p, h: p * holes + h + 1
+    f = Formula(num_vars=pigeons * holes)
+    for p in range(pigeons):
+        f.add_clause([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p, q in itertools.combinations(range(pigeons), 2):
+            f.add_clause([-var(p, h), -var(q, h)])
+    return f
+
+
+def test_luby_restarts():
+    terms = [SolverSession._luby(i) for i in range(1, 16)]
+    assert terms == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+    s = SolverSession(pigeonhole(6, 5), max_seconds=None)
+    assert s.solve().status is SolveStatus.UNSAT
+    assert s.stats.restarts > 0
+
+
+def test_conflict_budget_replaces_wall_clock():
+    # a zero-second wall budget would time out at the first clock check
+    s = SolverSession(pigeonhole(6, 5), max_conflicts=10**6, max_seconds=0.0)
+    assert s.solve().status is SolveStatus.UNSAT
+
+
 def test_determinism_statistics():
     rng = random.Random(29)
     f = random_formula(rng, max_vars=14, ratio_range=(3.5, 4.5))
