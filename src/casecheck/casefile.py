@@ -86,14 +86,29 @@ class CaseFile:
 
     def new_session(self, max_conflicts: int | None = None,
                     max_seconds: float | None = 30.0) -> SolverSession:
+        """A labelling session over satisfiable premises: raises CaseError
+        when they are unsatisfiable and LabelTimeout when the check runs out
+        of budget."""
         if self.formula is None:
             raise CaseError(f"case {self.id} is not compiled")
-        return SolverSession(self.formula, max_conflicts=max_conflicts, max_seconds=max_seconds)
+        session = SolverSession(self.formula, max_conflicts=max_conflicts, max_seconds=max_seconds)
+        check_premises(session, self.id)
+        return session
 
 
-def compile_case(case: CaseFile, check_premises: bool = True) -> CaseFile:
+def check_premises(session: SolverSession, case_id: str | None) -> None:
+    """One solve with no assumptions on a session over the case premises."""
+    res = session.solve()
+    if res.status is SolveStatus.UNSAT:
+        raise CaseError(f"case {case_id}: premises are unsatisfiable")
+    if res.status is SolveStatus.TIMEOUT:
+        raise LabelTimeout(f"case {case_id}: premise satisfiability check timed out")
+
+
+def compile_case(case: CaseFile) -> CaseFile:
     """Build the case formula; theory cases get each query atom reified to a
-    fresh literal in a ``query:<id>`` clause group."""
+    fresh literal in a ``query:<id>`` clause group. Parsing and grounding
+    only: the premises are checked by whatever session uses them."""
     if case.premises_format == "dimacs":
         case.formula = parse_dimacs(case.premises)
         for q in case.queries:
@@ -113,13 +128,6 @@ def compile_case(case: CaseFile, check_premises: bool = True) -> CaseFile:
         case.formula.validate()
     else:
         raise CorpusFormatError(f"case {case.id}: unknown premises_format {case.premises_format!r}")
-
-    if check_premises:
-        res = case.new_session().solve()
-        if res.status is SolveStatus.UNSAT:
-            raise CaseError(f"case {case.id}: premises are unsatisfiable")
-        if res.status is SolveStatus.TIMEOUT:
-            raise LabelTimeout(f"case {case.id}: premise satisfiability check timed out")
     return case
 
 
@@ -181,8 +189,7 @@ def case_to_record(case: CaseFile) -> dict:
     return record
 
 
-def case_from_record(record: dict, index: int = 0, compile: bool = True,
-                     check_premises: bool = True) -> CaseFile:
+def case_from_record(record: dict, index: int = 0, compile: bool = True) -> CaseFile:
     path = f"cases[{index}]"
 
     def need(d: dict, key: str, where: str):
@@ -236,7 +243,7 @@ def case_from_record(record: dict, index: int = 0, compile: bool = True,
         extra={k: v for k, v in record.items() if k not in _CASE_FIELDS},
     )
     if compile:
-        compile_case(case, check_premises=check_premises)
+        compile_case(case)
     return case
 
 
@@ -248,8 +255,7 @@ def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
             fh.write(json.dumps(case_to_record(case), sort_keys=True) + "\n")
 
 
-def load_corpus(path: str | Path, compile: bool = True,
-                check_premises: bool = True) -> list[CaseFile]:
+def load_corpus(path: str | Path, compile: bool = True) -> list[CaseFile]:
     cases = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for i, line in enumerate(fh):
@@ -260,8 +266,7 @@ def load_corpus(path: str | Path, compile: bool = True,
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"cases[{i}]: invalid JSON ({exc})")
-            cases.append(case_from_record(record, index=i, compile=compile,
-                                          check_premises=check_premises))
+            cases.append(case_from_record(record, index=i, compile=compile))
     return cases
 
 

@@ -14,8 +14,8 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 
-from .casefile import Label, Query
-from .logic import Formula
+from .casefile import Label, Query, check_premises
+from .logic import Formula, evaluate
 from .solver import SolveResult, SolveStatus, SolverSession
 
 log = logging.getLogger(__name__)
@@ -98,7 +98,7 @@ class UnsatCore:
 class BeliefState:
     """Premises plus an ordered list of commitments, each behind a selector
     literal. The retained conjunction at any time equals the premises plus
-    every active commitment, verifiable by a non-incremental rebuild."""
+    every active commitment; ``rebuild_check`` certifies its status."""
 
     def __init__(self, formula: Formula, max_conflicts: int | None = None,
                  max_seconds: float | None = 30.0):
@@ -109,7 +109,7 @@ class BeliefState:
         self.commitments: list[Commitment] = []
         self.selectors: list[int] = []
         self.active: list[bool] = []
-        self.sat = True  # status of the retained conjunction; premises checked upstream
+        self.sat = True  # status of the retained conjunction; premises checked by rebuild_check
 
     # ------------------------------------------------------------- plumbing
 
@@ -250,8 +250,8 @@ class BeliefState:
     # ------------------------------------------------------------ validation
 
     def rebuild_formula(self, exclude: frozenset[int] = frozenset()) -> Formula:
-        """Premises plus active commitments as plain unit clauses; the
-        non-incremental cross-check used by tests and repair verification."""
+        """Premises plus active commitments as plain unit clauses: the
+        retained conjunction, outside the incremental session."""
         f = self.base_formula.copy()
         f.close_groups()
         for i in self.active_indices:
@@ -262,7 +262,22 @@ class BeliefState:
                     f.add_clause([lit])
         return f
 
-    def rebuild_check(self) -> bool:
-        """Fresh-session satisfiability of the retained conjunction."""
-        result = SolverSession(self.rebuild_formula()).solve()
-        return result.status is SolveStatus.SAT
+    def rebuild_check(self, case_id: str | None = None) -> bool:
+        """Certified satisfiability of the retained conjunction.
+
+        One solve of the active selectors on the incremental session. A SAT
+        model is its own certificate: it must satisfy ``rebuild_formula()``,
+        premises included. Otherwise a fresh session over the premises
+        checks them (``check_premises``) and re-solves under the literals of
+        the failed-assumption commitments, or of every active commitment
+        after a timeout or a failed certificate; that verdict stands."""
+        result = self.session.solve(self.active_assumptions())
+        if result.status is SolveStatus.SAT and evaluate(self.rebuild_formula(), result.model):
+            return True
+        basis = self.active_indices
+        if result.status is SolveStatus.UNSAT:
+            basis = [i for i in basis if self.selectors[i] in result.failed_assumptions]
+        fresh = SolverSession(self.base_formula)
+        check_premises(fresh, case_id)
+        literals = [lit for i in basis for lit in self.commitments[i].literals]
+        return fresh.solve(literals).status is SolveStatus.SAT

@@ -73,7 +73,10 @@ class BundleReport:
         return self.counts.get("answerer_calls", 0)
 
     def to_record(self) -> dict:
-        return asdict(self)
+        record = dict(vars(self))
+        record["queries"] = [dict(vars(q)) for q in self.queries]
+        record["repair_log"] = [dict(vars(e)) for e in self.repair_log]
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "BundleReport":

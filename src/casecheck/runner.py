@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -271,7 +270,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
     rev = min_revision_cost(state)
     ledger.take("revision_probe_calls")  # measurement, not pipeline cost
 
-    if state.rebuild_check() != state.sat:
+    if state.rebuild_check(case.id) != state.sat:
         invariants.append("incremental status disagrees with fresh rebuild")
     if config.method == "check+repair" and not partial and not final_sat:
         invariants.append("repair mode ended unsatisfiable without partial flag")
@@ -341,6 +340,8 @@ def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[Bu
     reports: list[BundleReport] = []
     timings: dict[str, float] = {}
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up path
+
         payload = [(json.dumps(case_to_record(c), sort_keys=True),
                     json.dumps(config.to_dict(), sort_keys=True)) for c in cases]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

@@ -13,6 +13,7 @@ from casecheck.casefile import (
     case_to_record,
     compile_case,
     derive_gold_label,
+    label_case,
     load_casefile,
     save_corpus,
     split_cases,
@@ -47,9 +48,28 @@ def test_gold_label_unknown_confirmed_by_enumeration():
     assert True in models and False in models
 
 
-def test_unsatisfiable_premises_rejected():
-    with pytest.raises(CaseError):
-        make_case("p cnf 1 2\n1 0\n-1 0", [1])
+def test_unsatisfiable_premises_rejected(tmp_path):
+    # compiling only parses and grounds; every entry point that uses the
+    # premises refuses them and names the case
+    from casecheck.runner import METHODS, RunConfig, evaluate_bundle, run
+
+    def bad_case() -> CaseFile:
+        case = make_case("p cnf 2 2\n1 0\n-1 0", [1, -2, 2], case_id="bad-7")
+        for q in case.queries:
+            q.gold_label = Label.ENTAILED
+        return case
+
+    case = bad_case()
+    corpus = tmp_path / "bad.jsonl"
+    save_corpus([case], corpus)
+    entry_points = [case.new_session, lambda: label_case(case),
+                    lambda: derive_gold_label(case, case.queries[0]),
+                    lambda: run(RunConfig(corpus=str(corpus), policy="nocot-like", jobs=2))]
+    entry_points += [lambda m=m: evaluate_bundle(bad_case(), RunConfig(
+        corpus="", policy="nocot-like", method=m)) for m in METHODS]
+    for entry in entry_points:
+        with pytest.raises(CaseError, match="case bad-7: premises are unsatisfiable"):
+            entry()
 
 
 def test_minimal_handwritten_case_roundtrip(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,17 @@ def test_label_command_round_trip(tmp_path, corpus):
     for a, b in zip(orig, new):
         for qa, qb in zip(a["queries"], b["queries"]):
             assert qa["gold_label"] == qb["gold_label"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # only ``run --jobs N`` with N > 1 needs the pool; every other command
+    # starts without multiprocessing
+    import casecheck
+
+    src = str(Path(casecheck.__file__).resolve().parent.parent)
+    code = ("import sys, casecheck.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -9,7 +9,7 @@ from casecheck.commitments import (
     CommitmentOrigin,
     extract_commitment,
 )
-from casecheck.logic import Formula, count_models, parse_dimacs
+from casecheck.logic import Formula, count_models, evaluate, parse_dimacs
 from casecheck.solver import SolveStatus
 from pathlib import Path
 
@@ -202,3 +202,54 @@ def test_timeout_degrades_to_unknown():
     if hit is not None:
         assert hit.commitment.label is Label.UNKNOWN
         assert hit.commitment.literals == ()
+
+
+# Deliberately corrupted belief states: each test below passes only if
+# rebuild_check derives its verdict instead of echoing ``state.sat``.
+
+
+def test_validation_rejects_a_model_that_misses_the_retained_conjunction():
+    state = unit_state()
+    state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
+    assert state.sat
+    # the session still guards +1 while the state now claims -1
+    state.commitments[0].literals = (-1,)
+    model = state.session.solve(state.active_assumptions()).model
+    assert not evaluate(state.rebuild_formula(), model)
+    assert state.rebuild_check() is False
+
+
+def test_validation_re_solves_an_unsat_core_in_a_fresh_session():
+    state = empty_state(2)
+    state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
+    # a clause only the incremental session sees makes its selector fail
+    state.session.add_clause([-state.selectors[0], -1])
+    assert state.check().status is SolveStatus.UNSAT
+    assert not state.sat
+    assert state.rebuild_check() is True
+
+
+def guarded_pigeonhole(pigeons: int, holes: int) -> Formula:
+    """PHP(pigeons, holes) with every clause relaxed by a guard variable,
+    the last one: satisfiable, and a hard refutation once the guard is
+    assumed false."""
+    var = lambda p, h: p * holes + h + 1
+    guard = pigeons * holes + 1
+    f = Formula(num_vars=guard)
+    for p in range(pigeons):
+        f.add_clause([var(p, h) for h in range(holes)] + [guard])
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                f.add_clause([-var(p, h), -var(q, h), guard])
+    return f
+
+
+def test_validation_after_a_timeout_re_solves_every_active_commitment():
+    f = guarded_pigeonhole(4, 3)
+    state = BeliefState(f, max_conflicts=1, max_seconds=None)
+    idx = state.install(Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
+    state.activate(idx, sat=True)  # the claim no check has made
+    assert state.session.solve(state.active_assumptions()).status is SolveStatus.TIMEOUT
+    assert state.rebuild_check() is False
+
