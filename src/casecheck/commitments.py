@@ -88,12 +88,6 @@ class UnsatCore:
     commitment_indices: tuple[int, ...]  # positions in the belief state, ascending
     minimal: bool
 
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.commitment_indices
-
-    def __len__(self) -> int:
-        return len(self.commitment_indices)
-
 
 class BeliefState:
     """Premises plus an ordered list of commitments, each behind a selector
@@ -108,6 +102,7 @@ class BeliefState:
         self.base_vars = formula.num_vars
         self.commitments: list[Commitment] = []
         self.selectors: list[int] = []
+        self._slot: dict[int, int] = {}  # selector -> commitment index
         self.active: list[bool] = []
         self.sat = True  # status of the retained conjunction; premises checked by rebuild_check
 
@@ -119,8 +114,14 @@ class BeliefState:
             self.session.add_clause([-selector, lit])
         self.commitments.append(commitment)
         self.selectors.append(selector)
+        self._slot[selector] = len(self.commitments) - 1
         self.active.append(False)
         return len(self.commitments) - 1
+
+    def commitment_indices(self, failed: frozenset[int]) -> set[int]:
+        """Commitment indices behind the selectors in a failed-assumption set;
+        other literals are ignored."""
+        return {self._slot[s] for s in failed if s in self._slot}
 
     def active_assumptions(self, extra: tuple[int, ...] = (),
                            exclude: frozenset[int] = frozenset()) -> list[int]:
@@ -192,13 +193,6 @@ class BeliefState:
     def retract(self, index: int) -> None:
         self.active[index] = False
 
-    def replace(self, index: int, commitment: Commitment) -> int:
-        """Deactivate the commitment at ``index`` and install its replacement."""
-        self.active[index] = False
-        new_idx = self._install(commitment)
-        self.active[new_idx] = True
-        return new_idx
-
     def check(self) -> SolveResult:
         """Re-check the retained conjunction (one solver call)."""
         result = self.session.solve(self.active_assumptions())
@@ -224,8 +218,7 @@ class BeliefState:
         if pending_index is not None:
             candidates.add(pending_index)
         if failed is not None:
-            failed_indices = {self.selectors.index(s) for s in failed if s in self.selectors}
-            candidates &= failed_indices
+            candidates &= self.commitment_indices(failed)
 
         core = sorted(candidates)
         if not minimize:
@@ -243,7 +236,7 @@ class BeliefState:
                 return UnsatCore(tuple(sorted(core)), minimal=False)
             if result.status is SolveStatus.UNSAT:
                 # narrow to the failed subset, which drops idx and maybe more
-                narrowed = {self.selectors.index(s) for s in result.failed_assumptions}
+                narrowed = self.commitment_indices(result.failed_assumptions)
                 core = sorted(narrowed) if narrowed else [i for i in core if i != idx]
         return UnsatCore(tuple(sorted(core)), minimal=True)
 
@@ -276,7 +269,7 @@ class BeliefState:
             return True
         basis = self.active_indices
         if result.status is SolveStatus.UNSAT:
-            basis = [i for i in basis if self.selectors[i] in result.failed_assumptions]
+            basis = sorted(self.commitment_indices(result.failed_assumptions))
         fresh = SolverSession(self.base_formula)
         check_premises(fresh, case_id)
         literals = [lit for i in basis for lit in self.commitments[i].literals]

@@ -194,7 +194,6 @@ def mean_contradiction_density(reports: Sequence[BundleReport]) -> float:
 class RevisionCostMetric:
     mean_min_revision: float       # minimum retractions to restore the final state
     mean_retractions: float        # retractions actually performed by repair
-    approximate_bundles: int       # bundles where the minimum was only bounded
 
 
 def revision_cost(reports: Sequence[BundleReport]) -> RevisionCostMetric:
@@ -203,7 +202,6 @@ def revision_cost(reports: Sequence[BundleReport]) -> RevisionCostMetric:
     return RevisionCostMetric(
         mean_min_revision=sum(r.min_revision for r in reports) / len(reports),
         mean_retractions=sum(r.retractions for r in reports) / len(reports),
-        approximate_bundles=sum(1 for r in reports if not r.min_revision_exact),
     )
 
 

@@ -6,7 +6,11 @@ core members), ranked by the lexicographic cost (past retractions, label
 change, commitment size), and verified against the solver: at most ``r_max``
 verifications per query, and no more than the caller's ``call_cap`` allows.
 The per-bundle cap itself is kept by the runner. Also hosts logic-filtered
-voting and the exact minimum-revision-cost search.
+voting and the minimum revision cost (the fewest active commitments whose
+retraction restores satisfiability), found by implicit hitting sets: every
+failed solve yields a core, its failed assumptions; every correction set must
+hit every core, so a minimum hitting set of the cores found so far is a lower
+bound, and the first one whose retraction solves SAT is a minimum.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .casefile import Label
 from .commitments import BeliefState, Commitment, CommitmentOrigin, UnsatCore
@@ -71,9 +75,6 @@ class RepairOutcome:
         return len(self.retracted_indices)
 
 
-Proposer = Callable[[BeliefState, Commitment, UnsatCore, int], list[RepairAction]]
-
-
 def propose_repairs(state: BeliefState, commitment: Commitment, core: UnsatCore,
                     pending_index: int) -> list[RepairAction]:
     """Deterministic candidate enumeration: flip to Unknown, flip to the
@@ -124,16 +125,14 @@ def _revised_commitment(original: Commitment, action: RepairAction) -> Commitmen
 
 
 def attempt_repair(state: BeliefState, commitment: Commitment, core: UnsatCore,
-                   pending_index: int, budget: RepairBudget,
-                   proposer: Proposer | None = None) -> RepairOutcome:
+                   pending_index: int, budget: RepairBudget) -> RepairOutcome:
     """Try up to ``r_max`` candidates (fewer when ``call_cap`` is smaller) in
     lexicographic cost order (ties by enumeration order) until one restores
     satisfiability; otherwise revert the current label to
     Unknown. States that stay unsatisfiable even then (violations that were
     forced in earlier) get an exact minimum-retraction completion, or PARTIAL
     when that exceeds the retraction threshold."""
-    proposer = proposer or propose_repairs
-    candidates = proposer(state, commitment, core, pending_index)
+    candidates = propose_repairs(state, commitment, core, pending_index)
     ordered = sorted(range(len(candidates)), key=lambda i: (candidates[i].cost, i))
     allowed = budget.r_max if budget.call_cap is None else min(budget.r_max, budget.call_cap)
 
@@ -223,50 +222,37 @@ def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState) -> Vo
 
 @dataclass
 class RevisionCost:
-    value: int
-    exact: bool
+    value: int   # a lower bound when not exact
+    exact: bool  # False only when a solver budget ran out
     witness: tuple[int, ...] | None
 
 
-REVISION_EXACT_LIMIT = 12
-
-
 def min_revision_cost(state: BeliefState) -> RevisionCost:
-    """Exact minimum number of active commitments whose retraction restores
-    satisfiability: breadth-first over subset cardinality, pruned by core
-    membership (every correction set must hit every core). Exact up to
-    12 non-empty commitments; beyond that a greedy upper bound is returned
-    and flagged approximate."""
-    result = state.solve_with()
-    if result.status is SolveStatus.SAT:
-        return RevisionCost(0, True, ())
+    """Minimum number of active commitments whose retraction restores
+    satisfiability: solve with the current minimum hitting set retracted; on
+    UNSAT add the failed-assumption core and recompute the hitting set.
+    Exact at any size unless a solve times out."""
+    cores: list[set[int]] = []
+    hitting: tuple[int, ...] = ()
+    while True:
+        result = state.solve_with(exclude=frozenset(hitting))
+        if result.status is SolveStatus.SAT:
+            return RevisionCost(len(hitting), True, hitting)
+        if result.status is SolveStatus.TIMEOUT:
+            return RevisionCost(len(hitting), False, None)
+        core = state.commitment_indices(result.failed_assumptions)
+        if not core:  # the premises alone are unsatisfiable
+            return RevisionCost(len(hitting), True, None)
+        cores.append(core)
+        hitting = _min_hitting_set(cores, len(hitting))
 
-    candidates = [i for i in state.active_indices if state.commitments[i].literals]
-    if len(candidates) > REVISION_EXACT_LIMIT:
-        # greedy: drop most recent core members until satisfiable
-        dropped: list[int] = []
-        while True:
-            core = state.unsat_core(minimize=False)
-            viable = [i for i in core.commitment_indices
-                      if state.commitments[i].literals and i not in dropped]
-            if not viable:
-                return RevisionCost(len(candidates), False, None)
-            dropped.append(max(viable))
-            result = state.solve_with(exclude=frozenset(dropped))
-            if result.status is SolveStatus.SAT:
-                return RevisionCost(len(dropped), False, tuple(dropped))
 
-    must_hit = set(candidates)
-    if result.failed_assumptions:
-        failed_idx = {state.selectors.index(s) for s in result.failed_assumptions
-                      if s in state.selectors}
-        if failed_idx:
-            must_hit = failed_idx
-    for k in range(1, len(candidates) + 1):
-        for subset in itertools.combinations(candidates, k):
-            if not must_hit.intersection(subset):
-                continue  # cannot hit the known core
-            result = state.solve_with(exclude=frozenset(subset))
-            if result.status is SolveStatus.SAT:
-                return RevisionCost(k, True, subset)
-    return RevisionCost(len(candidates), True, tuple(candidates))
+def _min_hitting_set(cores: list[set[int]], size: int) -> tuple[int, ...]:
+    """Smallest set that meets every core, enumerated by increasing size
+    (from ``size``, a known lower bound) in index order over their union."""
+    union = sorted(set().union(*cores))
+    while True:
+        for subset in itertools.combinations(union, size):
+            if all(not core.isdisjoint(subset) for core in cores):
+                return subset
+        size += 1

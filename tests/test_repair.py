@@ -15,6 +15,8 @@ from casecheck.repair import (
 )
 from casecheck.solver import SolveStatus
 
+from test_commitments import guarded_pigeonhole
+
 
 def state_of(dimacs: str | None = None, num_vars: int = 4) -> BeliefState:
     formula = parse_dimacs(dimacs) if dimacs else Formula(num_vars=num_vars)
@@ -188,32 +190,27 @@ def test_accepted_repair_is_lexicographically_optimal():
             checked += 1
 
 
-def test_pluggable_proposer_can_force_partial_over_threshold():
-    # a recorded/external proposer may suggest retraction sets bigger than the
-    # enumerator would; acceptance beyond the threshold abandons the bundle
-    from casecheck.repair import RepairAction
-
-    state = state_of(num_vars=6)
+def test_whole_core_retraction_over_threshold_is_partial():
+    # four disjoint forced-in conflicts and an innocent current query: with an
+    # unminimized core and a wide budget, only the whole-core retraction
+    # (cost 8) restores satisfiability, which is over the threshold of 3
+    state = state_of(num_vars=5)
     for i, v in enumerate((1, 2, 3, 4), start=1):
-        state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (v,)))
-    current = Commitment("q5", Label.CONTRADICTED, (-5,))
-    res = state.append_and_check(Commitment("q0", Label.ENTAILED, (5,)))
-    assert res.status is AppendStatus.ACCEPTED
-    res = state.append_and_check(current)
-    assert res.status is AppendStatus.VIOLATION
+        state.append_and_check(Commitment(f"p{i}", Label.ENTAILED, (v,)))
+    for i, v in enumerate((1, 2, 3, 4), start=1):
+        c = Commitment(f"n{i}", Label.CONTRADICTED, (-v,))
+        assert state.append_and_check(c).status is AppendStatus.VIOLATION
+        state.force_append(c, known_unsat=True)
+    current = Commitment("q9", Label.ENTAILED, (5,))
+    assert state.append_and_check(current).status is AppendStatus.VIOLATION
     pending = len(state.commitments) - 1
-    core = state.unsat_core(pending_index=pending,
-                            failed=res.solve_result.failed_assumptions)
-
-    def proposer(state, commitment, core, pending_index):
-        # a sweeping retraction that does restore satisfiability (it covers
-        # the conflicting q0) but costs four past commitments
-        return [RepairAction(RepairKind.RETRACT, retract_indices=(1, 2, 3, 4),
-                             cost=(4, 0, commitment.size))]
-
-    outcome = attempt_repair(state, current, core, pending,
-                             RepairBudget(delta_past_limit=3), proposer=proposer)
+    core = state.unsat_core(pending, minimize=False)
+    outcome = attempt_repair(state, current, core, pending, RepairBudget(r_max=64))
     assert outcome.kind is RepairOutcomeKind.PARTIAL
+    assert len(outcome.tried) == 39
+    assert outcome.tried[-1][1] == "accepted-over-threshold"
+    assert outcome.action.kind is RepairKind.RETRACT
+    assert outcome.action.cost[0] == 8
 
 
 # ------------------------------------------------------------- filtered vote
@@ -314,7 +311,7 @@ def test_revision_cost_matches_brute_force_on_seeded_conflicts():
         if count_models(f) == 0:
             continue
         state = BeliefState(f)
-        for i in range(rng.randint(2, 8)):
+        for i in range(rng.randint(2, 16)):
             lit = rng.choice([1, -1]) * rng.randint(1, nv)
             c = Commitment(f"q{i}", Label.ENTAILED, (lit,))
             res = state.append_and_check(c)
@@ -325,3 +322,28 @@ def test_revision_cost_matches_brute_force_on_seeded_conflicts():
         assert rev.value == brute_force_min_retraction(state)
         if rev.value > 0:
             checked += 1
+
+
+def test_revision_cost_exact_past_twelve_commitments():
+    # one clash followed by twelve unrelated commitments: retracting either
+    # clashing commitment suffices, however many others are active
+    state = state_of(num_vars=13)
+    state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
+    c = Commitment("q2", Label.CONTRADICTED, (-1,))
+    assert state.append_and_check(c).status is AppendStatus.VIOLATION
+    state.force_append(c, known_unsat=True)
+    for v in range(2, 14):  # the state is already unsatisfiable
+        state.force_append(Commitment(f"q{v + 1}", Label.ENTAILED, (v,)), known_unsat=True)
+    assert len(state.active_indices) == 14
+    rev = min_revision_cost(state)
+    assert rev.value == 1 and rev.exact
+    assert rev.witness in ((0,), (1,))
+
+
+def test_revision_cost_inexact_after_a_timeout():
+    f = guarded_pigeonhole(4, 3)
+    state = BeliefState(f, max_conflicts=1, max_seconds=None)
+    idx = state.install(Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
+    state.activate(idx, sat=False)
+    rev = min_revision_cost(state)
+    assert rev.exact is False and rev.witness is None
