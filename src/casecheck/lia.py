@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 from .logic import Formula
 
 DEFAULT_DOMAIN_WIDTH = 64
+# clauses one linear inequality may ground to: a 3-term sum at width 64 needs
+# up to about 105,000, a 4-term one millions
+MAX_CONSTRAINT_CLAUSES = 200_000
 RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
 
 _NEGATED = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<=", "!=": "="}
@@ -331,6 +334,8 @@ class GroundedTheory:
             if b >= max_suffix[i]:
                 return
             if b < min_suffix[i]:
+                if len(clauses) == MAX_CONSTRAINT_CLAUSES:
+                    raise TheoryError(f"order encoding exceeds {MAX_CONSTRAINT_CLAUSES} clauses")
                 clauses.append(list(escape))
                 return
             co, v = info[i]
@@ -355,19 +360,23 @@ class GroundedTheory:
         return clauses
 
     def add_constraint(self, c: LinConstraint, group: str) -> None:
-        with self.formula.new_group(group):
-            for clause in self.clauses_for(c):
-                self.formula.clauses.append(tuple(clause))
+        self._emit(group, [(c, ())])
 
     def reify(self, c: LinConstraint, group: str) -> int:
         """Fresh literal equivalent to ``c`` over the integer semantics."""
         d = self._new_prop()
-        with self.formula.new_group(group):
-            for clause in self.clauses_for(c, prefix=(-d,)):
-                self.formula.clauses.append(tuple(clause))
-            for clause in self.clauses_for(c.negated(), prefix=(d,)):
-                self.formula.clauses.append(tuple(clause))
+        self._emit(group, [(c, (-d,)), (c.negated(), (d,))])
         return d
+
+    def _emit(self, group: str, parts) -> None:
+        """Append the clauses of each (constraint, prefix) as one named group;
+        grounding errors name the group."""
+        with self.formula.new_group(group):
+            try:
+                for c, prefix in parts:
+                    self.formula.clauses.extend(map(tuple, self.clauses_for(c, prefix)))
+            except TheoryError as e:
+                raise TheoryError(f"{group}: {e}") from None
 
     def decode(self, model: dict[int, bool]) -> dict[str, int]:
         out = {}

@@ -30,14 +30,6 @@ class EnumerationGuardError(LogicError):
     pass
 
 
-def neg(lit: int) -> int:
-    return -lit
-
-
-def variable(lit: int) -> int:
-    return abs(lit)
-
-
 def normalize_clause(lits: Iterable[int]) -> tuple[int, ...] | None:
     """Deduplicate literals; return TAUTOLOGY (None) for clauses with l and -l."""
     seen: dict[int, None] = {}

@@ -15,7 +15,7 @@ from enum import Enum
 from heapq import heapify, heappush, heappop
 from typing import Iterable, Sequence
 
-from .logic import Formula, LogicError, normalize_clause
+from .logic import Formula, LogicError
 
 TRUE = 1
 FALSE = 0
@@ -61,6 +61,10 @@ class SolverSession:
     Not thread-safe; one session per thread. Clauses may be added between
     calls (never during one). Variables added after construction support the
     selector-literal idiom used for retractable constraint groups.
+
+    Inside the session a literal is a slot: ``v`` is ``2v`` and ``-v`` is
+    ``2v+1``, so negation is ``^ 1``. Clauses, reasons, watches and the trail
+    hold slots; literals are converted only in the public methods.
     """
 
     def __init__(
@@ -73,30 +77,27 @@ class SolverSession:
         self.max_seconds = max_seconds
         self.stats = SolverStats()
 
-        self._num_vars = 0
+        n = self._num_vars = formula.num_vars if formula is not None else 0
         self._ok = True  # False once the clause set is unconditionally UNSAT
-        # indexed by variable (1-based; slot 0 unused)
-        self._assign: list[int] = [UNDEF]
-        self._level: list[int] = [0]
-        self._reason: list[list[int] | None] = [None]
-        self._phase: list[bool] = [False]
-        self._activity: list[float] = [0.0]
-        # watches indexed by literal slot: lit l -> 2*|l| + (1 if l < 0 else 0)
-        self._watches: list[list[list[int]]] = [[], []]
+        # indexed by slot: TRUE, FALSE or UNDEF for the literal
+        self._value: list[int] = [UNDEF] * (2 * n + 2)
+        # watches[s]: clauses watching slot s, visited when s becomes false
+        self._watches: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
+        # indexed by variable (1-based; index 0 unused)
+        self._level: list[int] = [0] * (n + 1)
+        self._reason: list[list[int] | None] = [None] * (n + 1)
+        self._phase: list[int] = [1] * (n + 1)  # sign bit of the saved polarity
+        self._activity: list[float] = [0.0] * (n + 1)
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
-        self._heap: list[tuple[float, int]] = []
-        self._units: list[int] = []  # root-level facts pending propagation
+        self._heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]  # already a heap
 
         if formula is not None:
             formula.validate()
-            while self._num_vars < formula.num_vars:
-                self.add_variable()
-            for clause in formula.clauses:
-                self.add_clause(clause)
+            self._load(formula.clauses)
 
     # ------------------------------------------------------------------ setup
 
@@ -106,231 +107,223 @@ class SolverSession:
 
     def add_variable(self) -> int:
         self._num_vars += 1
-        self._assign.append(UNDEF)
+        self._value += (UNDEF, UNDEF)
+        self._watches += ([], [])
         self._level.append(0)
         self._reason.append(None)
-        self._phase.append(False)
+        self._phase.append(1)
         self._activity.append(0.0)
-        self._watches.append([])
-        self._watches.append([])
         heappush(self._heap, (0.0, self._num_vars))
         return self._num_vars
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause between solve calls; normalizes and handles units."""
-        clause = normalize_clause(lits)
-        if clause is None:  # tautology
-            return
+        """Add a clause between solve calls."""
+        clause = tuple(lits)
         for l in clause:
-            if abs(l) > self._num_vars:
-                raise LogicError(f"literal {l} references unknown variable (have {self._num_vars})")
+            if not isinstance(l, int) or l == 0 or abs(l) > self._num_vars:
+                raise LogicError(f"bad literal {l!r} (have {self._num_vars} variables)")
         self._cancel_until(0)
-        if not self._ok:
-            return
-        if len(clause) == 0:
-            self._ok = False
-            return
-        # drop literals already false at root, stop if satisfied at root
-        reduced = []
-        for l in clause:
-            v = self._lit_value(l)
-            if v == TRUE and self._level[abs(l)] == 0:
-                return
-            if v == FALSE and self._level[abs(l)] == 0:
-                continue
-            reduced.append(l)
-        if not reduced:
-            self._ok = False
-            return
-        if len(reduced) == 1:
-            if not self._enqueue(reduced[0], None):
-                self._ok = False
-                return
-            if self._propagate() is not None:
-                self._ok = False
-            return
-        self._attach(list(reduced))
+        self._load((clause,))
 
-    def _attach(self, clause: list[int]) -> None:
-        self._watches[self._slot(clause[0])].append(clause)
-        self._watches[self._slot(clause[1])].append(clause)
+    def _load(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add clauses at the root level in order: duplicate literals and
+        literals false at the root are dropped, tautologies and clauses true
+        at the root are skipped, and a unit clause propagates at once."""
+        value, watches = self._value, self._watches
+        for clause in clauses:
+            if not self._ok:
+                return
+            reduced = []
+            for l in clause:
+                p = 2 * l if l > 0 else 1 - 2 * l
+                v = value[p]
+                if v == TRUE or (p ^ 1) in reduced:
+                    break
+                if v == UNDEF and p not in reduced:
+                    reduced.append(p)
+            else:
+                if not reduced:
+                    self._ok = False
+                elif len(reduced) == 1:
+                    self._enqueue(reduced[0], None)
+                    if self._propagate() is not None:
+                        self._ok = False
+                else:
+                    watches[reduced[0]].append(reduced)
+                    watches[reduced[1]].append(reduced)
 
     @staticmethod
-    def _slot(lit: int) -> int:
-        return 2 * abs(lit) + (1 if lit < 0 else 0)
+    def _literal(p: int) -> int:
+        return -(p >> 1) if p & 1 else p >> 1
 
     # --------------------------------------------------------------- valuation
 
-    def _lit_value(self, lit: int) -> int:
-        v = self._assign[abs(lit)]
-        if v == UNDEF:
-            return UNDEF
-        return v if lit > 0 else 1 - v
-
-    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        val = self._lit_value(lit)
-        if val == TRUE:
-            return True
-        if val == FALSE:
-            return False
-        var = abs(lit)
-        self._assign[var] = TRUE if lit > 0 else FALSE
+    def _enqueue(self, p: int, reason: list[int] | None) -> None:
+        """Make the unassigned slot ``p`` true at the current level."""
+        self._value[p] = TRUE
+        self._value[p ^ 1] = FALSE
+        var = p >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._phase[var] = lit > 0
-        self._trail.append(lit)
-        return True
-
-    def _new_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
+        self._phase[var] = p & 1
+        self._trail.append(p)
 
     def _cancel_until(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail, trail_lim = self._trail, self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            var = abs(self._trail[i])
-            self._assign[var] = UNDEF
-            self._reason[var] = None
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
+        bound = trail_lim[level]
+        value, activity, heap = self._value, self._activity, self._heap
+        for p in reversed(trail[bound:]):
+            value[p] = value[p ^ 1] = UNDEF
+            var = p >> 1
+            heappush(heap, (-activity[var], var))
+        del trail[bound:]
+        del trail_lim[level:]
         self._qhead = min(self._qhead, bound)
 
     # -------------------------------------------------------------- propagate
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            falsified = -lit
-            watch_list = self._watches[self._slot(falsified)]
-            i = 0
-            while i < len(watch_list):
+        trail, value, watches = self._trail, self._value, self._watches
+        level, reason, phase = self._level, self._reason, self._phase
+        cur_level = len(self._trail_lim)
+        qhead = start = self._qhead
+        conflict = None
+        while qhead < len(trail) and conflict is None:
+            false_p = trail[qhead] ^ 1
+            qhead += 1
+            watch_list = watches[false_p]
+            i, end = 0, len(watch_list)
+            while i < end:
                 clause = watch_list[i]
                 # ensure the falsified literal sits at position 1
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) == TRUE:
+                if first == false_p:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_p
+                if value[first] == TRUE:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[self._slot(clause[1])].append(clause)
-                        watch_list[i] = watch_list[-1]
+                    q = clause[k]
+                    if value[q] != FALSE:
+                        clause[1] = q
+                        clause[k] = false_p
+                        watches[q].append(clause)
+                        end -= 1
+                        watch_list[i] = watch_list[end]
                         watch_list.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # clause is unit or conflicting
-                if not self._enqueue(first, clause):
-                    return clause
-                i += 1
-        return None
+                else:
+                    # clause is unit or conflicting
+                    if value[first] == FALSE:
+                        conflict = clause
+                        break
+                    value[first] = TRUE
+                    value[first ^ 1] = FALSE
+                    var = first >> 1
+                    level[var] = cur_level
+                    reason[var] = clause
+                    phase[var] = first & 1
+                    trail.append(first)
+                    i += 1
+        self._qhead = qhead
+        self.stats.propagations += qhead - start
+        return conflict
 
     # ----------------------------------------------------------------- learn
 
     def _bump(self, var: int) -> None:
         self._activity[var] += self._var_inc
-        if self._assign[var] == UNDEF:
-            heappush(self._heap, (-self._activity[var], var))
         if self._activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
             self._heap = [(-self._activity[v], v) for v in range(1, self._num_vars + 1)
-                          if self._assign[v] == UNDEF]
+                          if self._value[2 * v] == UNDEF]
             heapify(self._heap)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns (learnt clause, backjump level).
         learnt[0] is the asserting literal."""
+        trail, level = self._trail, self._level
         cur_level = len(self._trail_lim)
         seen = [False] * (self._num_vars + 1)
         learnt: list[int] = []
         counter = 0
-        p: int | None = None
+        pvar = 0  # the variable being resolved away; none yet
         reason: list[int] = conflict
-        idx = len(self._trail) - 1
+        idx = len(trail) - 1
 
         while True:
             for q in reason:
-                if p is not None and abs(q) == abs(p):
-                    continue  # the variable being resolved away
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
+                var = q >> 1
+                if var != pvar and not seen[var] and level[var] > 0:
                     seen[var] = True
                     self._bump(var)
-                    if self._level[var] >= cur_level:
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # find next marked literal on the trail
-            while not seen[abs(self._trail[idx])]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = -self._trail[idx]
-            var = abs(p)
-            seen[var] = False
+            p = trail[idx]
+            pvar = p >> 1
+            seen[pvar] = False
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            reason = self._reason[var] or []
+            reason = self._reason[pvar] or []
 
-        learnt.insert(0, p)
+        learnt.insert(0, p ^ 1)
         if len(learnt) == 1:
             return learnt, 0
-        # backjump to the second-highest level; put that literal at slot 1
+        # backjump to the second-highest level; put that literal at index 1
         max_i = 1
         for i in range(2, len(learnt)):
-            if self._level[abs(learnt[i])] > self._level[abs(learnt[max_i])]:
+            if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[abs(learnt[1])]
+        return learnt, level[learnt[1] >> 1]
 
-    def _analyze_final(self, failed_lit: int) -> frozenset[int]:
-        """Assumptions implying the negation of ``failed_lit`` (which is among
+    def _analyze_final(self, failed_p: int) -> frozenset[int]:
+        """Assumptions implying the negation of ``failed_p`` (which is among
         them); the returned subset conjoined with the formula is UNSAT."""
-        failed = {failed_lit}
-        if not self._trail_lim:
-            return frozenset(failed)
-        seen = [False] * (self._num_vars + 1)
-        seen[abs(failed_lit)] = True
-        for i in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
-            lit = self._trail[i]
-            var = abs(lit)
-            if not seen[var]:
-                continue
-            reason = self._reason[var]
-            if reason is None:
-                failed.add(lit)  # decision at assumption levels == an assumption
-            else:
-                for q in reason:
-                    qv = abs(q)
-                    if qv != var and self._level[qv] > 0:
-                        seen[qv] = True
-            seen[var] = False
+        failed = {self._literal(failed_p)}
+        if self._trail_lim:
+            trail, level = self._trail, self._level
+            seen = [False] * (self._num_vars + 1)
+            seen[failed_p >> 1] = True
+            for i in range(len(trail) - 1, self._trail_lim[0] - 1, -1):
+                p = trail[i]
+                var = p >> 1
+                if not seen[var]:
+                    continue
+                reason = self._reason[var]
+                if reason is None:
+                    failed.add(self._literal(p))  # decision at assumption levels == an assumption
+                else:
+                    for q in reason:
+                        qv = q >> 1
+                        if qv != var and level[qv] > 0:
+                            seen[qv] = True
+                seen[var] = False
         return frozenset(failed)
 
     # ----------------------------------------------------------------- decide
 
     def _decide(self) -> int | None:
+        value, activity = self._value, self._activity
         while self._heap:
             negact, var = heappop(self._heap)
-            if self._assign[var] == UNDEF and -negact == self._activity[var]:
+            if value[2 * var] == UNDEF and -negact == activity[var]:
                 self.stats.decisions += 1
-                return var if self._phase[var] else -var
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == UNDEF:
-                self.stats.decisions += 1
-                return var if self._phase[var] else -var
-        return None
+                return 2 * var | self._phase[var]
+        return None  # every unassigned variable has a current heap entry
 
     @staticmethod
     def _luby(i: int) -> int:
@@ -358,10 +351,11 @@ class SolverSession:
         set, replaces the wall-clock budget.
         """
         self.stats.solver_calls += 1
-        assumptions = list(assumptions)
+        slots = []
         for a in assumptions:
             if a == 0 or abs(a) > self._num_vars:
                 raise LogicError(f"assumption {a} references unknown variable")
+            slots.append(2 * a if a > 0 else 1 - 2 * a)
 
         self._cancel_until(0)
         if not self._ok:
@@ -380,6 +374,7 @@ class SolverSession:
         restart_idx = 1
         restart_limit = 32 * self._luby(restart_idx)
         conflicts_since_restart = 0
+        trail_lim = self._trail_lim
 
         while True:
             conflict = self._propagate()
@@ -387,7 +382,7 @@ class SolverSession:
                 self.stats.conflicts += 1
                 conflicts_this_call += 1
                 conflicts_since_restart += 1
-                if len(self._trail_lim) == 0:
+                if len(trail_lim) == 0:
                     self._ok = False
                     return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
                 if budget_conflicts is not None and conflicts_this_call >= budget_conflicts:
@@ -399,41 +394,38 @@ class SolverSession:
                 learnt, back_level = self._analyze(conflict)
                 self._cancel_until(back_level)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        self._ok = False
-                        return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
+                    self._enqueue(learnt[0], None)
                 else:
-                    self._attach(learnt)
+                    self._watches[learnt[0]].append(learnt)
+                    self._watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self._var_inc *= self._var_decay
                 continue
 
-            if conflicts_since_restart >= restart_limit and len(self._trail_lim) > len(assumptions):
+            if conflicts_since_restart >= restart_limit and len(trail_lim) > len(slots):
                 self.stats.restarts += 1
                 restart_idx += 1
                 restart_limit = 32 * self._luby(restart_idx)
                 conflicts_since_restart = 0
-                self._cancel_until(len(assumptions) if assumptions else 0)
+                self._cancel_until(len(slots))
                 continue
 
-            if len(self._trail_lim) < len(assumptions):
-                p = assumptions[len(self._trail_lim)]
-                val = self._lit_value(p)
-                if val == TRUE:
-                    self._new_level()  # placeholder level keeps index mapping
-                elif val == FALSE:
+            if len(trail_lim) < len(slots):
+                p = slots[len(trail_lim)]
+                val = self._value[p]
+                if val == FALSE:
                     failed = self._analyze_final(p)
                     self._cancel_until(0)
                     return SolveResult(SolveStatus.UNSAT, failed_assumptions=failed)
-                else:
-                    self._new_level()
+                trail_lim.append(len(self._trail))  # a true assumption opens an empty level
+                if val == UNDEF:
                     self._enqueue(p, None)
                 continue
 
             decision = self._decide()
             if decision is None:
-                model = {v: self._assign[v] == TRUE for v in range(1, self._num_vars + 1)}
+                model = dict(zip(range(1, self._num_vars + 1), map(TRUE.__eq__, self._value[2::2])))
                 self._cancel_until(0)
                 return SolveResult(SolveStatus.SAT, model=model)
-            self._new_level()
+            trail_lim.append(len(self._trail))
             self._enqueue(decision, None)

@@ -159,3 +159,22 @@ def test_reify_matches_integer_semantics():
     assert res.status is SolveStatus.SAT and gt.decode(res.model)["x"] >= 3
     res = session.solve(assumptions=[-lit])
     assert res.status is SolveStatus.SAT and gt.decode(res.model)["x"] < 3
+
+
+def test_oversized_grounding_fails_fast_and_names_its_group():
+    import time
+
+    from casecheck.casefile import case_from_record
+
+    decl = "".join(f"(declare-int {v} 0 63)" for v in "abcd")
+    wide = "(<= (+ a b c d) 126)"  # about 2.7M order-encoding clauses
+    start = time.perf_counter()
+    with pytest.raises(TheoryError, match="^big: order encoding exceeds"):
+        ground(parse_theory(decl + f"(assert (! {wide} :named big))"))
+    with pytest.raises(TheoryError, match="^query:q2: order encoding exceeds"):
+        case_from_record({"id": "wide-0001", "domain": "temporal", "premises": decl,
+                          "premises_format": "theory",
+                          "queries": [{"id": "q1", "atom": "(<= a 3)"}, {"id": "q2", "atom": wide}]})
+    assert time.perf_counter() - start < 10
+    # a 3-term sum at the same width stays under the limit
+    assert len(ground(parse_theory(decl + "(assert (<= (+ a b c) 80))")).formula.clauses) > 100_000

@@ -187,3 +187,108 @@ def test_rejects_unknown_assumption_variable():
     s = SolverSession(Formula(num_vars=1))
     with pytest.raises(Exception):
         s.solve(assumptions=[5])
+
+
+# A compiled temporal case: order-encoded ladders plus reified query atoms.
+PIN_THEORY = """\
+(declare-int start_A 0 14)
+(declare-int end_A 0 20)
+(declare-int start_B 0 14)
+(declare-int end_B 0 20)
+(declare-int start_C 0 14)
+(declare-int end_C 0 20)
+(assert (! (= end_A (+ start_A 5)) :named dur_A))
+(assert (! (= end_B (+ start_B 4)) :named dur_B))
+(assert (! (= end_C (+ start_C 6)) :named dur_C))
+(assert (! (<= end_A start_B) :named a_before_b))
+(assert (! (<= end_C 18) :named horizon))
+"""
+PIN_QUERIES = ["(< start_C end_B)", "(>= start_B 5)", "(> end_B 20)",
+               "(<= (+ start_A start_C) 9)", "(!= start_C start_A)"]
+
+# sha256 of the trajectory below: any change to the search order (branching,
+# learning, restarts, watch order) or to a counter changes it
+TRAJECTORY_DIGEST = "1c1140f0e66de384cfd41ad516d0bd500b73f418e616883cb2ad2b178d795953"
+
+
+def _trajectory() -> list:
+    """Status, model, failed assumptions and counters of every call in a fixed
+    sequence of sessions that exercises each path of the search."""
+    from casecheck.casefile import case_from_record
+
+    out = []
+
+    def call(s, assumptions=(), **budget):
+        res = s.solve(assumptions, **budget)
+        model = None if res.model is None else sorted(v if b else -v for v, b in res.model.items())
+        out.append([res.status.value, model, sorted(res.failed_assumptions), s.stats.snapshot()])
+
+    def three_sat(rng, num_vars, ratio):
+        f = Formula(num_vars=num_vars)
+        for _ in range(int(num_vars * ratio)):
+            f.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)])
+        return f
+
+    rng = random.Random(2024)
+    for _ in range(40):  # random SAT and UNSAT formulas, with and without assumptions
+        f = three_sat(rng, rng.randint(10, 40), rng.uniform(3.0, 5.5))
+        s = SolverSession(f, max_seconds=None)
+        call(s)
+        for _ in range(3):
+            k = rng.randint(1, min(5, f.num_vars))
+            call(s, [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, f.num_vars + 1), k)])
+
+    # root units at build time: propagated, then conflicting
+    for clauses in ([(1,), (-2,), (1, 2, 3), (-1, 4), (-4, -3, 5), (2, -5, 6)],
+                    [(1,), (-1, 2), (-2, 3), (-3,)]):
+        f = Formula(num_vars=6)
+        for c in clauses:
+            f.add_clause(c)
+        s = SolverSession(f, max_seconds=None)
+        call(s)
+        call(s, [-6, 5])
+
+    # selector-guarded groups grown between solves
+    f = three_sat(random.Random(7), 20, 2.5)
+    s = SolverSession(f, max_seconds=None)
+    sel_rng = random.Random(8)
+    selectors = []
+    for _ in range(8):
+        sel = s.add_variable()
+        selectors.append(sel)
+        for _ in range(2):
+            lits = sel_rng.sample(range(1, f.num_vars + 1), 2)
+            s.add_clause([-sel] + [l if sel_rng.random() < 0.5 else -l for l in lits])
+        call(s, selectors)
+        call(s, selectors[::2])
+    s.add_clause([-selectors[0]])
+    call(s, selectors)
+
+    # a one-conflict budget times out, then the same session finishes
+    s = SolverSession(pigeonhole(5, 4), max_seconds=None)
+    call(s, max_conflicts=1)
+    call(s)
+    # enough conflicts to restart
+    s = SolverSession(pigeonhole(6, 5), max_seconds=None)
+    call(s)
+
+    case = case_from_record({
+        "id": "pin-0001", "domain": "temporal", "premises": PIN_THEORY, "premises_format": "theory",
+        "queries": [{"id": f"q{i}", "atom": text} for i, text in enumerate(PIN_QUERIES, 1)]})
+    s = SolverSession(case.formula, max_seconds=None)
+    call(s)
+    atoms = [q.atom for q in case.queries]
+    for atom in atoms:
+        call(s, [-atom])
+        call(s, [atom])
+    call(s, atoms)
+    call(s, [atoms[0], -atoms[1], atoms[4]])
+    return out
+
+
+def test_search_trajectory_is_pinned():
+    import hashlib
+    import json
+
+    blob = json.dumps(_trajectory(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == TRAJECTORY_DIGEST
