@@ -16,8 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .lia import GroundedTheory, Theory, ground, parse_constraint, parse_theory
-from .logic import Formula, parse_dimacs
+from .lia import GroundedTheory, Theory, TheoryError, ground, parse_constraint, parse_theory
+from .logic import Formula, LogicError, parse_dimacs
 from .solver import SolveStatus, SolverSession
 
 
@@ -243,7 +243,10 @@ def case_from_record(record: dict, index: int = 0, compile: bool = True) -> Case
         extra={k: v for k, v in record.items() if k not in _CASE_FIELDS},
     )
     if compile:
-        compile_case(case)
+        try:
+            compile_case(case)
+        except (TheoryError, LogicError) as exc:
+            raise CorpusFormatError(f"{path} (case {case.id}): {exc}") from exc
     return case
 
 

@@ -39,9 +39,6 @@ class GeneratorSpec:
     bundle_min: int = 5
     bundle_max: int = 8
 
-    def total_cases(self) -> int:
-        return sum(self.domain_mix.values())
-
 
 def _subseed(*parts) -> int:
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()

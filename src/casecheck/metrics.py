@@ -210,27 +210,17 @@ class OverheadReport:
     solver_calls: int
     answerer_calls: int
     call_ratio: float | None       # (solver + answerer) vs the baseline run
-    wall_seconds: float | None     # from the timing sidecar, when available
-    wall_ratio: float | None
-
-    def normalized(self) -> float | None:
-        return self.wall_ratio if self.wall_ratio is not None else self.call_ratio
 
 
 def overhead(reports: Sequence[BundleReport],
-             baseline: Sequence[BundleReport] | None = None,
-             wall_seconds: float | None = None,
-             baseline_wall_seconds: float | None = None) -> OverheadReport:
+             baseline: Sequence[BundleReport] | None = None) -> OverheadReport:
     solver = sum(r.solver_calls for r in reports)
     answerer = sum(r.answerer_calls for r in reports)
     call_ratio = None
     if baseline is not None:
         base = sum(r.solver_calls for r in baseline) + sum(r.answerer_calls for r in baseline)
         call_ratio = (solver + answerer) / base if base else None
-    wall_ratio = None
-    if wall_seconds is not None and baseline_wall_seconds:
-        wall_ratio = wall_seconds / baseline_wall_seconds
-    return OverheadReport(solver, answerer, call_ratio, wall_seconds, wall_ratio)
+    return OverheadReport(solver, answerer, call_ratio)
 
 
 @dataclass

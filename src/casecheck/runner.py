@@ -10,9 +10,11 @@ Three methods share one loop over a bundle's queries:
   commitments are localized and reported, but altering the past requires
   repair authority, so the bundle keeps the contradiction.
 * ``check+repair``: detected conflicts go through the repair search (soften,
-  flip, selective retraction) under the per-query and per-bundle budgets;
-  retracted queries revert to Unknown. A repair whose retraction set would
-  exceed the threshold abandons repair and the bundle is tagged partial.
+  flip, then the minimum retraction of past commitments) under the per-query
+  and per-bundle budgets; retracted queries revert to Unknown. Repair starts
+  from a satisfiable state, since every repaired or reverted step leaves one.
+  A minimum retraction larger than the threshold abandons repair and the
+  bundle is tagged partial.
 
 In sequential mode the answerer sees earlier final answers; in set mode the
 whole bundle is answered up front. Checking walks the bundle order in both.
@@ -225,7 +227,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                         budget = RepairBudget(r_max=config.r_max,
                                               call_cap=ledger.slack(n - t - 1),
                                               delta_past_limit=config.delta_past_limit)
-                        outcome = attempt_repair(state, commitment, core, pending, budget)
+                        outcome = attempt_repair(state, commitment, pending, budget)
                         repair_calls = ledger.take("repair_solver_calls")
                         any_repair = True
                         retracted_qids = []
@@ -239,7 +241,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                                 pos = index_to_record.get(i)
                                 if pos is not None:
                                     records[pos].final = Label.UNKNOWN.value
-                            retractions_total += outcome.delta_past
+                            retractions_total += len(outcome.retracted_indices)
                             if outcome.active_index is not None:
                                 index_to_record[outcome.active_index] = len(records)
                             statuses_after.append(SAT)

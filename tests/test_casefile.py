@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from casecheck.casefile import (
     derive_gold_label,
     label_case,
     load_casefile,
+    load_corpus,
     save_corpus,
     split_cases,
 )
@@ -110,6 +112,24 @@ def test_schema_errors_carry_field_path():
     with pytest.raises(CorpusFormatError) as exc:
         case_from_record(record, index=0)
     assert "queries[0].gold_label" in str(exc.value)
+
+
+def test_compile_errors_name_their_case(tmp_path):
+    good = {"id": "t-0001", "domain": "temporal", "premises": "(declare-int x 0 9)",
+            "premises_format": "theory", "queries": [{"id": "q1", "atom": "(<= x 3)"}]}
+    bad = dict(good, id="t-0002", queries=[{"id": "q1", "atom": "(<= y 3)"}])
+    with pytest.raises(CorpusFormatError,
+                       match=r"^cases\[4\] \(case t-0002\): undeclared variable 'y'$"):
+        case_from_record(bad, index=4)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in (good, bad)))
+    with pytest.raises(CorpusFormatError, match=r"^cases\[1\] \(case t-0002\): "):
+        load_corpus(corpus)
+    dimacs = {"id": "r-0007", "domain": "relational", "premises": "p cnf 1 1\n2 0\n",
+              "queries": []}
+    with pytest.raises(CorpusFormatError,
+                       match=r"^cases\[2\] \(case r-0007\): line 2: literal 2 out of"):
+        case_from_record(dimacs, index=2)
 
 
 def test_scheduling_fixture_loads_with_capacity_query():

@@ -164,14 +164,15 @@ def test_reify_matches_integer_semantics():
 def test_oversized_grounding_fails_fast_and_names_its_group():
     import time
 
-    from casecheck.casefile import case_from_record
+    from casecheck.casefile import CorpusFormatError, case_from_record
 
     decl = "".join(f"(declare-int {v} 0 63)" for v in "abcd")
     wide = "(<= (+ a b c d) 126)"  # about 2.7M order-encoding clauses
     start = time.perf_counter()
     with pytest.raises(TheoryError, match="^big: order encoding exceeds"):
         ground(parse_theory(decl + f"(assert (! {wide} :named big))"))
-    with pytest.raises(TheoryError, match="^query:q2: order encoding exceeds"):
+    with pytest.raises(CorpusFormatError,
+                       match=r"^cases\[0\] \(case wide-0001\): query:q2: order encoding exceeds"):
         case_from_record({"id": "wide-0001", "domain": "temporal", "premises": decl,
                           "premises_format": "theory",
                           "queries": [{"id": "q1", "atom": "(<= a 3)"}, {"id": "q2", "atom": wide}]})

@@ -23,20 +23,26 @@ def state_of(dimacs: str | None = None, num_vars: int = 4) -> BeliefState:
     return BeliefState(formula)
 
 
-def violating_append(state, commitment):
-    res = state.append_and_check(commitment)
-    assert res.status is AppendStatus.VIOLATION
-    pending = len(state.commitments) - 1
-    core = state.unsat_core(pending_index=pending,
-                            failed=res.solve_result.failed_assumptions)
-    return pending, core
+def violating_append(state, commitment) -> int:
+    assert state.append_and_check(commitment).status is AppendStatus.VIOLATION
+    return len(state.commitments) - 1
+
+
+def forced_conflicts(state, atoms) -> None:
+    """For each atom, commit to it and then force in its negation."""
+    for i, v in enumerate(atoms, start=1):
+        state.append_and_check(Commitment(f"p{i}", Label.ENTAILED, (v,)))
+    for i, v in enumerate(atoms, start=1):
+        c = Commitment(f"n{i}", Label.CONTRADICTED, (-v,))
+        assert state.append_and_check(c).status is AppendStatus.VIOLATION
+        state.force_append(c, known_unsat=True)
 
 
 def test_candidates_without_derived_atoms():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.ENTAILED, (-1,))
-    pending, core = violating_append(state, c)
-    actions = propose_repairs(state, c, core, pending)
+    violating_append(state, c)
+    actions = propose_repairs(c)
     kinds = [(a.kind, a.new_label) for a in actions]
     assert kinds[0] == (RepairKind.FLIP, Label.UNKNOWN)
     assert kinds[1] == (RepairKind.FLIP, Label.CONTRADICTED)
@@ -47,12 +53,12 @@ def test_soften_candidate_keeps_queried_atom():
     state = state_of(num_vars=5)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (-5,)))
     c = Commitment("q2", Label.ENTAILED, (3, 5))  # derived atom 5 conflicts
-    pending, core = violating_append(state, c)
-    actions = propose_repairs(state, c, core, pending)
+    pending = violating_append(state, c)
+    actions = propose_repairs(c)
     softens = [a for a in actions if a.kind is RepairKind.SOFTEN]
     assert softens and softens[0].dropped_atoms == (5,)
     budget = RepairBudget()
-    outcome = attempt_repair(state, c, core, pending, budget)
+    outcome = attempt_repair(state, c, pending, budget)
     assert outcome.kind is RepairOutcomeKind.REPAIRED
     assert outcome.action.kind is RepairKind.SOFTEN
     assert outcome.final_commitment.literals == (3,)
@@ -63,8 +69,8 @@ def test_soften_candidate_keeps_queried_atom():
 def test_forced_flip_to_unknown_cost():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    pending, core = violating_append(state, c)
-    outcome = attempt_repair(state, c, core, pending, RepairBudget())
+    pending = violating_append(state, c)
+    outcome = attempt_repair(state, c, pending, RepairBudget())
     assert outcome.kind is RepairOutcomeKind.REPAIRED
     assert outcome.action.kind is RepairKind.FLIP
     assert outcome.action.new_label is Label.UNKNOWN
@@ -75,51 +81,36 @@ def test_forced_flip_to_unknown_cost():
 def test_retraction_reached_with_wider_budget():
     # forced-in conflict: a and not-a both active, current query innocent
     state = state_of(num_vars=3)
-    state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
-    c2 = Commitment("q2", Label.CONTRADICTED, (-1,))
-    res = state.append_and_check(c2)
-    assert res.status is AppendStatus.VIOLATION
-    state.force_append(c2, known_unsat=True)
+    forced_conflicts(state, (1,))
     c3 = Commitment("q3", Label.ENTAILED, (2,))
-    res3 = state.append_and_check(c3)
-    assert res3.status is AppendStatus.VIOLATION
-    pending = len(state.commitments) - 1
-    core = state.unsat_core(pending_index=pending,
-                            failed=res3.solve_result.failed_assumptions)
-    outcome = attempt_repair(state, c3, core, pending, RepairBudget(r_max=4))
+    pending = violating_append(state, c3)
+    outcome = attempt_repair(state, c3, pending, RepairBudget(r_max=4))
     assert outcome.kind is RepairOutcomeKind.REPAIRED
     assert outcome.action.kind is RepairKind.RETRACT
-    assert outcome.delta_past == 1
+    assert len(outcome.retracted_indices) == 1
     assert state.rebuild_check()
     assert state.check().status is SolveStatus.SAT
 
 
 def test_partial_when_entanglement_exceeds_threshold():
-    # four disjoint forced-in conflicts need four retractions (> limit of 3)
+    # four disjoint forced-in conflicts: the default r_max=2 is spent on the
+    # two flips, and reverting the innocent current label cannot help
     state = state_of(num_vars=5)
-    for i, v in enumerate((1, 2, 3, 4), start=1):
-        state.append_and_check(Commitment(f"p{i}", Label.ENTAILED, (v,)))
-    for i, v in enumerate((1, 2, 3, 4), start=1):
-        c = Commitment(f"n{i}", Label.CONTRADICTED, (-v,))
-        res = state.append_and_check(c)
-        assert res.status is AppendStatus.VIOLATION
-        state.force_append(c, known_unsat=True)
+    forced_conflicts(state, (1, 2, 3, 4))
     current = Commitment("q9", Label.ENTAILED, (5,))
-    res = state.append_and_check(current)
-    assert res.status is AppendStatus.VIOLATION
-    pending = len(state.commitments) - 1
-    core = state.unsat_core(pending_index=pending,
-                            failed=res.solve_result.failed_assumptions)
-    outcome = attempt_repair(state, current, core, pending, RepairBudget())
+    pending = violating_append(state, current)
+    outcome = attempt_repair(state, current, pending, RepairBudget())
     assert outcome.kind is RepairOutcomeKind.PARTIAL
+    assert [a.kind for a, _ in outcome.tried] == [RepairKind.FLIP, RepairKind.FLIP]
+    assert outcome.final_commitment.label is Label.UNKNOWN
 
 
 def test_repair_verification_cap_respected():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    pending, core = violating_append(state, c)
+    pending = violating_append(state, c)
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, core, pending, RepairBudget(r_max=2))
+    outcome = attempt_repair(state, c, pending, RepairBudget(r_max=2))
     assert state.session.stats.solver_calls - before <= 2
     assert len([t for t in outcome.tried]) <= 2
 
@@ -130,9 +121,9 @@ def test_fallback_unknown_when_candidates_fail():
     # the sole candidate verification hit the call cap
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    pending, core = violating_append(state, c)
+    pending = violating_append(state, c)
     budget = RepairBudget(call_cap=0)  # no calls left for verification
-    outcome = attempt_repair(state, c, core, pending, budget)
+    outcome = attempt_repair(state, c, pending, budget)
     assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
     assert outcome.final_commitment.label is Label.UNKNOWN
     assert state.rebuild_check()
@@ -159,29 +150,26 @@ def test_accepted_repair_is_lexicographically_optimal():
                             for _ in range(rng.randint(0, 2)))
             derived = tuple(d for d in derived if abs(d) != abs(lit))
             c = Commitment(f"q{i}", Label.ENTAILED, (lit, *derived))
-            res = state.append_and_check(c)
-            if res.status is AppendStatus.VIOLATION:
-                violation = (c, res)
+            if state.append_and_check(c).status is AppendStatus.VIOLATION:
+                violation = c
                 break
         if violation is None:
             continue
-        c, res = violation
+        c = violation
         pending = len(state.commitments) - 1
-        core = state.unsat_core(pending_index=pending,
-                                failed=res.solve_result.failed_assumptions)
-        candidates = propose_repairs(state, c, core, pending)
         # oracle pass: which candidates restore satisfiability?
-        from casecheck.repair import _revised_commitment, RepairKind as RK
+        from casecheck.repair import _revised_commitment
         sat_costs = []
-        for action in candidates:
-            g = state.rebuild_formula(exclude=frozenset(action.retract_indices))
-            revised = c if action.kind is RK.RETRACT else _revised_commitment(c, action)
-            for lit2 in revised.literals:
+        for action in propose_repairs(c):
+            g = state.rebuild_formula()
+            for lit2 in _revised_commitment(c, action).literals:
                 g.add_clause([lit2])
             if count_models(g) > 0:
                 sat_costs.append(action.cost)
-        outcome = attempt_repair(state, c, core, pending,
-                                 RepairBudget(r_max=len(candidates) or 1))
+        retractions = brute_force_min_retraction(state, keep=c)
+        if retractions is not None:
+            sat_costs.append((retractions, 0, c.size))
+        outcome = attempt_repair(state, c, pending, RepairBudget(r_max=64))
         if outcome.kind is RepairOutcomeKind.REPAIRED and outcome.action is not None:
             assert sat_costs and outcome.action.cost == min(sat_costs)
             checked += 1
@@ -190,27 +178,49 @@ def test_accepted_repair_is_lexicographically_optimal():
             checked += 1
 
 
-def test_whole_core_retraction_over_threshold_is_partial():
-    # four disjoint forced-in conflicts and an innocent current query: with an
-    # unminimized core and a wide budget, only the whole-core retraction
-    # (cost 8) restores satisfiability, which is over the threshold of 3
+def test_minimum_retraction_over_threshold_is_partial():
+    # four disjoint forced-in conflicts and an innocent current query: both
+    # flips fail, and the minimum retraction (one commitment per conflict) is
+    # over the threshold of 3
     state = state_of(num_vars=5)
-    for i, v in enumerate((1, 2, 3, 4), start=1):
-        state.append_and_check(Commitment(f"p{i}", Label.ENTAILED, (v,)))
-    for i, v in enumerate((1, 2, 3, 4), start=1):
-        c = Commitment(f"n{i}", Label.CONTRADICTED, (-v,))
-        assert state.append_and_check(c).status is AppendStatus.VIOLATION
-        state.force_append(c, known_unsat=True)
+    forced_conflicts(state, (1, 2, 3, 4))
     current = Commitment("q9", Label.ENTAILED, (5,))
-    assert state.append_and_check(current).status is AppendStatus.VIOLATION
-    pending = len(state.commitments) - 1
-    core = state.unsat_core(pending, minimize=False)
-    outcome = attempt_repair(state, current, core, pending, RepairBudget(r_max=64))
+    pending = violating_append(state, current)
+    outcome = attempt_repair(state, current, pending, RepairBudget(r_max=64))
     assert outcome.kind is RepairOutcomeKind.PARTIAL
-    assert len(outcome.tried) == 39
+    assert len(outcome.tried) == 3
     assert outcome.tried[-1][1] == "accepted-over-threshold"
     assert outcome.action.kind is RepairKind.RETRACT
-    assert outcome.action.cost[0] == 8
+    assert len(outcome.action.retract_indices) == 4
+    assert outcome.action.cost == (4, 0, 1)
+
+
+def test_minimum_retraction_repairs_three_forced_conflicts():
+    # three retractions are within the threshold; enumerating singles, pairs
+    # and then the whole core (six commitments) gave up with PARTIAL
+    state = state_of(num_vars=4)
+    forced_conflicts(state, (1, 2, 3))
+    current = Commitment("q9", Label.ENTAILED, (4,))
+    pending = violating_append(state, current)
+    before = state.session.stats.solver_calls
+    outcome = attempt_repair(state, current, pending, RepairBudget(r_max=64))
+    assert outcome.kind is RepairOutcomeKind.REPAIRED
+    assert outcome.retracted_indices == (0, 1, 2)  # the earliest of each pair
+    assert outcome.active_index == pending
+    assert state.session.stats.solver_calls - before == 6
+    assert state.rebuild_check()
+
+
+def test_fallback_from_unsatisfiable_state_stays_within_call_cap():
+    # both calls go to the flips; the fallback must not solve again
+    state = state_of(num_vars=3)
+    forced_conflicts(state, (1,))
+    current = Commitment("q3", Label.ENTAILED, (2,))
+    pending = violating_append(state, current)
+    before = state.session.stats.solver_calls
+    outcome = attempt_repair(state, current, pending, RepairBudget(r_max=2, call_cap=2))
+    assert state.session.stats.solver_calls - before <= 2
+    assert outcome.kind is RepairOutcomeKind.PARTIAL
 
 
 # ------------------------------------------------------------- filtered vote
@@ -289,14 +299,18 @@ def test_revision_cost_single_conflict():
     assert rev.value == 1 and rev.exact
 
 
-def brute_force_min_retraction(state) -> int:
+def brute_force_min_retraction(state, keep: Commitment | None = None) -> int | None:
+    """Fewest active commitments whose retraction leaves the state, with
+    ``keep``'s literals added, satisfiable; None when no retraction does."""
     candidates = [i for i in state.active_indices if state.commitments[i].literals]
     for k in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, k):
             f = state.rebuild_formula(exclude=frozenset(subset))
+            for lit in keep.literals if keep else ():
+                f.add_clause([lit])
             if count_models(f) > 0:
                 return k
-    return len(candidates)
+    return None
 
 
 def test_revision_cost_matches_brute_force_on_seeded_conflicts():
@@ -320,6 +334,15 @@ def test_revision_cost_matches_brute_force_on_seeded_conflicts():
         rev = min_revision_cost(state)
         assert rev.exact
         assert rev.value == brute_force_min_retraction(state)
+        # the same search with a fresh pending commitment kept in
+        keep = Commitment("qk", Label.ENTAILED, (rng.choice([1, -1]) * rng.randint(1, nv),))
+        kept = min_revision_cost(state, keep=state.install(keep))
+        want = brute_force_min_retraction(state, keep)
+        assert kept.exact
+        if want is None:
+            assert kept.witness is None
+        else:
+            assert kept.value == len(kept.witness) == want
         if rev.value > 0:
             checked += 1
 
