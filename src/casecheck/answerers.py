@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .casefile import CaseFile, Label, Query
+from .casefile import OPPOSITE_LABEL, CaseFile, Label, Query, majority_label
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +28,6 @@ LABELS = (Label.ENTAILED, Label.CONTRADICTED, Label.UNKNOWN)
 class Answer:
     label: Label
     derived_atoms: tuple[int, ...] = ()
-    samples: tuple[Label, ...] = ()  # raw draws, when the policy votes
     calls: int = 1  # answerer forward passes consumed
 
 
@@ -145,8 +144,7 @@ class Answerer:
                 log.warning("replay miss for %s/%s, answering Unknown", case.id, query.id)
                 return Answer(Label.UNKNOWN)
             derived = tuple(record.get("derived_atoms", ()))
-            samples = tuple(Label(s) for s in record.get("samples", ()))
-            return Answer(Label(record["label"]), derived_atoms=derived, samples=samples)
+            return Answer(Label(record["label"]), derived_atoms=derived)
         if cfg.kind == "noisy":
             return self._noisy_answer(case, query, draw)
         if cfg.kind == "history":
@@ -191,23 +189,13 @@ class Answerer:
         """K independent inner draws with a majority vote; ties -> Unknown."""
         inner = self._inner or self
         draws = [inner.answer(case, query, history, draw=i) for i in range(k)]
-        labels = [d.label for d in draws]
-        counts = {label: labels.count(label) for label in set(labels)}
-        best = max(counts.values())
-        top = [label for label, n in counts.items() if n == best]
-        label = top[0] if len(top) == 1 else Label.UNKNOWN
-        return Answer(label, samples=tuple(labels), calls=k)
+        return Answer(majority_label([d.label for d in draws]), calls=k)
 
     def sample_commitment_candidates(self, case: CaseFile, query: Query,
                                      history, k: int) -> list[Answer]:
         """Raw per-draw answers, for logic-filtered aggregation."""
         inner = self._inner or self
         return [inner.answer(case, query, history, draw=i) for i in range(k)]
-
-
-OPPOSITE_LABEL = {Label.ENTAILED: Label.CONTRADICTED,
-                  Label.CONTRADICTED: Label.ENTAILED,
-                  Label.UNKNOWN: Label.UNKNOWN}
 
 
 # ------------------------------------------------------------------- presets
@@ -321,7 +309,7 @@ def policy_from_dict(data: dict) -> PolicyConfig:
 
 def load_trace(path: str | Path) -> dict[tuple[str, str], dict]:
     """Line-delimited records: case_id, query_id, label, optional
-    derived_atoms, optional samples (for self-consistency scoring)."""
+    derived_atoms; other fields are ignored."""
     trace = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

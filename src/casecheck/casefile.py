@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .lia import GroundedTheory, Theory, TheoryError, ground, parse_constraint, parse_theory
+from .lia import Theory, TheoryError, ground, parse_constraint, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
 from .solver import SolveStatus, SolverSession
 
@@ -25,6 +25,18 @@ class Label(str, Enum):
     ENTAILED = "entailed"
     CONTRADICTED = "contradicted"
     UNKNOWN = "unknown"
+
+
+OPPOSITE_LABEL = {Label.ENTAILED: Label.CONTRADICTED, Label.CONTRADICTED: Label.ENTAILED}
+
+
+def majority_label(labels: Sequence[Label]) -> Label:
+    """The most frequent of a nonempty label list; a tie for the top count
+    yields Unknown."""
+    counts = {label: labels.count(label) for label in set(labels)}
+    best = max(counts.values())
+    top = [label for label, n in counts.items() if n == best]
+    return top[0] if len(top) == 1 else Label.UNKNOWN
 
 
 class Domain(str, Enum):
@@ -71,7 +83,6 @@ class CaseFile:
     split: str | None = None
     formula: Formula | None = None
     theory: Theory | None = None
-    grounded: GroundedTheory | None = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -107,8 +118,8 @@ def check_premises(session: SolverSession, case_id: str | None) -> None:
 
 def compile_case(case: CaseFile) -> CaseFile:
     """Build the case formula; theory cases get each query atom reified to a
-    fresh literal in a ``query:<id>`` clause group. Parsing and grounding
-    only: the premises are checked by whatever session uses them."""
+    fresh literal, and its grounding errors name ``query:<id>``. Parsing and
+    grounding only: the premises are checked by whatever session uses them."""
     if case.premises_format == "dimacs":
         case.formula = parse_dimacs(case.premises)
         for q in case.queries:
@@ -117,14 +128,14 @@ def compile_case(case: CaseFile) -> CaseFile:
                     f"case {case.id} query {q.id}: atom {q.atom!r} outside premise vocabulary")
     elif case.premises_format == "theory":
         case.theory = parse_theory(case.premises)
-        case.grounded = ground(case.theory)
+        grounded = ground(case.theory)
         var_map = case.theory.var_map
         for q in case.queries:
             if not q.atom_text:
                 raise CorpusFormatError(f"case {case.id} query {q.id}: missing constraint atom")
             constraint = parse_constraint(q.atom_text, var_map)
-            q.atom = case.grounded.reify(constraint, f"query:{q.id}")
-        case.formula = case.grounded.formula
+            q.atom = grounded.reify(constraint, f"query:{q.id}")
+        case.formula = grounded.formula
         case.formula.validate()
     else:
         raise CorpusFormatError(f"case {case.id}: unknown premises_format {case.premises_format!r}")

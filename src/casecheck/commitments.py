@@ -3,7 +3,7 @@
 Answering a query induces a commitment: the queried atom for an entailed
 answer, its negation for a contradicted one, nothing for Unknown. The belief
 state is the conjunction of the case premises with every accepted commitment;
-commitments enter the solver as selector-guarded clause groups so retraction
+commitments enter the solver as selector-guarded clauses so retraction
 is an assumption flip rather than a rebuild, and unsatisfiable cores over the
 selectors localize conflicts to specific commitments.
 """
@@ -21,20 +21,11 @@ from .solver import SolveResult, SolveStatus, SolverSession
 log = logging.getLogger(__name__)
 
 
-class CommitmentOrigin(str, Enum):
-    EXTRACT = "deterministic-extract"
-    REPLAY = "replay-trace"
-    REPAIR = "repair"
-
-
 @dataclass
 class Commitment:
     query_id: str
     label: Label
     literals: tuple[int, ...]  # queried atom first, derived atoms after; empty for Unknown
-    origin: CommitmentOrigin = CommitmentOrigin.EXTRACT
-    # analysis-only marker for Unknown answers; never asserted to the solver
-    undetermined_atom: int | None = None
 
     @property
     def size(self) -> int:
@@ -43,8 +34,7 @@ class Commitment:
 
 def extract_commitment(query: Query, label: Label,
                        derived_atoms: tuple[int, ...] | list[int] | None = None,
-                       vocabulary_size: int | None = None,
-                       origin: CommitmentOrigin = CommitmentOrigin.EXTRACT) -> Commitment:
+                       vocabulary_size: int | None = None) -> Commitment:
     """Deterministic commitment for a (query, label) pair.
 
     Derived atoms outside the premise vocabulary are dropped with a warning
@@ -66,8 +56,8 @@ def extract_commitment(query: Query, label: Label,
     elif label is Label.CONTRADICTED:
         literals = (-query.atom, *derived)
     else:
-        return Commitment(query.id, label, (), origin, undetermined_atom=query.atom)
-    return Commitment(query.id, label, literals, origin)
+        literals = ()
+    return Commitment(query.id, label, literals)
 
 
 class AppendStatus(Enum):
@@ -154,9 +144,7 @@ class BeliefState:
             return AppendResult(AppendStatus.ACCEPTED, commitment, result)
         if result.status is SolveStatus.TIMEOUT:
             # fresh entry: the original selector still guards the old literals
-            fallback = Commitment(commitment.query_id, Label.UNKNOWN, (),
-                                  commitment.origin,
-                                  undetermined_atom=commitment.literals[0] if commitment.literals else None)
+            fallback = Commitment(commitment.query_id, Label.UNKNOWN, ())
             fb_idx = self._install(fallback)
             self.active[fb_idx] = True
             log.warning("query %s: satisfiability check timed out, label degraded to Unknown",
@@ -246,13 +234,11 @@ class BeliefState:
         """Premises plus active commitments as plain unit clauses: the
         retained conjunction, outside the incremental session."""
         f = self.base_formula.copy()
-        f.close_groups()
         for i in self.active_indices:
             if i in exclude:
                 continue
-            with f.new_group(f"commitment:{self.commitments[i].query_id}"):
-                for lit in self.commitments[i].literals:
-                    f.add_clause([lit])
+            for lit in self.commitments[i].literals:
+                f.add_clause([lit])
         return f
 
     def rebuild_check(self, case_id: str | None = None) -> bool:

@@ -136,10 +136,8 @@ def _cnf_premises(rng: random.Random, domain: Domain) -> str:
         keep = n_forced + max(2, int((len(clauses) - n_forced) * 0.6))
         clauses = clauses[:keep]
     f = Formula(num_vars=num_vars)
-    group = "rules" if domain is Domain.POLICY else "premises"
-    with f.new_group(group):
-        for c in clauses:
-            f.add_clause(c)
+    for c in clauses:
+        f.add_clause(c)
     return emit_dimacs(f)
 
 

@@ -12,9 +12,8 @@ on the same SAT core as propositional ones. Grammar::
            | (* INT VAR) | (* VAR INT)
 
 Only the bounded fragment is supported: every variable carries explicit
-finite bounds and terms must be linear. Unsat cores over the grounded CNF
-translate back to assertion names through clause group tags; the coherence
-ladder lives in the reserved group ``domain``.
+finite bounds and terms must be linear. Grounding errors name the assertion
+(or the reified query) they came from.
 """
 
 from __future__ import annotations
@@ -359,24 +358,23 @@ class GroundedTheory:
         rec(0, bound, list(prefix))
         return clauses
 
-    def add_constraint(self, c: LinConstraint, group: str) -> None:
-        self._emit(group, [(c, ())])
+    def add_constraint(self, c: LinConstraint, name: str) -> None:
+        self._emit(name, [(c, ())])
 
-    def reify(self, c: LinConstraint, group: str) -> int:
+    def reify(self, c: LinConstraint, name: str) -> int:
         """Fresh literal equivalent to ``c`` over the integer semantics."""
         d = self._new_prop()
-        self._emit(group, [(c, (-d,)), (c.negated(), (d,))])
+        self._emit(name, [(c, (-d,)), (c.negated(), (d,))])
         return d
 
-    def _emit(self, group: str, parts) -> None:
-        """Append the clauses of each (constraint, prefix) as one named group;
-        grounding errors name the group."""
-        with self.formula.new_group(group):
-            try:
-                for c, prefix in parts:
-                    self.formula.clauses.extend(map(tuple, self.clauses_for(c, prefix)))
-            except TheoryError as e:
-                raise TheoryError(f"{group}: {e}") from None
+    def _emit(self, name: str, parts) -> None:
+        """Append the clauses of each (constraint, prefix); grounding errors
+        are prefixed with ``name``."""
+        try:
+            for c, prefix in parts:
+                self.formula.clauses.extend(map(tuple, self.clauses_for(c, prefix)))
+        except TheoryError as e:
+            raise TheoryError(f"{name}: {e}") from None
 
     def decode(self, model: dict[int, bool]) -> dict[str, int]:
         out = {}
@@ -395,8 +393,8 @@ def _negate_terms(terms):
 
 
 def ground(theory: Theory, max_width: int = DEFAULT_DOMAIN_WIDTH) -> GroundedTheory:
-    """Ground to an equisatisfiable CNF; each assertion gets a tagged clause
-    group so cores translate back to constraint names."""
+    """Ground to an equisatisfiable CNF: the order ladder of every variable,
+    then the clauses of each assertion in order."""
     formula = Formula()
     order_vars: dict[tuple[str, int], int] = {}
     for v in theory.variables:
@@ -407,10 +405,9 @@ def ground(theory: Theory, max_width: int = DEFAULT_DOMAIN_WIDTH) -> GroundedThe
             order_vars[(v.name, k)] = formula.num_vars
 
     gt = GroundedTheory(theory, formula, order_vars)
-    with formula.new_group("domain"):
-        for v in theory.variables:
-            for k in range(v.lower, v.upper - 1):
-                formula.clauses.append((-order_vars[(v.name, k)], order_vars[(v.name, k + 1)]))
+    for v in theory.variables:
+        for k in range(v.lower, v.upper - 1):
+            formula.clauses.append((-order_vars[(v.name, k)], order_vars[(v.name, k + 1)]))
     for name, constraint in theory.assertions:
         gt.add_constraint(constraint, name)
     formula.validate()

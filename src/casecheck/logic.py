@@ -1,4 +1,4 @@
-"""Propositional core: clauses, grouped CNF formulas, DIMACS io, model enumeration.
+"""Propositional core: clauses, CNF formulas, DIMACS io, model enumeration.
 
 Literals are nonzero ints in DIMACS convention: ``v`` asserts variable ``v``
 true, ``-v`` asserts it false. Variables are numbered from 1.
@@ -44,16 +44,10 @@ def normalize_clause(lits: Iterable[int]) -> tuple[int, ...] | None:
 
 @dataclass
 class Formula:
-    """A CNF formula with clauses partitioned into named, contiguous groups.
-
-    Group tags let unsatisfiable cores over the clause list be translated back
-    to the named constraints they came from.
-    """
+    """A CNF formula: a variable count and a list of normalized clauses."""
 
     num_vars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)
-    # (name, start, end) half-open ranges; must partition the clause list
-    groups: list[tuple[str, int, int]] = field(default_factory=list)
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Normalize and append a clause; returns False if it was a tautology."""
@@ -66,82 +60,29 @@ class Formula:
         self.clauses.append(clause)
         return True
 
-    def new_group(self, name: str) -> "_GroupRecorder":
-        return _GroupRecorder(self, name)
-
-    def close_groups(self, default: str = "main") -> None:
-        """Tag any untagged clause tail with a default group."""
-        end = self.groups[-1][2] if self.groups else 0
-        if end < len(self.clauses):
-            self.groups.append((default, end, len(self.clauses)))
-
-    def group_of(self, clause_index: int) -> str:
-        for name, start, end in self.groups:
-            if start <= clause_index < end:
-                return name
-        raise LogicError(f"clause {clause_index} not covered by any group")
-
-    def group_clauses(self, name: str) -> list[tuple[int, ...]]:
-        out = []
-        for gname, start, end in self.groups:
-            if gname == name:
-                out.extend(self.clauses[start:end])
-        return out
-
     def validate(self) -> None:
         for clause in self.clauses:
             for l in clause:
                 if l == 0 or abs(l) > self.num_vars:
                     raise LogicError(f"literal {l} out of range 1..{self.num_vars}")
-        pos = 0
-        for name, start, end in self.groups:
-            if start != pos or end < start:
-                raise LogicError(f"group {name!r} range [{start},{end}) does not partition the clause list")
-            pos = end
-        if self.groups and pos != len(self.clauses):
-            raise LogicError("group ranges do not cover all clauses")
 
     def copy(self) -> "Formula":
-        return Formula(self.num_vars, list(self.clauses), list(self.groups))
-
-
-class _GroupRecorder:
-    """Context manager recording the clause range added while it is open."""
-
-    def __init__(self, formula: Formula, name: str):
-        self.formula = formula
-        self.name = name
-
-    def __enter__(self) -> Formula:
-        self._start = len(self.formula.clauses)
-        return self.formula
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.formula.groups.append((self.name, self._start, len(self.formula.clauses)))
+        return Formula(self.num_vars, list(self.clauses))
 
 
 def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS CNF text. Group comments ``c group <name> <start> <end>``
-    emitted by emit_dimacs are read back; other comments are ignored."""
+    """Parse DIMACS CNF text. Comment lines are ignored; tautological
+    clauses count toward the header's clause count but are dropped."""
     num_vars: int | None = None
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
-    groups: list[tuple[str, int, int]] = []
+    read = 0
     pending: list[int] = []
     pending_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            parts = line.split()
-            if len(parts) == 5 and parts[1] == "group":
-                try:
-                    groups.append((parts[2], int(parts[3]), int(parts[4])))
-                except ValueError:
-                    raise DimacsError(f"malformed group comment {line!r}", lineno)
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if num_vars is not None:
@@ -166,11 +107,9 @@ def parse_dimacs(text: str) -> Formula:
             pending_line = lineno
         for l in lits:
             if l == 0:
+                read += 1
                 clause = normalize_clause(pending)
-                if clause is TAUTOLOGY:
-                    if groups:
-                        raise DimacsError("tautological clause in grouped formula", pending_line)
-                else:
+                if clause is not TAUTOLOGY:
                     for c in clause:
                         if abs(c) > num_vars:
                             raise DimacsError(f"literal {c} out of declared range 1..{num_vars}", pending_line)
@@ -183,23 +122,13 @@ def parse_dimacs(text: str) -> Formula:
         raise DimacsError("missing problem header")
     if pending:
         raise DimacsError("clause missing terminating 0", pending_line)
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise DimacsError(f"header declares {num_clauses} clauses, found {len(clauses)}")
-
-    formula = Formula(num_vars, clauses, groups)
-    formula.close_groups()
-    formula.validate()
-    return formula
+    if read != num_clauses:
+        raise DimacsError(f"header declares {num_clauses} clauses, found {read}")
+    return Formula(num_vars, clauses)
 
 
-def emit_dimacs(formula: Formula, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
-    for name, start, end in formula.groups:
-        lines.append(f"c group {name} {start} {end}")
-    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
+def emit_dimacs(formula: Formula) -> str:
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     for clause in formula.clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     return "\n".join(lines) + "\n"

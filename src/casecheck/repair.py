@@ -22,12 +22,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .casefile import Label
-from .commitments import BeliefState, Commitment, CommitmentOrigin
+from .casefile import OPPOSITE_LABEL, Label, majority_label
+from .commitments import BeliefState, Commitment
 from .solver import SolveStatus
-
-OPPOSITE = {Label.ENTAILED: Label.CONTRADICTED, Label.CONTRADICTED: Label.ENTAILED}
-
 
 class RepairKind(str, Enum):
     FLIP = "flip"
@@ -85,7 +82,7 @@ def propose_repairs(commitment: Commitment) -> list[RepairAction]:
            for k in range(d, 0, -1)]
     if commitment.label is not Label.UNKNOWN:
         out.append(RepairAction(RepairKind.FLIP, new_label=Label.UNKNOWN, cost=(0, 1, 0)))
-        out.append(RepairAction(RepairKind.FLIP, new_label=OPPOSITE[commitment.label],
+        out.append(RepairAction(RepairKind.FLIP, new_label=OPPOSITE_LABEL[commitment.label],
                                 cost=(0, 1, 1 + d)))
     return out
 
@@ -93,14 +90,11 @@ def propose_repairs(commitment: Commitment) -> list[RepairAction]:
 def _revised_commitment(original: Commitment, action: RepairAction) -> Commitment:
     if action.kind is RepairKind.FLIP:
         if action.new_label is Label.UNKNOWN:
-            atom = original.literals[0] if original.literals else None
-            return Commitment(original.query_id, Label.UNKNOWN, (),
-                              CommitmentOrigin.REPAIR, undetermined_atom=atom)
+            return Commitment(original.query_id, Label.UNKNOWN, ())
         flipped = (-original.literals[0], *original.literals[1:])
-        return Commitment(original.query_id, action.new_label, flipped,
-                          CommitmentOrigin.REPAIR)
+        return Commitment(original.query_id, action.new_label, flipped)
     kept = tuple(l for l in original.literals if l not in action.dropped_atoms)
-    return Commitment(original.query_id, original.label, kept, CommitmentOrigin.REPAIR)
+    return Commitment(original.query_id, original.label, kept)
 
 
 def attempt_repair(state: BeliefState, commitment: Commitment, pending_index: int,
@@ -145,8 +139,7 @@ def attempt_repair(state: BeliefState, commitment: Commitment, pending_index: in
                                  tried=tried, active_index=pending_index)
 
     # no repair within budget: the current label reverts to Unknown
-    fallback = Commitment(commitment.query_id, Label.UNKNOWN, (), CommitmentOrigin.REPAIR,
-                          undetermined_atom=commitment.literals[0] if commitment.literals else None)
+    fallback = Commitment(commitment.query_id, Label.UNKNOWN, ())
     fb_idx = state.install(fallback)
     state.activate(fb_idx, sat=state.sat)
     kind = RepairOutcomeKind.FALLBACK_UNKNOWN if state.sat else RepairOutcomeKind.PARTIAL
@@ -178,12 +171,7 @@ def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState) -> Vo
         result = state.solve_with(extra=(state.selectors[idx],))
         if result.status is SolveStatus.SAT:
             survivors.append(commitment.label)
-    if not survivors:
-        return VoteResult(Label.UNKNOWN, survivors)
-    counts = {label: survivors.count(label) for label in set(survivors)}
-    best = max(counts.values())
-    top = [label for label, n in counts.items() if n == best]
-    label = top[0] if len(top) == 1 else Label.UNKNOWN
+    label = majority_label(survivors) if survivors else Label.UNKNOWN
     return VoteResult(label, survivors)
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .answerers import Answer, Answerer, PolicyConfig, policy_from_dict, policy_to_dict, resolve_policy
 from .casefile import CaseFile, Label, Query, case_from_record, case_to_record, load_corpus
-from .commitments import AppendStatus, BeliefState, extract_commitment
+from .commitments import AppendStatus, BeliefState, Commitment, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
 from .repair import (
     RepairBudget,
@@ -209,7 +209,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                         if local:
                             # overconfident answer against the premises: abstain
                             final = Label.UNKNOWN
-                            fb = extract_commitment(query, Label.UNKNOWN)
+                            fb = Commitment(query.id, Label.UNKNOWN, ())
                             idx = state.install(fb)
                             state.activate(idx, sat=state.sat)
                             outcome_name = "fallback-unknown"

@@ -60,7 +60,7 @@ class SolverSession:
 
     Not thread-safe; one session per thread. Clauses may be added between
     calls (never during one). Variables added after construction support the
-    selector-literal idiom used for retractable constraint groups.
+    selector-literal idiom used for retractable constraints.
 
     Inside the session a literal is a slot: ``v`` is ``2v`` and ``-v`` is
     ``2v+1``, so negation is ``^ 1``. Clauses, reasons, watches and the trail

@@ -6,7 +6,6 @@ from casecheck.commitments import (
     AppendStatus,
     BeliefState,
     Commitment,
-    CommitmentOrigin,
     extract_commitment,
 )
 from casecheck.logic import Formula, count_models, evaluate, parse_dimacs
@@ -23,7 +22,6 @@ def q(atom, qid="q1"):
 def test_extract_entailed_is_queried_atom():
     c = extract_commitment(q(3), Label.ENTAILED)
     assert c.literals == (3,)
-    assert c.origin is CommitmentOrigin.EXTRACT
 
 
 def test_extract_contradicted_negates():
@@ -34,12 +32,10 @@ def test_extract_contradicted_negates():
 def test_extract_unknown_asserts_nothing():
     c = extract_commitment(q(3), Label.UNKNOWN)
     assert c.literals == ()
-    assert c.undetermined_atom == 3
 
 
 def test_extract_with_derived_atoms_orders_queried_first():
-    c = extract_commitment(q(3), Label.ENTAILED, derived_atoms=[5],
-                           origin=CommitmentOrigin.REPLAY)
+    c = extract_commitment(q(3), Label.ENTAILED, derived_atoms=[5])
     assert c.literals == (3, 5)
 
 

@@ -84,19 +84,14 @@ def test_ground_decode_roundtrip():
     assert values["x"] + values["y"] <= 6 and values["y"] > values["x"]
 
 
-def test_core_groups_translate_to_names():
+def test_conflicting_named_assertions_ground_unsat():
     theory = parse_theory(
         "(declare-int x 0 5)"
         "(assert (! (>= x 4) :named big))"
         "(assert (! (<= x 1) :named small))"
         "(assert (! (>= x 0) :named harmless))"
     )
-    gt = ground(theory)
-    f = gt.formula
-    # every clause belongs to exactly one named group or the domain axioms
-    for i in range(len(f.clauses)):
-        assert f.group_of(i) in {"domain", "big", "small", "harmless"}
-    assert SolverSession(f).solve().status is SolveStatus.UNSAT
+    assert SolverSession(ground(theory).formula).solve().status is SolveStatus.UNSAT
 
 
 def test_disequality_encoding():

@@ -59,7 +59,6 @@ def test_roundtrip_random_3cnf():
     for _ in range(60):
         lits = rng.sample(range(1, 21), 3)
         f.add_clause([l if rng.random() < 0.5 else -l for l in lits])
-    f.close_groups()
     text = emit_dimacs(f)
     g = parse_dimacs(text)
     assert g.num_vars == f.num_vars
@@ -67,19 +66,20 @@ def test_roundtrip_random_3cnf():
     assert emit_dimacs(g) == text
 
 
-def test_group_tags_roundtrip_and_lookup():
-    f = Formula(num_vars=3)
-    with f.new_group("facts"):
-        f.add_clause([1])
-        f.add_clause([2])
-    with f.new_group("rules"):
-        f.add_clause([-1, 3])
-    f.validate()
-    assert f.group_of(0) == "facts"
-    assert f.group_of(2) == "rules"
-    g = parse_dimacs(emit_dimacs(f))
-    assert g.groups == [("facts", 0, 2), ("rules", 2, 3)]
-    assert g.group_clauses("rules") == [(-1, 3)]
+def test_group_comments_are_ignored():
+    # corpora written by earlier versions tag premise clauses with group comments
+    plain = "p cnf 3 3\n1 0\n2 0\n-1 3 0\n"
+    tagged = "c group facts 0 2\nc group rules 2 3\n" + plain
+    assert parse_dimacs(tagged) == parse_dimacs(plain)
+    assert parse_dimacs(tagged).clauses == [(1,), (2,), (-1, 3)]
+
+
+def test_header_counts_tautological_clauses():
+    f = parse_dimacs("p cnf 2 2\n1 -1 0\n1 2 0\n")
+    assert f.num_vars == 2
+    assert f.clauses == [(1, 2)]
+    with pytest.raises(DimacsError, match="declares 1 clauses, found 2"):
+        parse_dimacs("p cnf 2 1\n1 -1 0\n1 2 0\n")
 
 
 def test_enumerate_single_unit():
