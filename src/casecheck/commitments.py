@@ -245,13 +245,17 @@ class BeliefState:
         """Certified satisfiability of the retained conjunction.
 
         One solve of the active selectors on the incremental session. A SAT
-        model is its own certificate: it must satisfy ``rebuild_formula()``,
-        premises included. Otherwise a fresh session over the premises
-        checks them (``check_premises``) and re-solves under the literals of
-        the failed-assumption commitments, or of every active commitment
-        after a timeout or a failed certificate; that verdict stands."""
+        model is its own certificate: it must satisfy every premise clause and
+        every literal of every active commitment. Otherwise a fresh session
+        over the premises checks them (``check_premises``) and re-solves under
+        the literals of the failed-assumption commitments, or of every active
+        commitment after a timeout or a failed certificate; that verdict
+        stands."""
         result = self.session.solve(self.active_assumptions())
-        if result.status is SolveStatus.SAT and evaluate(self.rebuild_formula(), result.model):
+        model = result.model
+        if (result.status is SolveStatus.SAT and evaluate(self.base_formula, model)
+                and all(model[abs(lit)] == (lit > 0)
+                        for i in self.active_indices for lit in self.commitments[i].literals)):
             return True
         basis = self.active_indices
         if result.status is SolveStatus.UNSAT:

@@ -26,7 +26,8 @@ from .logic import Formula
 
 DEFAULT_DOMAIN_WIDTH = 64
 # clauses one linear inequality may ground to: a 3-term sum at width 64 needs
-# up to about 105,000, a 4-term one millions
+# at most 4,093 (about one per value pair of its first two terms), a 4-term
+# one about 216,000
 MAX_CONSTRAINT_CLAUSES = 200_000
 RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
 
@@ -316,6 +317,14 @@ class GroundedTheory:
         raise TheoryError(f"unknown relation {rel!r}")
 
     def _leq_clauses(self, terms, bound: int, prefix: tuple[int, ...]) -> list[list[int]]:
+        """Order-encoded CNF for ``sum(co * x) <= bound`` after ``prefix``.
+
+        Every term but the last is branched on value by value; each branch
+        extends the escape literals that rule its value out. The last term's
+        bound is closed-form: with ``b`` left for it, ``co > 0`` needs
+        ``x <= b // co`` and ``co < 0`` needs ``x > -(b // -co) - 1``, so each
+        prefix gets one clause. Through the order ladder it subsumes the
+        clause of every other violating value (Tamura et al., 2009)."""
         var_map = self.theory.var_map
         info = [(co, var_map[name]) for co, name in terms]
         n = len(info)
@@ -332,12 +341,17 @@ class GroundedTheory:
         def rec(i: int, b: int, escape: list[int]) -> None:
             if b >= max_suffix[i]:
                 return
-            if b < min_suffix[i]:
+            co, v = info[i]
+            if b < min_suffix[i] or i == n - 1:
                 if len(clauses) == MAX_CONSTRAINT_CLAUSES:
                     raise TheoryError(f"order encoding exceeds {MAX_CONSTRAINT_CLAUSES} clauses")
-                clauses.append(list(escape))
+                if b < min_suffix[i]:
+                    clauses.append(list(escape))
+                elif co > 0:
+                    clauses.append(escape + [self.order_literal(v.name, b // co)])
+                else:
+                    clauses.append(escape + [-self.order_literal(v.name, -(b // -co) - 1)])
                 return
-            co, v = info[i]
             if co > 0:
                 for val in range(v.lower, v.upper + 1):
                     if val > v.lower:

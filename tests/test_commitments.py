@@ -215,6 +215,16 @@ def test_validation_rejects_a_model_that_misses_the_retained_conjunction():
     assert state.rebuild_check() is False
 
 
+def test_validation_rejects_a_model_that_misses_a_premise():
+    state = empty_state(2)
+    state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
+    # a premise the incremental session never saw contradicts the commitment
+    state.base_formula.clauses.append((-1,))
+    model = state.session.solve(state.active_assumptions()).model
+    assert model[1] and not evaluate(state.base_formula, model)
+    assert state.rebuild_check() is False
+
+
 def test_validation_re_solves_an_unsat_core_in_a_fresh_session():
     state = empty_state(2)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))

@@ -1,6 +1,6 @@
 from collections import Counter
 
-from casecheck.casefile import Domain, Label, derive_gold_label, case_to_record
+from casecheck.casefile import Domain, Label, derive_gold_label, case_to_record, save_corpus
 from casecheck.generator import (
     GeneratorSpec,
     corpus_composition,
@@ -89,3 +89,17 @@ def test_default_corpus_unknown_prevalence(default_corpus):
     queries = [q for c in default_corpus for q in c.queries]
     unknown = sum(1 for q in queries if q.gold_label is Label.UNKNOWN)
     assert 0.17 <= unknown / len(queries) <= 0.19
+
+
+# sha256 of the default corpus file at seed 0, the corpus behind the README's
+# anchor scores: any change to generation, grounding or the solver that moves
+# a premise, query or gold label changes it
+DEFAULT_CORPUS_DIGEST = "90f7c346254234f97364c65950746f07bf976d51812e139703dbbe6d5ff74e26"
+
+
+def test_default_corpus_is_pinned(default_corpus, tmp_path):
+    import hashlib
+
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(default_corpus, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CORPUS_DIGEST

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from casecheck.lia import (
+    RELATIONS,
     LinConstraint,
     TheoryError,
     Theory,
@@ -124,6 +125,47 @@ def test_equisatisfiability_random_instances():
     assert agree == 200
 
 
+def _random_constraint(rng: random.Random, variables: list[IntVar],
+                       relations=RELATIONS) -> LinConstraint:
+    chosen = rng.sample(variables, rng.randint(1, len(variables)))
+    terms = tuple((rng.choice([-3, -2, -1, 1, 2, 3]), v.name) for v in chosen)
+    return LinConstraint(terms, rng.choice(relations), rng.randint(-12, 12))
+
+
+def test_grounding_counts_match_integer_solutions():
+    rng = random.Random(2009)
+    reified = 0
+    for _ in range(300):
+        variables = []
+        for i in range(rng.randint(1, 3)):
+            lower = rng.randint(-3, 2)
+            variables.append(IntVar(f"v{i}", lower, lower + rng.randint(0, 4)))
+        theory = Theory(variables, [(f"c{j}", _random_constraint(rng, variables))
+                                    for j in range(rng.randint(1, 3))])
+        gt = ground(theory)
+        if rng.random() < 0.3:
+            # a reified inequality is a function of the integers, so it adds no
+            # models; "=" and "!=" would leave a disjunction selector free on
+            # the side the query literal switches off
+            gt.reify(_random_constraint(rng, variables, ("<=", "<", ">=", ">")), "query:q1")
+            reified += 1
+        assert count_models(gt.formula) == len(enumerate_int_solutions(theory)), theory
+    assert reified > 50
+
+
+@pytest.mark.parametrize("co", [1, 2, -1, -3])
+def test_single_term_inequality_grounds_to_one_clause(co):
+    theory = parse_theory("(declare-int x -3 5)")
+    ladder = len(ground(theory).formula.clauses)
+    assert ladder == 7
+    lo, hi = sorted((co * -3, co * 5))
+    for k in range(lo, hi):
+        gt = ground(parse_theory(f"(declare-int x -3 5)(assert (<= (* {co} x) {k}))"))
+        assert len(gt.formula.clauses) == ladder + 1
+        models = {x for x in range(-3, 6) if co * x <= k}
+        assert count_models(gt.formula) == len(models)
+
+
 def test_scheduling_fixture_premises_parse_to_five_assertions():
     import json
     from pathlib import Path
@@ -162,7 +204,7 @@ def test_oversized_grounding_fails_fast_and_names_its_group():
     from casecheck.casefile import CorpusFormatError, case_from_record
 
     decl = "".join(f"(declare-int {v} 0 63)" for v in "abcd")
-    wide = "(<= (+ a b c d) 126)"  # about 2.7M order-encoding clauses
+    wide = "(<= (+ a b c d) 126)"  # 216,384 order-encoding clauses
     start = time.perf_counter()
     with pytest.raises(TheoryError, match="^big: order encoding exceeds"):
         ground(parse_theory(decl + f"(assert (! {wide} :named big))"))
@@ -172,5 +214,6 @@ def test_oversized_grounding_fails_fast_and_names_its_group():
                           "premises_format": "theory",
                           "queries": [{"id": "q1", "atom": "(<= a 3)"}, {"id": "q2", "atom": wide}]})
     assert time.perf_counter() - start < 10
-    # a 3-term sum at the same width stays under the limit
-    assert len(ground(parse_theory(decl + "(assert (<= (+ a b c) 80))")).formula.clauses) > 100_000
+    # a 3-term sum at the same width stays well under the limit: 248 ladder
+    # clauses plus one clause per value pair of a and b that leaves c a bound
+    assert len(ground(parse_theory(decl + "(assert (<= (+ a b c) 80))")).formula.clauses) == 4_173
