@@ -39,10 +39,18 @@ def _resolve_corpus_path(path: str) -> str:
     return path
 
 
+def _parse_cases(text: str) -> int:
+    cases = int(text)
+    if cases < 1:
+        raise argparse.ArgumentTypeError(f"case count must be at least 1, got {cases}")
+    return cases
+
+
 def _parse_mix(text: str) -> dict[Domain, int]:
     parts = [int(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("mix needs four counts: relational,temporal,policy,abductive")
+    if len(parts) != 4 or min(parts) < 0 or sum(parts) == 0:
+        raise argparse.ArgumentTypeError(
+            "mix needs four counts >= 0 with a positive sum: relational,temporal,policy,abductive")
     return dict(zip((Domain.RELATIONAL, Domain.TEMPORAL, Domain.POLICY, Domain.ABDUCTIVE), parts))
 
 
@@ -62,7 +70,7 @@ def _apportion(total: int) -> dict[Domain, int]:
 
 
 def cmd_generate(args) -> int:
-    mix = _parse_mix(args.mix) if args.mix else (_apportion(args.cases) if args.cases else None)
+    mix = args.mix or (_apportion(args.cases) if args.cases else None)
     spec = GeneratorSpec(domain_mix=mix) if mix else GeneratorSpec()
     cases = generate_corpus(spec, seed=args.seed)
     split_cases(cases, _parse_ratios(args.split), seed=args.seed)
@@ -176,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a synthetic corpus")
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cases", type=int, default=None,
-                   help="total case count (default: the full 120/100/80/90 mix)")
-    g.add_argument("--mix", default=None,
+    g.add_argument("--cases", type=_parse_cases, default=None,
+                   help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
+    g.add_argument("--mix", type=_parse_mix, default=None,
                    help="per-domain counts: relational,temporal,policy,abductive")
     g.add_argument("--split", default="0.8,0.1,0.1")
     g.set_defaults(func=cmd_generate)

@@ -1,11 +1,16 @@
 """Deterministic synthetic case generation.
 
 Each domain has its own recipe (planted-model random CNF, interval scheduling
-over bounded integers, ground rule sets, and an underconstrained variant) but
-all share the same assembly: build satisfiable premises, scan the vocabulary
-for entailed/contradicted/contingent atoms with the solver, then draw a 5-8
-query bundle containing every label class, a dependency pair over a shared
-atom, and an Unknown share targeted at roughly 18% corpus-wide.
+over bounded integers, ground rule sets, and an underconstrained variant). A
+recipe supplies only three things: satisfiable premises, candidate atoms with
+their question texts, and the rule that picks the bundle's dependency pair
+(two queries over one shared atom). The rest is shared: ``_label_pools``
+labels each candidate once with the solver and files its complement under
+the opposite label (both under Unknown when the atom is contingent), and
+``_draw_bundle`` draws a 5-8 query bundle containing every label class, with
+an Unknown share targeted at roughly 18% corpus-wide. Cases are built by the
+corpus loader's ``case_from_record`` and every gold label is re-checked
+against the solver.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .casefile import CaseFile, Domain, Label, Query, compile_case, literal_gold_label
+from .casefile import OPPOSITE_LABEL, CaseFile, Domain, Label, case_from_record, literal_gold_label
 from .lia import format_constraint, parse_constraint, parse_theory
 from .logic import Formula, emit_dimacs
 from .solver import SolverSession
@@ -59,20 +64,60 @@ def _plan_counts(rng: random.Random, size: int, domain: Domain) -> dict[Label, i
     }
 
 
-def _literal_pools(session: SolverSession, num_vars: int) -> dict[Label, list[int]]:
-    pools: dict[Label, list[int]] = {Label.ENTAILED: [], Label.CONTRADICTED: [], Label.UNKNOWN: []}
-    for v in range(1, num_vars + 1):
-        label = literal_gold_label(session, v)
-        if label is Label.ENTAILED:
-            pools[Label.ENTAILED].append(v)
-            pools[Label.CONTRADICTED].append(-v)
-        elif label is Label.CONTRADICTED:
-            pools[Label.ENTAILED].append(-v)
-            pools[Label.CONTRADICTED].append(v)
+def _label_pools(session: SolverSession,
+                 candidates: list[tuple[int, tuple, tuple]]) -> dict[Label, list[tuple]]:
+    """Pools of (atom, text) queries by gold label. Each candidate is
+    (literal, query, complement query): one label check places both, the
+    complement in the opposite class or, for an Unknown atom, beside it."""
+    pools: dict[Label, list[tuple]] = {lbl: [] for lbl in Label}
+    for literal, query, comp in candidates:
+        label = literal_gold_label(session, literal)
+        if label is Label.UNKNOWN:
+            pools[label] += [query, comp]
         else:
-            pools[Label.UNKNOWN].append(v)
-            pools[Label.UNKNOWN].append(-v)
+            pools[label].append(query)
+            pools[OPPOSITE_LABEL[label]].append(comp)
     return pools
+
+
+def _draw_bundle(rng: random.Random, pools: dict[Label, list[tuple]],
+                 counts: dict[Label, int], pair: list[tuple[tuple, Label]]) -> list[dict]:
+    """Query records for one bundle: the dependency pair, then each class
+    filled from its pool, with entailed/contradicted shortfalls spilling into
+    Unknown (thin backbones), in shuffled order."""
+    picks = list(pair)
+    for _, label in pair:
+        counts[label] -= 1
+    used = {atom for (atom, _), _ in pair}
+    for label in (Label.ENTAILED, Label.CONTRADICTED, Label.UNKNOWN):
+        available = [q for q in pools[label] if q[0] not in used]
+        rng.shuffle(available)
+        chosen = available[:counts[label]]
+        if label is not Label.UNKNOWN:
+            counts[Label.UNKNOWN] += counts[label] - len(chosen)
+        elif len(chosen) < counts[label]:
+            raise GenerationError("not enough contingent atoms")
+        used.update(atom for atom, _ in chosen)
+        picks.extend((q, label) for q in chosen)
+    if {label for _, label in picks} != set(Label):
+        raise GenerationError("bundle missing a label class")
+
+    order = list(range(len(picks)))
+    rng.shuffle(order)
+    records = []
+    for pos, idx in enumerate(order):
+        (atom, text), label = picks[idx]
+        records.append({"id": f"q{pos + 1}", "atom": atom, "text": text,
+                        "gold_label": label.value, "depends_on": []})
+    first, second = sorted(order.index(i) for i in (0, 1))
+    records[second]["depends_on"] = [records[first]["id"]]
+    return records
+
+
+def _self_check(case: CaseFile, session: SolverSession) -> CaseFile:
+    for q in case.queries:  # generation self-check against the solver
+        assert literal_gold_label(session, q.atom) is q.gold_label
+    return case
 
 
 # ------------------------------------------------------------- CNF premises
@@ -148,7 +193,7 @@ _TEXT_TEMPLATES = {
 }
 
 
-def _query_text(domain: Domain, atom: int, rng: random.Random) -> str:
+def _query_text(domain: Domain, atom: int) -> str:
     pos_t, neg_t = _TEXT_TEMPLATES[domain]
     return (pos_t if atom > 0 else neg_t).format(v=abs(atom))
 
@@ -156,65 +201,29 @@ def _query_text(domain: Domain, atom: int, rng: random.Random) -> str:
 def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
                        spec: GeneratorSpec) -> CaseFile:
     rng = random.Random(seed)
-    premises = _cnf_premises(rng, domain)
-    case = CaseFile(id=case_id, domain=domain, premises=premises,
-                    premises_format="dimacs", queries=[])
-    compile_case(case)
-    session = case.new_session()
-    pools = _literal_pools(session, case.formula.num_vars)
+    record = {"id": case_id, "domain": domain.value, "premises": _cnf_premises(rng, domain),
+              "premises_format": "dimacs"}
+    probe = case_from_record({**record, "queries": []})
+    session = probe.new_session()
 
+    def query(lit: int) -> tuple[int, str]:
+        return lit, _query_text(domain, lit)
+
+    pools = _label_pools(session, [(v, query(v), query(-v))
+                                   for v in range(1, probe.formula.num_vars + 1)])
     size = rng.randint(spec.bundle_min, spec.bundle_max)
     counts = _plan_counts(rng, size, domain)
     if not pools[Label.ENTAILED] or not pools[Label.UNKNOWN]:
         raise GenerationError("label pools too small")
-
-    picks: list[tuple[int, Label]] = []
-    used_atoms: set[int] = set()
-    # dependency pair first: two queries over one shared variable
+    # dependency pair: two queries over one shared variable
     if counts[Label.UNKNOWN] >= 2:
-        w = rng.choice(sorted({abs(l) for l in pools[Label.UNKNOWN]}))
-        pair = [(w, Label.UNKNOWN), (-w, Label.UNKNOWN)]
-        counts[Label.UNKNOWN] -= 2
+        w = rng.choice(sorted({abs(lit) for lit, _ in pools[Label.UNKNOWN]}))
+        pair = [(query(w), Label.UNKNOWN), (query(-w), Label.UNKNOWN)]
     else:
         e = rng.choice(pools[Label.ENTAILED])
-        pair = [(e, Label.ENTAILED), (-e, Label.CONTRADICTED)]
-        counts[Label.ENTAILED] -= 1
-        counts[Label.CONTRADICTED] -= 1
-    picks.extend(pair)
-    used_atoms.update(l for l, _ in pair)
-
-    # entailed/contradicted shortfalls spill into Unknown (thin backbones)
-    for label in (Label.ENTAILED, Label.CONTRADICTED, Label.UNKNOWN):
-        candidates = [l for l in pools[label] if l not in used_atoms]
-        rng.shuffle(candidates)
-        chosen = candidates[:counts[label]]
-        if label is not Label.UNKNOWN:
-            counts[Label.UNKNOWN] += counts[label] - len(chosen)
-        elif len(chosen) < counts[label]:
-            raise GenerationError("not enough contingent atoms")
-        used_atoms.update(chosen)
-        picks.extend((l, label) for l in chosen)
-    if {lbl for _, lbl in picks} != set(Label):
-        raise GenerationError("bundle missing a label class")
-
-    order = list(range(len(picks)))
-    rng.shuffle(order)
-    pair_positions = sorted(order.index(i) for i in (0, 1))
-    queries = []
-    for pos, idx in enumerate(order):
-        atom, label = picks[idx]
-        queries.append(Query(
-            id=f"q{pos + 1}",
-            atom=atom,
-            gold_label=label,
-            text=_query_text(domain, atom, rng),
-        ))
-    queries[pair_positions[1]].depends_on = [queries[pair_positions[0]].id]
-    case.queries = queries
-
-    for q in case.queries:  # generation self-check against the solver
-        assert literal_gold_label(session, q.atom) is q.gold_label
-    return case
+        pair = [(e, Label.ENTAILED), (query(-e[0]), Label.CONTRADICTED)]
+    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})
+    return _self_check(case, session)
 
 
 # --------------------------------------------------------- temporal premises
@@ -238,102 +247,48 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
     lines.append(f"(assert (! (<= end_{names[-1]} {horizon}) :named horizon))")
     if rng.random() < 0.4:
         lines.append(f"(assert (! (>= start_A {rng.randint(1, 2)}) :named window_a))")
-    premises = "\n".join(lines) + "\n"
-    var_map = parse_theory(premises).var_map
+    record = {"id": case_id, "domain": Domain.TEMPORAL.value, "premises": "\n".join(lines) + "\n",
+              "premises_format": "theory"}
+    var_map = parse_theory(record["premises"]).var_map
 
     def complement(atom_text: str) -> str:
         return format_constraint(parse_constraint(atom_text, var_map).negated())
 
-    # candidate atoms, each with its complement so every label class can appear
-    candidates: list[tuple[str, str]] = []
+    # candidate atoms, the first question text kept when two coincide; each
+    # is pooled with its complement so every label class can appear
+    candidates: dict[str, str] = {}
     for m in names:
         k = rng.randint(1, 5)
-        candidates.append((f"(<= start_{m} {k})", f"Does meeting {m} start by slot {k}?"))
+        candidates.setdefault(f"(<= start_{m} {k})", f"Does meeting {m} start by slot {k}?")
         j = rng.randint(2, horizon)
-        candidates.append((f"(>= end_{m} {j})", f"Does meeting {m} run past slot {j - 1}?"))
-        candidates.append((f"(<= end_{m} {horizon})", f"Does meeting {m} finish inside the horizon?"))
-        candidates.append((f"(>= end_{m} {durations[m]})", f"Does meeting {m} run at least its booked length?"))
-        candidates.append((f"(<= start_{m} 6)", f"Does meeting {m} start inside the scheduling window?"))
-    candidates.append(("(< start_B end_A)", "Can meeting A overlap meeting B?"))
-    candidates.append(("(>= start_B end_A)", "Is the shared room free of overlaps?"))
-    expanded: list[tuple[str, str]] = []
-    seen_atoms: set[str] = set()
-    for atom_text, text in candidates:
-        for variant_text, variant_q in ((atom_text, text), (complement(atom_text), f"[negated] {text}")):
-            if variant_text not in seen_atoms:
-                seen_atoms.add(variant_text)
-                expanded.append((variant_text, variant_q))
+        candidates.setdefault(f"(>= end_{m} {j})", f"Does meeting {m} run past slot {j - 1}?")
+        candidates.setdefault(f"(<= end_{m} {horizon})", f"Does meeting {m} finish inside the horizon?")
+        candidates.setdefault(f"(>= end_{m} {durations[m]})", f"Does meeting {m} run at least its booked length?")
+        candidates.setdefault(f"(<= start_{m} 6)", f"Does meeting {m} start inside the scheduling window?")
+    overlap = ("(< start_B end_A)", "Can meeting A overlap meeting B?")
+    no_overlap = ("(>= start_B end_A)", "Is the shared room free of overlaps?")
+    candidates.update((overlap, no_overlap))
 
-    probe = CaseFile(
-        id=case_id, domain=Domain.TEMPORAL, premises=premises, premises_format="theory",
-        queries=[Query(id=f"c{i}", atom=0, atom_text=a, text=t) for i, (a, t) in enumerate(expanded)],
-    )
-    compile_case(probe)
-    session = probe.new_session()
-    pools: dict[Label, list[tuple[str, str]]] = {lbl: [] for lbl in Label}
-    for q in probe.queries:
-        pools[literal_gold_label(session, q.atom)].append((q.atom_text, q.text))
-
+    probe = case_from_record({**record, "queries": [{"id": f"c{i}", "atom": a, "text": t}
+                                                    for i, (a, t) in enumerate(candidates.items())]})
+    pools = _label_pools(probe.new_session(),
+                         [(q.atom, (q.atom_text, q.text), (complement(q.atom_text), f"[negated] {q.text}"))
+                          for q in probe.queries])
     size = rng.randint(spec.bundle_min, spec.bundle_max)
     counts = _plan_counts(rng, size, Domain.TEMPORAL)
-
-    picks: list[tuple[str, str, Label]] = []
-    overlap = "(< start_B end_A)"
-    no_overlap = "(>= start_B end_A)"
-    pool_texts = {a for lbl in Label for a, _ in pools[lbl]}
-    dep_pair: list[tuple[str, str, Label]] = []
-    if counts[Label.UNKNOWN] >= 2 and overlap in {a for a, _ in pools[Label.UNKNOWN]} \
-            and no_overlap in {a for a, _ in pools[Label.UNKNOWN]}:
-        dep_pair = [(overlap, "Can meeting A overlap meeting B?", Label.UNKNOWN),
-                    (no_overlap, "Is the shared room free of overlaps?", Label.UNKNOWN)]
-        counts[Label.UNKNOWN] -= 2
+    # dependency pair: the two overlap atoms when both are contingent, else
+    # the first entailed query whose complement's text is pooled too
+    if counts[Label.UNKNOWN] >= 2 and overlap in pools[Label.UNKNOWN] \
+            and no_overlap in pools[Label.UNKNOWN]:
+        pair = [(overlap, Label.UNKNOWN), (no_overlap, Label.UNKNOWN)]
     else:
-        for atom_text, text in pools[Label.ENTAILED]:
-            comp = complement(atom_text)
-            if comp in pool_texts and counts[Label.ENTAILED] and counts[Label.CONTRADICTED]:
-                dep_pair = [(atom_text, text, Label.ENTAILED),
-                            (comp, f"[negated] {text}", Label.CONTRADICTED)]
-                counts[Label.ENTAILED] -= 1
-                counts[Label.CONTRADICTED] -= 1
-                break
-    if not dep_pair:
-        raise GenerationError("no dependency pair available")
-    picks.extend(dep_pair)
-    used = {a for a, _, _ in picks}
-
-    for label in (Label.ENTAILED, Label.CONTRADICTED):
-        available = [(a, t) for a, t in pools[label] if a not in used]
-        rng.shuffle(available)
-        chosen = available[:counts[label]]
-        counts[Label.UNKNOWN] += counts[label] - len(chosen)
-        for a, t in chosen:
-            picks.append((a, t, label))
-            used.add(a)
-    available = [(a, t) for a, t in pools[Label.UNKNOWN] if a not in used]
-    rng.shuffle(available)
-    if len(available) < counts[Label.UNKNOWN]:
-        raise GenerationError("not enough contingent temporal atoms")
-    for a, t in available[:counts[Label.UNKNOWN]]:
-        picks.append((a, t, Label.UNKNOWN))
-        used.add(a)
-
-    order = list(range(len(picks)))
-    rng.shuffle(order)
-    pair_positions = sorted(order.index(i) for i in (0, 1))
-    queries = []
-    for pos, idx in enumerate(order):
-        atom_text, text, label = picks[idx]
-        queries.append(Query(id=f"q{pos + 1}", atom=0, atom_text=atom_text,
-                             gold_label=label, text=text))
-    queries[pair_positions[1]].depends_on = [queries[pair_positions[0]].id]
-
-    case = CaseFile(id=case_id, domain=Domain.TEMPORAL, premises=premises,
-                    premises_format="theory", queries=queries)
-    compile_case(case)
-    session = case.new_session()
-    for q in case.queries:
-        assert literal_gold_label(session, q.atom) is q.gold_label
-    return case
+        pool_atoms = {a for lbl in Label for a, _ in pools[lbl]}
+        pair = next(([((a, t), Label.ENTAILED), ((complement(a), f"[negated] {t}"), Label.CONTRADICTED)]
+                     for a, t in pools[Label.ENTAILED] if complement(a) in pool_atoms), None)
+        if pair is None:
+            raise GenerationError("no dependency pair available")
+    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})
+    return _self_check(case, case.new_session())
 
 
 # ----------------------------------------------------------------- top level

@@ -25,6 +25,21 @@ def test_generate_same_seed_identical_files(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cases", "0"),  # used to read as unset and write the full corpus
+    ("--cases", "-3"),
+    ("--mix", "0,0,0,0"),
+    ("--mix", "2,-1,0,0"),
+])
+def test_generate_rejects_counts_that_give_the_wrong_corpus(tmp_path, capsys, flag, value):
+    out = tmp_path / "bad.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
