@@ -39,11 +39,13 @@ def _resolve_corpus_path(path: str) -> str:
     return path
 
 
-def _parse_cases(text: str) -> int:
-    cases = int(text)
-    if cases < 1:
-        raise argparse.ArgumentTypeError(f"case count must be at least 1, got {cases}")
-    return cases
+def _at_least_one(text: str) -> int:
+    """Counts and budgets: zero or less would be read as unset, as one, or
+    fail deep inside a run, so argparse refuses it (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_mix(text: str) -> dict[Domain, int]:
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a synthetic corpus")
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cases", type=_parse_cases, default=None,
+    g.add_argument("--cases", type=_at_least_one, default=None,
                    help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
     g.add_argument("--mix", type=_parse_mix, default=None,
                    help="per-domain counts: relational,temporal,policy,abductive")
@@ -206,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--mode", default="sequential", choices=("set", "sequential"))
     r.add_argument("--split", default=None)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--r-max", type=int, default=2, dest="r_max")
-    r.add_argument("--call-cap-factor", type=int, default=3, dest="call_cap_factor")
-    r.add_argument("--delta-past-limit", type=int, default=3, dest="delta_past_limit")
+    r.add_argument("--r-max", type=_at_least_one, default=2, dest="r_max")
+    r.add_argument("--call-cap-factor", type=_at_least_one, default=3, dest="call_cap_factor")
+    r.add_argument("--delta-past-limit", type=_at_least_one, default=3, dest="delta_past_limit")
     r.add_argument("--timeout", type=float, default=30.0,
                    help="wall-clock solver budget per call (seconds)")
-    r.add_argument("--max-conflicts", type=int, default=None, dest="max_conflicts",
+    r.add_argument("--max-conflicts", type=_at_least_one, default=None, dest="max_conflicts",
                    help="deterministic conflict budget (overrides wall clock in CI)")
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=_at_least_one, default=1)
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("score", help="compute metrics from a run directory")

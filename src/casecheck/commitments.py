@@ -124,12 +124,6 @@ class BeliefState:
     def active_indices(self) -> list[int]:
         return [i for i, on in enumerate(self.active) if on]
 
-    def index_of_query(self, query_id: str) -> int:
-        for i, c in enumerate(self.commitments):
-            if c.query_id == query_id and self.active[i]:
-                return i
-        raise KeyError(query_id)
-
     # ------------------------------------------------------------ operations
 
     def append_and_check(self, commitment: Commitment) -> AppendResult:
@@ -229,17 +223,6 @@ class BeliefState:
         return UnsatCore(tuple(sorted(core)), minimal=True)
 
     # ------------------------------------------------------------ validation
-
-    def rebuild_formula(self, exclude: frozenset[int] = frozenset()) -> Formula:
-        """Premises plus active commitments as plain unit clauses: the
-        retained conjunction, outside the incremental session."""
-        f = self.base_formula.copy()
-        for i in self.active_indices:
-            if i in exclude:
-                continue
-            for lit in self.commitments[i].literals:
-                f.add_clause([lit])
-        return f
 
     def rebuild_check(self, case_id: str | None = None) -> bool:
         """Certified satisfiability of the retained conjunction.

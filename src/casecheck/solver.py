@@ -2,9 +2,14 @@
 learning, Luby restarts, phase saving, and MiniSat-style assumption handling.
 
 A session keeps its learned state across calls, so repeated checks over the
-same base formula (with varying assumption sets) reuse prior work. Verdicts
-are fully deterministic: branching breaks ties by variable index and there is
-no randomized component.
+same base formula (with varying assumption sets) reuse prior work. It also
+keeps the model of its last satisfiable search. When that model, extended to
+the variables created since (false unless assumed), satisfies a later call's
+assumptions and every clause added since, the call returns it without a
+search, as a counterexample cache would (Cadar, Dunbar & Engler, OSDI 2008).
+A conflict-free search would return the same model, so no status or model
+depends on the shortcut. Verdicts are fully deterministic: branching breaks
+ties by variable index and there is no randomized component.
 """
 
 from __future__ import annotations
@@ -94,6 +99,14 @@ class SolverSession:
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
         self._heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]  # already a heap
+        # While _reuse holds, the saved phases are a model of every clause
+        # loaded: the last search ended SAT and every clause added since held
+        # under them. Variables from _fresh_from on were created since (false
+        # when created), and _since keeps the clauses added since that mention
+        # one, because a solve may assume such a variable either way.
+        self._reuse = False
+        self._fresh_from = n + 1
+        self._since: list[tuple[int, ...]] = []
 
         if formula is not None:
             formula.validate()
@@ -123,6 +136,12 @@ class SolverSession:
             if not isinstance(l, int) or l == 0 or abs(l) > self._num_vars:
                 raise LogicError(f"bad literal {l!r} (have {self._num_vars} variables)")
         self._cancel_until(0)
+        if self._reuse:
+            # before _load: a root unit rewrites the phases it propagates
+            if not self._holds(clause):
+                self._reuse = False
+            elif max(map(abs, clause)) >= self._fresh_from:
+                self._since.append(clause)
         self._load((clause,))
 
     def _load(self, clauses: Iterable[Sequence[int]]) -> None:
@@ -151,6 +170,32 @@ class SolverSession:
                 else:
                     watches[reduced[0]].append(reduced)
                     watches[reduced[1]].append(reduced)
+
+    def _holds(self, clause: Iterable[int]) -> bool:
+        """Whether the saved phases make some literal of ``clause`` true."""
+        phase = self._phase
+        for l in clause:
+            if phase[abs(l)] == (l < 0):
+                return True
+        return False
+
+    def _reuse_model(self, assumptions: Sequence[int]) -> bool:
+        """Whether the saved phases, with each assumed fresh variable set to
+        its assumed polarity, satisfy every assumption and every clause added
+        since the last search. On success the phases keep those polarities,
+        as enqueueing them would; otherwise they are restored."""
+        phase, fresh = self._phase, self._fresh_from
+        saved = {}
+        for a in assumptions:
+            var = abs(a)
+            if var >= fresh:
+                saved.setdefault(var, phase[var])
+                phase[var] = 1 if a < 0 else 0
+        if all(phase[abs(a)] == (a < 0) for a in assumptions) and all(map(self._holds, self._since)):
+            return True
+        for var, bit in saved.items():
+            phase[var] = bit
+        return False
 
     @staticmethod
     def _literal(p: int) -> int:
@@ -357,6 +402,13 @@ class SolverSession:
                 raise LogicError(f"assumption {a} references unknown variable")
             slots.append(2 * a if a > 0 else 1 - 2 * a)
 
+        if self._reuse and self._reuse_model(assumptions):
+            # a search would assign, imply and decide exactly these polarities
+            # without a conflict, and return this model
+            return SolveResult(SolveStatus.SAT, model=dict(zip(  # sign bit 0: true
+                range(1, self._num_vars + 1), map((0).__eq__, self._phase[1:]))))
+        self._reuse = False
+
         self._cancel_until(0)
         if not self._ok:
             return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
@@ -426,6 +478,10 @@ class SolverSession:
             if decision is None:
                 model = dict(zip(range(1, self._num_vars + 1), map(TRUE.__eq__, self._value[2::2])))
                 self._cancel_until(0)
+                # every variable is assigned, so the saved phases are this model
+                self._reuse = True
+                self._fresh_from = self._num_vars + 1
+                self._since = []
                 return SolveResult(SolveStatus.SAT, model=model)
             trail_lim.append(len(self._trail))
             self._enqueue(decision, None)

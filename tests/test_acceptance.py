@@ -23,6 +23,8 @@ from casecheck.repair import logic_filtered_vote, min_revision_cost
 from casecheck.runner import RunConfig, evaluate_bundle
 from casecheck.solver import SolveStatus, SolverSession
 
+from test_commitments import rebuild_formula
+
 POLICY_SEED = 7  # calibrated configuration: default corpus seed 0, this seed
 
 
@@ -201,7 +203,7 @@ def test_criterion_06_revision_cost_exactness(corpus, sweep):
             done = False
             for k in range(len(candidates) + 1):
                 for subset in itertools.combinations(candidates, k):
-                    g = state.rebuild_formula(exclude=frozenset(subset))
+                    g = rebuild_formula(state, exclude=frozenset(subset))
                     if count_models(g) > 0:
                         brute = k
                         done = True
@@ -303,7 +305,7 @@ def test_criterion_11_filtered_vote_conservative():
             result = logic_filtered_vote(samples, state)
             if result.label is not Label.UNKNOWN:
                 lit = atom if result.label is Label.ENTAILED else -atom
-                g = state.rebuild_formula()
+                g = rebuild_formula(state)
                 g.add_clause([lit])
                 assert count_models(g) > 0, "vote returned a state-killing label"
             done += 1

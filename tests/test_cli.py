@@ -55,6 +55,24 @@ def run_args(corpus, out, **kw):
     return args
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--r-max", "0"),  # these three used to end in a ValueError traceback, exit 1
+    ("--call-cap-factor", "-1"),
+    ("--delta-past-limit", "0"),
+    ("--jobs", "0"),  # used to run as --jobs 1
+    ("--jobs", "-2"),
+    ("--max-conflicts", "0"),  # used to act as a budget of one conflict
+])
+def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
+    out = tmp_path / "bad-run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--corpus", str(corpus), "--out", str(out), "--method", "check+repair",
+              flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_run_and_score(tmp_path, corpus, capsys):
     out = tmp_path / "run-oracle"
     rc = main(run_args(corpus, out, policy="oracle", method="check"))

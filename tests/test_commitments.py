@@ -19,6 +19,17 @@ def q(atom, qid="q1"):
     return Query(id=qid, atom=atom)
 
 
+def rebuild_formula(state, exclude=frozenset()):
+    """Premises plus the active commitments (but those in ``exclude``) as
+    plain unit clauses: the retained conjunction, outside the session."""
+    f = state.base_formula.copy()
+    for i in state.active_indices:
+        if i not in exclude:
+            for lit in state.commitments[i].literals:
+                f.add_clause([lit])
+    return f
+
+
 def test_extract_entailed_is_queried_atom():
     c = extract_commitment(q(3), Label.ENTAILED)
     assert c.literals == (3,)
@@ -145,7 +156,7 @@ def test_belief_state_matches_fresh_rebuild():
                 assert state.rebuild_check()
             else:
                 # rejected commitment: conjunction incl. it must really be UNSAT
-                g = state.rebuild_formula()
+                g = rebuild_formula(state)
                 for lit2 in res.commitment.literals:
                     g.add_clause([lit2])
                 assert count_models(g) == 0
@@ -176,7 +187,7 @@ def test_retract_restores_satisfiability():
     assert res.status is AppendStatus.VIOLATION
     state.force_append(c2, known_unsat=True)
     assert not state.sat
-    state.retract(state.index_of_query("q1"))
+    state.retract(0)  # q1
     assert state.check().status is SolveStatus.SAT
     assert state.sat
 
@@ -211,7 +222,7 @@ def test_validation_rejects_a_model_that_misses_the_retained_conjunction():
     # the session still guards +1 while the state now claims -1
     state.commitments[0].literals = (-1,)
     model = state.session.solve(state.active_assumptions()).model
-    assert not evaluate(state.rebuild_formula(), model)
+    assert not evaluate(rebuild_formula(state), model)
     assert state.rebuild_check() is False
 
 

@@ -15,7 +15,7 @@ from casecheck.repair import (
 )
 from casecheck.solver import SolveStatus
 
-from test_commitments import guarded_pigeonhole
+from test_commitments import guarded_pigeonhole, rebuild_formula
 
 
 def state_of(dimacs: str | None = None, num_vars: int = 4) -> BeliefState:
@@ -161,7 +161,7 @@ def test_accepted_repair_is_lexicographically_optimal():
         from casecheck.repair import _revised_commitment
         sat_costs = []
         for action in propose_repairs(c):
-            g = state.rebuild_formula()
+            g = rebuild_formula(state)
             for lit2 in _revised_commitment(c, action).literals:
                 g.add_clause([lit2])
             if count_models(g) > 0:
@@ -274,7 +274,7 @@ def test_vote_conservative_over_seeds():
         result = logic_filtered_vote(samples, state)
         if result.label is not Label.UNKNOWN:
             lit = atom if result.label is Label.ENTAILED else -atom
-            g = state.rebuild_formula()
+            g = rebuild_formula(state)
             g.add_clause([lit])
             assert count_models(g) > 0
 
@@ -305,7 +305,7 @@ def brute_force_min_retraction(state, keep: Commitment | None = None) -> int | N
     candidates = [i for i in state.active_indices if state.commitments[i].literals]
     for k in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, k):
-            f = state.rebuild_formula(exclude=frozenset(subset))
+            f = rebuild_formula(state, exclude=frozenset(subset))
             for lit in keep.literals if keep else ():
                 f.add_clause([lit])
             if count_models(f) > 0:

@@ -5,7 +5,7 @@ import pytest
 from casecheck.answerers import PRESETS, PolicyConfig
 from casecheck.casefile import Domain, Label
 from casecheck.generator import GeneratorSpec, generate_corpus
-from casecheck.metrics import UNSAT, aggregate, load_reports
+from casecheck.metrics import UNSAT, aggregate, load_reports, save_reports
 from casecheck.runner import RunConfig, evaluate_bundle, run, write_run
 
 GEN_MIX = GeneratorSpec(domain_mix={Domain.RELATIONAL: 8, Domain.TEMPORAL: 6,
@@ -184,3 +184,34 @@ def test_invalid_config_rejected():
         RunConfig(corpus="", policy="oracle", mode="parallel")
     with pytest.raises(ValueError):
         RunConfig(corpus="", policy="oracle", method="check+repair", r_max=0)
+
+
+# sha256 of reports.jsonl for each method (policy nocot-like, seed 7) on the
+# seed-0 default corpus and on the 40-case long-bundle corpus of
+# test_generator.py: any change to a verdict, a core, a repair or a solver-call
+# count moves them
+REPORT_DIGESTS = {
+    ("default", "baseline"): "cfd7babb2dd10ca11264d7a6da4abe57ef03e8c376ee4ce6b9421a85e33b1b3e",
+    ("default", "check"): "7324885ac4b3802729953df48ef1d38f278e244b03212c3f19bfa1c652276342",
+    ("default", "check+repair"): "35a26c086f3a6a5d8bb250a238f01ecd8ae1ec33119d2c75ee4058696068883e",
+    ("long", "baseline"): "1f9fab2dbc3a2263a706bba612c9af7c24d2650ba8abf4f2d46612a177932789",
+    ("long", "check"): "f43f39d4a7c656baba2a3531a07f884828349ae0beb0bf497fca246c2501a862",
+    ("long", "check+repair"): "21cafb28cd39eebdf3d521988f2e734ec7d2460def58e7640ee293dd9accb41a",
+}
+
+
+@pytest.fixture(scope="module")
+def long_corpus():
+    spec = GeneratorSpec(bundle_min=14, bundle_max=16, domain_mix={d: 10 for d in Domain})
+    return generate_corpus(spec, seed=0)
+
+
+@pytest.mark.parametrize("corpus_name, method", sorted(REPORT_DIGESTS))
+def test_run_reports_are_pinned(tmp_path, default_corpus, long_corpus, corpus_name, method):
+    import hashlib
+
+    corpus = default_corpus if corpus_name == "default" else long_corpus
+    reports = [evaluate_bundle(case, config(method, seed=7, max_conflicts=200_000)) for case in corpus]
+    path = tmp_path / "reports.jsonl"
+    save_reports(reports, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[corpus_name, method]

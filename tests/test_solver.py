@@ -183,6 +183,93 @@ def test_determinism_statistics():
     assert runs[0] == runs[1]
 
 
+def test_reused_models_agree_with_enumeration(monkeypatch):
+    # incremental sessions in the commitment idiom: selectors guarding
+    # clauses, clauses added between solves (root units and clauses over
+    # fresh variables included), fresh variables assumed in either polarity
+    # and in both at once; every answer is checked against enumeration
+    rng = random.Random(37)
+    hits = 0
+    reuse_model = SolverSession._reuse_model
+
+    def counting(self, assumptions):
+        nonlocal hits
+        hit = reuse_model(self, assumptions)
+        hits += hit
+        return hit
+
+    monkeypatch.setattr(SolverSession, "_reuse_model", counting)
+    solves = 0
+    for _ in range(150):
+        f = random_formula(rng, max_vars=7, ratio_range=(0.5, 2.5))
+        s = SolverSession(f, max_seconds=None)
+        clauses = list(f.clauses)
+        fresh: list[int] = []
+        for _ in range(16):
+            op = rng.random()
+            if op < 0.25:
+                sel = s.add_variable()
+                fresh.append(sel)
+                for _ in range(rng.randint(1, 2)):
+                    lit = rng.randint(1, s.num_vars - 1)
+                    clause = (-sel, lit if rng.random() < 0.5 else -lit)
+                    s.add_clause(clause)
+                    clauses.append(clause)
+            elif op < 0.45:
+                width = rng.choice((1, 1, 2, 3))
+                lits = rng.sample(range(1, s.num_vars + 1), min(width, s.num_vars))
+                clause = tuple(l if rng.random() < 0.5 else -l for l in lits)
+                s.add_clause(clause)
+                clauses.append(clause)
+            else:
+                pool = fresh + rng.sample(range(1, s.num_vars + 1), 2)
+                assumptions = [v if rng.random() < 0.7 else -v
+                               for v in rng.sample(pool, rng.randint(0, min(4, len(pool))))]
+                if fresh and rng.random() < 0.1:
+                    sel = rng.choice(fresh)
+                    assumptions += [sel, -sel]
+                res = s.solve(assumptions)
+                solves += 1
+                g = Formula(s.num_vars, clauses + [(a,) for a in assumptions])
+                expected = SolveStatus.SAT if count_models(g) else SolveStatus.UNSAT
+                assert res.status is expected
+                if res.status is SolveStatus.SAT:
+                    assert set(res.model) == set(range(1, s.num_vars + 1))
+                    assert evaluate(g, res.model)
+                else:
+                    assert res.failed_assumptions <= set(assumptions)
+                    core = Formula(s.num_vars, clauses + [(a,) for a in res.failed_assumptions])
+                    assert count_models(core) == 0
+    assert hits > 150, (hits, solves)  # the shortcut is exercised
+
+
+def test_reused_model_costs_no_search():
+    f = Formula(num_vars=3)
+    f.add_clause([1, 2])
+    f.add_clause([-1, 3])
+    s = SolverSession(f)
+    first = s.solve()
+    assert first.status is SolveStatus.SAT
+    sel = s.add_variable()
+    lit = 1 if first.model[1] else -1  # agrees with the model just found
+    s.add_clause([-sel, lit])
+    before = s.stats.snapshot()
+    res = s.solve([sel])
+    after = s.stats.snapshot()
+    assert res.status is SolveStatus.SAT
+    assert res.model == {**first.model, sel: True}
+    assert after == {**before, "solver_calls": before["solver_calls"] + 1}
+    # a clause the model violates, then an assumption it violates: both search
+    s.add_clause([-lit])
+    res = s.solve([sel])
+    assert res.status is SolveStatus.UNSAT and res.failed_assumptions == {sel}
+    assert s.solve([-sel]).status is SolveStatus.SAT
+    searched = s.stats.decisions + s.stats.propagations
+    assert s.solve([-lit]).status is SolveStatus.SAT
+    assert s.stats.decisions + s.stats.propagations == searched
+    assert s.solve([lit]).status is SolveStatus.UNSAT
+
+
 def test_rejects_unknown_assumption_variable():
     s = SolverSession(Formula(num_vars=1))
     with pytest.raises(Exception):
@@ -207,8 +294,12 @@ PIN_QUERIES = ["(< start_C end_B)", "(>= start_B 5)", "(> end_B 20)",
                "(<= (+ start_A start_C) 9)", "(!= start_C start_A)"]
 
 # sha256 of the trajectory below: any change to the search order (branching,
-# learning, restarts, watch order) or to a counter changes it
-TRAJECTORY_DIGEST = "1c1140f0e66de384cfd41ad516d0bd500b73f418e616883cb2ad2b178d795953"
+# learning, restarts, watch order), to when a solve is answered from the last
+# model, or to a counter changes it
+TRAJECTORY_DIGEST = "19de807bf382ccc14b7c909d72b74402ff39fa605339bcc414a79ecedeb676f6"
+# sha256 of the status of every call alone: it holds across changes to the
+# search that keep every verdict
+STATUS_DIGEST = "cf3ba7b3403e3009e263afa9b554b9d683fd36dc4350e21af0ffd2bace642b9d"
 
 
 def _trajectory() -> list:
@@ -292,3 +383,11 @@ def test_search_trajectory_is_pinned():
 
     blob = json.dumps(_trajectory(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == TRAJECTORY_DIGEST
+
+
+def test_search_statuses_are_pinned():
+    import hashlib
+    import json
+
+    blob = json.dumps([call[0] for call in _trajectory()]).encode()
+    assert hashlib.sha256(blob).hexdigest() == STATUS_DIGEST
