@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +46,16 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """Wall-clock budgets: the solver reads the clock only every 64 conflicts,
+    so zero or less would act as a 64-conflict budget and infinity as none;
+    argparse refuses them (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -114,7 +125,6 @@ def cmd_run(args) -> int:
         seed=args.seed,
         r_max=args.r_max,
         call_cap_factor=args.call_cap_factor,
-        delta_past_limit=args.delta_past_limit,
         max_conflicts=args.max_conflicts,
         max_seconds=args.timeout,
         jobs=args.jobs,
@@ -210,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--r-max", type=_at_least_one, default=2, dest="r_max")
     r.add_argument("--call-cap-factor", type=_at_least_one, default=3, dest="call_cap_factor")
-    r.add_argument("--delta-past-limit", type=_at_least_one, default=3, dest="delta_past_limit")
-    r.add_argument("--timeout", type=float, default=30.0,
-                   help="wall-clock solver budget per call (seconds)")
+    r.add_argument("--timeout", type=_positive_seconds, default=30.0,
+                   help="wall-clock solver budget per call (seconds, positive and finite)")
     r.add_argument("--max-conflicts", type=_at_least_one, default=None, dest="max_conflicts",
                    help="deterministic conflict budget (overrides wall clock in CI)")
     r.add_argument("--jobs", type=_at_least_one, default=1)

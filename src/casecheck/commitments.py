@@ -138,30 +138,30 @@ class BeliefState:
             return AppendResult(AppendStatus.ACCEPTED, commitment, result)
         if result.status is SolveStatus.TIMEOUT:
             # fresh entry: the original selector still guards the old literals
-            fallback = Commitment(commitment.query_id, Label.UNKNOWN, ())
-            fb_idx = self._install(fallback)
-            self.active[fb_idx] = True
+            fb_idx = self.abstain(commitment.query_id)
             log.warning("query %s: satisfiability check timed out, label degraded to Unknown",
                         commitment.query_id)
-            return AppendResult(AppendStatus.TIMEOUT_FALLBACK, fallback, result)
+            return AppendResult(AppendStatus.TIMEOUT_FALLBACK, self.commitments[fb_idx], result)
         return AppendResult(AppendStatus.VIOLATION, commitment, result)
 
-    def force_append(self, commitment: Commitment, known_unsat: bool | None = None) -> int:
-        """Continue past a violation: activate the commitment regardless.
-
-        ``known_unsat`` spares a solver call when the caller already holds the
-        verdict for the extended conjunction."""
+    def force_append(self, commitment: Commitment) -> int:
+        """Continue past a violation the caller has just seen: activate the
+        commitment regardless, which leaves the retained conjunction
+        unsatisfiable."""
         if (self.commitments and self.commitments[-1] is commitment
                 and not self.active[-1]):
             idx = len(self.commitments) - 1
         else:
             idx = self._install(commitment)
         self.active[idx] = True
-        if known_unsat is None:
-            result = self.session.solve(self.active_assumptions())
-            known_unsat = result.status is not SolveStatus.SAT
-        if known_unsat:
-            self.sat = False
+        self.sat = False
+        return idx
+
+    def abstain(self, query_id: str) -> int:
+        """Install and activate an empty Unknown commitment for the query. It
+        asserts nothing, so ``sat`` is unchanged."""
+        idx = self._install(Commitment(query_id, Label.UNKNOWN, ()))
+        self.active[idx] = True
         return idx
 
     def install(self, commitment: Commitment) -> int:

@@ -29,6 +29,9 @@ DEFAULT_DOMAIN_WIDTH = 64
 # at most 4,093 (about one per value pair of its first two terms), a 4-term
 # one about 216,000
 MAX_CONSTRAINT_CLAUSES = 200_000
+# s-expression nesting the reader accepts: generated theories nest at most 4
+# deep, and the reader and term parser recurse once per level
+MAX_NESTING = 64
 RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
 
 _NEGATED = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<=", "!=": "="}
@@ -104,14 +107,16 @@ def _tokenize(text: str) -> list[str]:
 def _read_sexprs(tokens: list[str]):
     pos = 0
 
-    def read():
+    def read(depth: int):
         nonlocal pos
         tok = tokens[pos]
         pos += 1
         if tok == "(":
+            if depth == MAX_NESTING:
+                raise TheoryError(f"expression nested deeper than {MAX_NESTING} levels")
             items = []
             while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
+                items.append(read(depth + 1))
             if pos >= len(tokens):
                 raise TheoryError("unbalanced parentheses")
             pos += 1
@@ -122,7 +127,7 @@ def _read_sexprs(tokens: list[str]):
 
     exprs = []
     while pos < len(tokens):
-        exprs.append(read())
+        exprs.append(read(0))
     return exprs
 
 

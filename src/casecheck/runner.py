@@ -10,11 +10,10 @@ Three methods share one loop over a bundle's queries:
   commitments are localized and reported, but altering the past requires
   repair authority, so the bundle keeps the contradiction.
 * ``check+repair``: detected conflicts go through the repair search (soften,
-  flip, then the minimum retraction of past commitments) under the per-query
-  and per-bundle budgets; retracted queries revert to Unknown. Repair starts
-  from a satisfiable state, since every repaired or reverted step leaves one.
-  A minimum retraction larger than the threshold abandons repair and the
-  bundle is tagged partial.
+  then flip to Unknown) under the per-query and per-bundle budgets; without
+  an accepted candidate the step abstains (the label reverts to Unknown).
+  Repair starts from a satisfiable state, since every repaired or abstaining
+  step leaves one, and keeps the past: no earlier commitment is retracted.
 
 In sequential mode the answerer sees earlier final answers; in set mode the
 whole bundle is answered up front. Checking walks the bundle order in both.
@@ -29,15 +28,9 @@ from pathlib import Path
 
 from .answerers import Answer, Answerer, PolicyConfig, policy_from_dict, policy_to_dict, resolve_policy
 from .casefile import CaseFile, Label, Query, case_from_record, case_to_record, load_corpus
-from .commitments import AppendStatus, BeliefState, Commitment, extract_commitment
+from .commitments import AppendStatus, BeliefState, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
-from .repair import (
-    RepairBudget,
-    RepairOutcomeKind,
-    attempt_repair,
-    logic_filtered_vote,
-    min_revision_cost,
-)
+from .repair import RepairBudget, attempt_repair, logic_filtered_vote, min_revision_cost
 
 METHODS = ("baseline", "check", "check+repair")
 MODES = ("set", "sequential")
@@ -53,7 +46,6 @@ class RunConfig:
     seed: int = 0
     r_max: int = 2
     call_cap_factor: int = 3       # per-bundle solver-call cap = factor * n
-    delta_past_limit: int = 3
     max_conflicts: int | None = None
     max_seconds: float | None = 30.0
     jobs: int = 1
@@ -64,7 +56,7 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.method == "check+repair":
-            if self.r_max <= 0 or self.call_cap_factor <= 0 or self.delta_past_limit <= 0:
+            if self.r_max <= 0 or self.call_cap_factor <= 0:
                 raise ValueError("check+repair requires positive budgets")
 
     def to_dict(self) -> dict:
@@ -131,11 +123,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
     invariants: list[str] = []
     history: list[tuple[Query, Label]] = []
     answerer_calls = 0
-    retractions_total = 0
-    partial = False
     any_violation = False
     any_repair = False
-    index_to_record: dict[int, int] = {}  # belief-state index -> records position
 
     preset_answers: dict[str, Answer] = {}
     if config.mode == "set" and not use_filter:
@@ -169,95 +158,71 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
         final = answer.label
 
         # ------------------------------------------------------------- check
-        if partial:
-            # repair abandoned earlier: record the contradiction trail only
-            state.force_append(commitment, known_unsat=None)
-            ledger.take("check_solver_calls")
-            statuses_before.append(SAT if state.sat else UNSAT)
-            statuses_after.append(statuses_before[-1])
+        result = state.append_and_check(commitment)
+        ledger.take("check_solver_calls")
+        if result.status is AppendStatus.ACCEPTED:
+            statuses_before.append(SAT)
+            statuses_after.append(SAT)
+        elif result.status is AppendStatus.TIMEOUT_FALLBACK:
+            statuses_before.append(TIMEOUT)
+            statuses_after.append(SAT if state.sat else UNSAT)
+            if config.method != "baseline":
+                final = Label.UNKNOWN
         else:
-            result = state.append_and_check(commitment)
-            ledger.take("check_solver_calls")
-            if result.status is AppendStatus.ACCEPTED:
-                statuses_before.append(SAT)
-                statuses_after.append(SAT)
-                index_to_record[len(state.commitments) - 1] = len(records)
-            elif result.status is AppendStatus.TIMEOUT_FALLBACK:
-                statuses_before.append(TIMEOUT)
-                statuses_after.append(SAT if state.sat else UNSAT)
-                if config.method != "baseline":
-                    final = Label.UNKNOWN
+            any_violation = True
+            statuses_before.append(UNSAT)
+            pending = len(state.commitments) - 1
+            if config.method == "baseline":
+                state.force_append(commitment)
+                statuses_after.append(UNSAT)
             else:
-                any_violation = True
-                statuses_before.append(UNSAT)
-                pending = len(state.commitments) - 1
-                if config.method == "baseline":
-                    state.force_append(commitment, known_unsat=True)
-                    statuses_after.append(UNSAT)
-                else:
-                    slack = ledger.slack(n - t - 1)
-                    core = state.unsat_core(
-                        pending_index=pending,
-                        failed=result.solve_result.failed_assumptions,
-                        minimize=slack > 0,
-                        call_budget=slack)
-                    ledger.take("core_solver_calls")
-                    core_qids = [state.commitments[i].query_id
-                                 for i in core.commitment_indices]
-                    if config.method == "check":
-                        local = core.minimal and core.commitment_indices == (pending,)
-                        if local:
-                            # overconfident answer against the premises: abstain
-                            final = Label.UNKNOWN
-                            fb = Commitment(query.id, Label.UNKNOWN, ())
-                            idx = state.install(fb)
-                            state.activate(idx, sat=state.sat)
-                            outcome_name = "fallback-unknown"
-                        else:
-                            # altering past commitments needs repair authority
-                            state.force_append(commitment, known_unsat=True)
-                            outcome_name = "reported"
-                        statuses_after.append(SAT if state.sat else UNSAT)
-                        repair_log.append(RepairLogEntry(
-                            query_id=query.id, core_query_ids=core_qids,
-                            core_minimal=core.minimal, tried=[], accepted=None,
-                            outcome=outcome_name, retracted_query_ids=[],
-                            solver_calls=0))
-                    else:  # check+repair
-                        budget = RepairBudget(r_max=config.r_max,
-                                              call_cap=ledger.slack(n - t - 1),
-                                              delta_past_limit=config.delta_past_limit)
-                        outcome = attempt_repair(state, commitment, pending, budget)
-                        repair_calls = ledger.take("repair_solver_calls")
-                        any_repair = True
-                        retracted_qids = []
-                        if outcome.kind is RepairOutcomeKind.PARTIAL:
-                            partial = True
-                            statuses_after.append(SAT if state.sat else UNSAT)
-                        else:
-                            final = outcome.final_commitment.label
-                            for i in outcome.retracted_indices:
-                                retracted_qids.append(state.commitments[i].query_id)
-                                pos = index_to_record.get(i)
-                                if pos is not None:
-                                    records[pos].final = Label.UNKNOWN.value
-                            retractions_total += len(outcome.retracted_indices)
-                            if outcome.active_index is not None:
-                                index_to_record[outcome.active_index] = len(records)
-                            statuses_after.append(SAT)
-                        repair_log.append(RepairLogEntry(
-                            query_id=query.id, core_query_ids=core_qids,
-                            core_minimal=core.minimal,
-                            tried=[{"kind": a.kind.value,
-                                    "cost": list(a.cost),
-                                    "verdict": verdict}
-                                   for a, verdict in outcome.tried],
-                            accepted=(None if outcome.action is None else
-                                      {"kind": outcome.action.kind.value,
-                                       "cost": list(outcome.action.cost)}),
-                            outcome=outcome.kind.value,
-                            retracted_query_ids=retracted_qids,
-                            solver_calls=repair_calls))
+                slack = ledger.slack(n - t - 1)
+                core = state.unsat_core(
+                    pending_index=pending,
+                    failed=result.solve_result.failed_assumptions,
+                    minimize=slack > 0,
+                    call_budget=slack)
+                ledger.take("core_solver_calls")
+                core_qids = [state.commitments[i].query_id
+                             for i in core.commitment_indices]
+                if config.method == "check":
+                    local = core.minimal and core.commitment_indices == (pending,)
+                    if local:
+                        # overconfident answer against the premises: abstain
+                        final = Label.UNKNOWN
+                        state.abstain(query.id)
+                        outcome_name = "fallback-unknown"
+                    else:
+                        # altering past commitments needs repair authority
+                        state.force_append(commitment)
+                        outcome_name = "reported"
+                    statuses_after.append(SAT if state.sat else UNSAT)
+                    repair_log.append(RepairLogEntry(
+                        query_id=query.id, core_query_ids=core_qids,
+                        core_minimal=core.minimal, tried=[], accepted=None,
+                        outcome=outcome_name, retracted_query_ids=[],
+                        solver_calls=0))
+                else:  # check+repair
+                    budget = RepairBudget(r_max=config.r_max,
+                                          call_cap=ledger.slack(n - t - 1))
+                    outcome = attempt_repair(state, commitment, budget)
+                    repair_calls = ledger.take("repair_solver_calls")
+                    any_repair = True
+                    final = outcome.final_commitment.label
+                    statuses_after.append(SAT)
+                    repair_log.append(RepairLogEntry(
+                        query_id=query.id, core_query_ids=core_qids,
+                        core_minimal=core.minimal,
+                        tried=[{"kind": a.kind.value,
+                                "cost": list(a.cost),
+                                "verdict": verdict}
+                               for a, verdict in outcome.tried],
+                        accepted=(None if outcome.action is None else
+                                  {"kind": outcome.action.kind.value,
+                                   "cost": list(outcome.action.cost)}),
+                        outcome=outcome.kind.value,
+                        retracted_query_ids=[],
+                        solver_calls=repair_calls))
 
         records.append(QueryRecord(
             query_id=query.id,
@@ -274,8 +239,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
 
     if state.rebuild_check(case.id) != state.sat:
         invariants.append("incremental status disagrees with fresh rebuild")
-    if config.method == "check+repair" and not partial and not final_sat:
-        invariants.append("repair mode ended unsatisfiable without partial flag")
+    if config.method == "check+repair" and not final_sat:
+        invariants.append("repair mode ended unsatisfiable")
     if config.method == "check+repair":
         per_query_attempts = [len(e.tried) for e in repair_log]
         if any(a > config.r_max for a in per_query_attempts):
@@ -283,9 +248,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
         if ledger.capped > ledger.cap:
             invariants.append(f"solver calls {ledger.capped} exceed cap {ledger.cap}")
 
-    if partial:
-        bundle_status = "partial"
-    elif not final_sat:
+    if not final_sat:
         bundle_status = "inconsistent"
     elif any_repair and any_violation:
         bundle_status = "repaired"
@@ -303,11 +266,10 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
         statuses_before=statuses_before,
         statuses_after=statuses_after,
         final_sat=final_sat,
-        partial=partial,
+        partial=False,
         bundle_status=bundle_status,
         repair_log=repair_log,
         counts=counts,
-        retractions=retractions_total,
         min_revision=rev.value,
         min_revision_exact=rev.exact,
         invariant_failures=invariants,

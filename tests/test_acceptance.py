@@ -178,7 +178,7 @@ def test_criterion_05_core_minimality():
 
 
 def test_criterion_06_revision_cost_exactness(corpus, sweep):
-    with criterion(6, "exact minimum revision vs subset brute force; repair never beats it"):
+    with criterion(6, "exact minimum revision vs subset brute force; repaired bundles need none"):
         rng = random.Random(321)
         checked = 0
         while checked < 200:
@@ -194,7 +194,7 @@ def test_criterion_06_revision_cost_exactness(corpus, sweep):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
                 c = Commitment(f"q{i}", Label.ENTAILED, (lit,))
                 if state.append_and_check(c).status is AppendStatus.VIOLATION:
-                    state.force_append(c, known_unsat=True)
+                    state.force_append(c)
             rev = min_revision_cost(state)
             assert rev.exact
             # independent oracle: exhaustive retraction subsets by cardinality
@@ -215,7 +215,7 @@ def test_criterion_06_revision_cost_exactness(corpus, sweep):
 
         reports, _ = sweep
         for report in reports["check+repair"]:
-            assert report.retractions >= report.min_revision
+            assert report.min_revision == 0
 
 
 def test_criterion_07_budget_compliance(corpus, sweep):

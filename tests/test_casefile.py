@@ -132,6 +132,22 @@ def test_compile_errors_name_their_case(tmp_path):
         case_from_record(dimacs, index=2)
 
 
+@pytest.mark.parametrize("assertion", [
+    "(assert " + "(and " * 2000 + "(<= x 3)" + ")" * 2000 + ")",
+    "(assert (<= " + "(+ " * 2000 + "x" + ")" * 2000 + " 3))",
+], ids=["and", "plus"])
+def test_deep_nesting_fails_with_its_case_named(tmp_path, assertion):
+    # used to raise RecursionError out of the s-expression reader
+    record = {"id": "t-0001", "domain": "temporal", "premises_format": "theory",
+              "premises": "(declare-int x 0 9)\n" + assertion,
+              "queries": [{"id": "q1", "atom": "(<= x 3)"}]}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"^cases\[0\] \(case t-0001\): "
+                                                r"expression nested deeper than 64 levels$"):
+        load_corpus(corpus)
+
+
 def test_scheduling_fixture_loads_with_capacity_query():
     case = load_casefile(FIXTURES / "scheduling.jsonl")
     assert case.bundle_size == 5

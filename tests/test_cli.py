@@ -56,9 +56,8 @@ def run_args(corpus, out, **kw):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--r-max", "0"),  # these three used to end in a ValueError traceback, exit 1
+    ("--r-max", "0"),  # these two used to end in a ValueError traceback, exit 1
     ("--call-cap-factor", "-1"),
-    ("--delta-past-limit", "0"),
     ("--jobs", "0"),  # used to run as --jobs 1
     ("--jobs", "-2"),
     ("--max-conflicts", "0"),  # used to act as a budget of one conflict
@@ -70,6 +69,17 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
               flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])
+def test_run_rejects_timeouts_that_are_not_positive_and_finite(tmp_path, corpus, capsys, value):
+    # zero and negative values used to act as a 64-conflict budget
+    out = tmp_path / "bad-run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--corpus", str(corpus), "--out", str(out), "--timeout", value])
+    assert exc.value.code == 2
+    assert f"argument --timeout: must be positive and finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 

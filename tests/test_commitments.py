@@ -171,7 +171,7 @@ def test_monotone_prefix_without_intervention():
         c = Commitment(f"q{i}", Label.ENTAILED, lits)
         res = state.append_and_check(c)
         if res.status is AppendStatus.VIOLATION:
-            state.force_append(c, known_unsat=True)
+            state.force_append(c)
             statuses.append(False)
         else:
             statuses.append(state.sat)
@@ -185,7 +185,7 @@ def test_retract_restores_satisfiability():
     c2 = Commitment("q2", Label.ENTAILED, (-1,))
     res = state.append_and_check(c2)
     assert res.status is AppendStatus.VIOLATION
-    state.force_append(c2, known_unsat=True)
+    state.force_append(c2)
     assert not state.sat
     state.retract(0)  # q1
     assert state.check().status is SolveStatus.SAT

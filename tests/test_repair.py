@@ -5,15 +5,16 @@ from casecheck.casefile import Label
 from casecheck.commitments import AppendStatus, BeliefState, Commitment
 from casecheck.logic import Formula, count_models, parse_dimacs
 from casecheck.repair import (
+    RepairAction,
     RepairBudget,
     RepairKind,
     RepairOutcomeKind,
+    RevisionCost,
     attempt_repair,
     logic_filtered_vote,
     min_revision_cost,
     propose_repairs,
 )
-from casecheck.solver import SolveStatus
 
 from test_commitments import guarded_pigeonhole, rebuild_formula
 
@@ -23,9 +24,8 @@ def state_of(dimacs: str | None = None, num_vars: int = 4) -> BeliefState:
     return BeliefState(formula)
 
 
-def violating_append(state, commitment) -> int:
+def violating_append(state, commitment) -> None:
     assert state.append_and_check(commitment).status is AppendStatus.VIOLATION
-    return len(state.commitments) - 1
 
 
 def forced_conflicts(state, atoms) -> None:
@@ -35,30 +35,27 @@ def forced_conflicts(state, atoms) -> None:
     for i, v in enumerate(atoms, start=1):
         c = Commitment(f"n{i}", Label.CONTRADICTED, (-v,))
         assert state.append_and_check(c).status is AppendStatus.VIOLATION
-        state.force_append(c, known_unsat=True)
+        state.force_append(c)
 
 
 def test_candidates_without_derived_atoms():
+    # nothing to soften: the one candidate is the flip to Unknown
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.ENTAILED, (-1,))
     violating_append(state, c)
-    actions = propose_repairs(c)
-    kinds = [(a.kind, a.new_label) for a in actions]
-    assert kinds[0] == (RepairKind.FLIP, Label.UNKNOWN)
-    assert kinds[1] == (RepairKind.FLIP, Label.CONTRADICTED)
-    assert all(a.kind is not RepairKind.SOFTEN for a in actions)
+    assert propose_repairs(c) == [RepairAction(RepairKind.FLIP, cost=(0, 1, 0))]
 
 
 def test_soften_candidate_keeps_queried_atom():
     state = state_of(num_vars=5)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (-5,)))
     c = Commitment("q2", Label.ENTAILED, (3, 5))  # derived atom 5 conflicts
-    pending = violating_append(state, c)
+    violating_append(state, c)
     actions = propose_repairs(c)
     softens = [a for a in actions if a.kind is RepairKind.SOFTEN]
     assert softens and softens[0].dropped_atoms == (5,)
     budget = RepairBudget()
-    outcome = attempt_repair(state, c, pending, budget)
+    outcome = attempt_repair(state, c, budget)
     assert outcome.kind is RepairOutcomeKind.REPAIRED
     assert outcome.action.kind is RepairKind.SOFTEN
     assert outcome.final_commitment.literals == (3,)
@@ -69,48 +66,21 @@ def test_soften_candidate_keeps_queried_atom():
 def test_forced_flip_to_unknown_cost():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    pending = violating_append(state, c)
-    outcome = attempt_repair(state, c, pending, RepairBudget())
+    violating_append(state, c)
+    outcome = attempt_repair(state, c, RepairBudget())
     assert outcome.kind is RepairOutcomeKind.REPAIRED
     assert outcome.action.kind is RepairKind.FLIP
-    assert outcome.action.new_label is Label.UNKNOWN
+    assert outcome.final_commitment.label is Label.UNKNOWN
     assert outcome.action.cost == (0, 1, 0)
     assert state.rebuild_check()
-
-
-def test_retraction_reached_with_wider_budget():
-    # forced-in conflict: a and not-a both active, current query innocent
-    state = state_of(num_vars=3)
-    forced_conflicts(state, (1,))
-    c3 = Commitment("q3", Label.ENTAILED, (2,))
-    pending = violating_append(state, c3)
-    outcome = attempt_repair(state, c3, pending, RepairBudget(r_max=4))
-    assert outcome.kind is RepairOutcomeKind.REPAIRED
-    assert outcome.action.kind is RepairKind.RETRACT
-    assert len(outcome.retracted_indices) == 1
-    assert state.rebuild_check()
-    assert state.check().status is SolveStatus.SAT
-
-
-def test_partial_when_entanglement_exceeds_threshold():
-    # four disjoint forced-in conflicts: the default r_max=2 is spent on the
-    # two flips, and reverting the innocent current label cannot help
-    state = state_of(num_vars=5)
-    forced_conflicts(state, (1, 2, 3, 4))
-    current = Commitment("q9", Label.ENTAILED, (5,))
-    pending = violating_append(state, current)
-    outcome = attempt_repair(state, current, pending, RepairBudget())
-    assert outcome.kind is RepairOutcomeKind.PARTIAL
-    assert [a.kind for a, _ in outcome.tried] == [RepairKind.FLIP, RepairKind.FLIP]
-    assert outcome.final_commitment.label is Label.UNKNOWN
 
 
 def test_repair_verification_cap_respected():
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    pending = violating_append(state, c)
+    violating_append(state, c)
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, pending, RepairBudget(r_max=2))
+    outcome = attempt_repair(state, c, RepairBudget(r_max=2))
     assert state.session.stats.solver_calls - before <= 2
     assert len([t for t in outcome.tried]) <= 2
 
@@ -121,9 +91,9 @@ def test_fallback_unknown_when_candidates_fail():
     # the sole candidate verification hit the call cap
     state = state_of("p cnf 1 1\n1 0")
     c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    pending = violating_append(state, c)
+    violating_append(state, c)
     budget = RepairBudget(call_cap=0)  # no calls left for verification
-    outcome = attempt_repair(state, c, pending, budget)
+    outcome = attempt_repair(state, c, budget)
     assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
     assert outcome.final_commitment.label is Label.UNKNOWN
     assert state.rebuild_check()
@@ -156,7 +126,6 @@ def test_accepted_repair_is_lexicographically_optimal():
         if violation is None:
             continue
         c = violation
-        pending = len(state.commitments) - 1
         # oracle pass: which candidates restore satisfiability?
         from casecheck.repair import _revised_commitment
         sat_costs = []
@@ -166,61 +135,13 @@ def test_accepted_repair_is_lexicographically_optimal():
                 g.add_clause([lit2])
             if count_models(g) > 0:
                 sat_costs.append(action.cost)
-        retractions = brute_force_min_retraction(state, keep=c)
-        if retractions is not None:
-            sat_costs.append((retractions, 0, c.size))
-        outcome = attempt_repair(state, c, pending, RepairBudget(r_max=64))
+        outcome = attempt_repair(state, c, RepairBudget(r_max=64))
         if outcome.kind is RepairOutcomeKind.REPAIRED and outcome.action is not None:
             assert sat_costs and outcome.action.cost == min(sat_costs)
             checked += 1
         else:
             assert not sat_costs  # nothing could have fixed it
             checked += 1
-
-
-def test_minimum_retraction_over_threshold_is_partial():
-    # four disjoint forced-in conflicts and an innocent current query: both
-    # flips fail, and the minimum retraction (one commitment per conflict) is
-    # over the threshold of 3
-    state = state_of(num_vars=5)
-    forced_conflicts(state, (1, 2, 3, 4))
-    current = Commitment("q9", Label.ENTAILED, (5,))
-    pending = violating_append(state, current)
-    outcome = attempt_repair(state, current, pending, RepairBudget(r_max=64))
-    assert outcome.kind is RepairOutcomeKind.PARTIAL
-    assert len(outcome.tried) == 3
-    assert outcome.tried[-1][1] == "accepted-over-threshold"
-    assert outcome.action.kind is RepairKind.RETRACT
-    assert len(outcome.action.retract_indices) == 4
-    assert outcome.action.cost == (4, 0, 1)
-
-
-def test_minimum_retraction_repairs_three_forced_conflicts():
-    # three retractions are within the threshold; enumerating singles, pairs
-    # and then the whole core (six commitments) gave up with PARTIAL
-    state = state_of(num_vars=4)
-    forced_conflicts(state, (1, 2, 3))
-    current = Commitment("q9", Label.ENTAILED, (4,))
-    pending = violating_append(state, current)
-    before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, current, pending, RepairBudget(r_max=64))
-    assert outcome.kind is RepairOutcomeKind.REPAIRED
-    assert outcome.retracted_indices == (0, 1, 2)  # the earliest of each pair
-    assert outcome.active_index == pending
-    assert state.session.stats.solver_calls - before == 6
-    assert state.rebuild_check()
-
-
-def test_fallback_from_unsatisfiable_state_stays_within_call_cap():
-    # both calls go to the flips; the fallback must not solve again
-    state = state_of(num_vars=3)
-    forced_conflicts(state, (1,))
-    current = Commitment("q3", Label.ENTAILED, (2,))
-    pending = violating_append(state, current)
-    before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, current, pending, RepairBudget(r_max=2, call_cap=2))
-    assert state.session.stats.solver_calls - before <= 2
-    assert outcome.kind is RepairOutcomeKind.PARTIAL
 
 
 # ------------------------------------------------------------- filtered vote
@@ -294,21 +215,18 @@ def test_revision_cost_single_conflict():
     state.append_and_check(Commitment("q2", Label.ENTAILED, (2,)))
     c = Commitment("q3", Label.CONTRADICTED, (-1,))
     res = state.append_and_check(c)
-    state.force_append(c, known_unsat=True)
+    state.force_append(c)
     rev = min_revision_cost(state)
     assert rev.value == 1 and rev.exact
 
 
-def brute_force_min_retraction(state, keep: Commitment | None = None) -> int | None:
-    """Fewest active commitments whose retraction leaves the state, with
-    ``keep``'s literals added, satisfiable; None when no retraction does."""
+def brute_force_min_retraction(state) -> int | None:
+    """Fewest active commitments whose retraction leaves the state
+    satisfiable; None when no retraction does."""
     candidates = [i for i in state.active_indices if state.commitments[i].literals]
     for k in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, k):
-            f = rebuild_formula(state, exclude=frozenset(subset))
-            for lit in keep.literals if keep else ():
-                f.add_clause([lit])
-            if count_models(f) > 0:
+            if count_models(rebuild_formula(state, exclude=frozenset(subset))) > 0:
                 return k
     return None
 
@@ -330,21 +248,23 @@ def test_revision_cost_matches_brute_force_on_seeded_conflicts():
             c = Commitment(f"q{i}", Label.ENTAILED, (lit,))
             res = state.append_and_check(c)
             if res.status is AppendStatus.VIOLATION:
-                state.force_append(c, known_unsat=True)
+                state.force_append(c)
         rev = min_revision_cost(state)
         assert rev.exact
-        assert rev.value == brute_force_min_retraction(state)
-        # the same search with a fresh pending commitment kept in
-        keep = Commitment("qk", Label.ENTAILED, (rng.choice([1, -1]) * rng.randint(1, nv),))
-        kept = min_revision_cost(state, keep=state.install(keep))
-        want = brute_force_min_retraction(state, keep)
-        assert kept.exact
-        if want is None:
-            assert kept.witness is None
-        else:
-            assert kept.value == len(kept.witness) == want
+        assert rev.value == len(rev.witness) == brute_force_min_retraction(state)
         if rev.value > 0:
             checked += 1
+
+
+def test_minimum_retraction_repairs_three_forced_conflicts():
+    # one solve per disjoint core, each adding one to the hitting set, then
+    # the solve that certifies it; the earliest of each pair is retracted
+    state = state_of(num_vars=4)
+    forced_conflicts(state, (1, 2, 3))
+    before = state.session.stats.solver_calls
+    rev = min_revision_cost(state)
+    assert state.session.stats.solver_calls - before == 4
+    assert rev == RevisionCost(3, True, (0, 1, 2))
 
 
 def test_revision_cost_exact_past_twelve_commitments():
@@ -354,9 +274,9 @@ def test_revision_cost_exact_past_twelve_commitments():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     c = Commitment("q2", Label.CONTRADICTED, (-1,))
     assert state.append_and_check(c).status is AppendStatus.VIOLATION
-    state.force_append(c, known_unsat=True)
+    state.force_append(c)
     for v in range(2, 14):  # the state is already unsatisfiable
-        state.force_append(Commitment(f"q{v + 1}", Label.ENTAILED, (v,)), known_unsat=True)
+        state.force_append(Commitment(f"q{v + 1}", Label.ENTAILED, (v,)))
     assert len(state.active_indices) == 14
     rev = min_revision_cost(state)
     assert rev.value == 1 and rev.exact

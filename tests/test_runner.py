@@ -80,22 +80,21 @@ def test_repair_budget_compliance(cases):
         assert not report.invariant_failures
 
 
-def test_retracted_queries_revert_to_unknown(cases):
-    # Flip-to-Unknown ranks before every retraction and verifies SAT on a
-    # satisfiable state, so repair retracts only after that check times out.
-    # A one-conflict budget makes the timeout deterministic: case rel-0004
-    # retracts q1.
+def test_abstain_when_flip_to_unknown_times_out(cases):
+    # Flip-to-Unknown verifies SAT on a satisfiable state unless its own solve
+    # times out. A one-conflict budget makes that timeout deterministic: case
+    # rel-0004 abstains on q4 and keeps the past, q1 included.
     cfg = config("check+repair", max_conflicts=1, r_max=6)
-    found = False
-    for case in cases:
-        report = evaluate_bundle(case, cfg)
-        for entry in report.repair_log:
-            for qid in entry.retracted_query_ids:
-                rec = next(r for r in report.queries if r.query_id == qid)
-                assert rec.final == Label.UNKNOWN.value
-                found = True
-        assert not report.invariant_failures
-    assert found
+    reports = {case.id: evaluate_bundle(case, cfg) for case in cases}
+    assert not any(r.invariant_failures for r in reports.values())
+    report = reports["rel-0004"]
+    entry = next(e for e in report.repair_log if e.query_id == "q4")
+    assert [(t["kind"], t["verdict"]) for t in entry.tried] == [
+        ("soften", "timeout"), ("soften", "unsat"), ("flip", "timeout")]
+    assert entry.outcome == "fallback-unknown" and entry.accepted is None
+    final = {q.query_id: q for q in report.queries}
+    assert final["q4"].final == Label.UNKNOWN.value
+    assert final["q1"].final == final["q1"].predicted
 
 
 def test_overhead_ordering_check_cheaper_than_sampling(cases):
