@@ -1,9 +1,11 @@
 """Command-line harness: generate corpora, derive labels, run policy/method
 sweeps, and score reports.
 
-Exit codes separate engine problems from measured phenomena: a run exits
-nonzero only when an internal invariant check failed, never because the
-evaluated policy produced contradictions (those are the data).
+Exit codes separate engine problems from measured phenomena and bad input:
+a run exits 1 only when an internal invariant check failed, never because the
+evaluated policy produced contradictions (those are the data). Bad arguments
+and a corpus that fails to load or has unusable premises (``CaseError``,
+which names the case) exit 2 with a one-line message, like argparse.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 from .answerers import PRESETS, resolve_policy
 from .casefile import (
+    CaseError,
     Domain,
     LabelTimeout,
     label_case,
@@ -136,7 +139,7 @@ def cmd_run(args) -> int:
     bad = sum(len(r.invariant_failures) for r in reports)
     print(f"{len(reports)} bundles -> {out}")
     print(f"SetCons={m.set_cons_rate:.3f} Acc={m.accuracy:.3f} "
-          f"RevCost={m.revision_cost:.3f} partial={m.partial_bundles}")
+          f"RevCost={m.revision_cost:.3f}")
     if bad:
         for r in reports:
             for failure in r.invariant_failures:
@@ -241,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CaseError as exc:
+        print(f"casecheck {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -172,15 +172,6 @@ class BeliefState:
         self.active[index] = True
         self.sat = sat
 
-    def retract(self, index: int) -> None:
-        self.active[index] = False
-
-    def check(self) -> SolveResult:
-        """Re-check the retained conjunction (one solver call)."""
-        result = self.session.solve(self.active_assumptions())
-        self.sat = result.status is SolveStatus.SAT
-        return result
-
     def solve_with(self, extra: tuple[int, ...] = (),
                    exclude: frozenset[int] = frozenset()) -> SolveResult:
         """Trial check with some commitments masked out or selectors added."""

@@ -277,14 +277,19 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
     size = rng.randint(spec.bundle_min, spec.bundle_max)
     counts = _plan_counts(rng, size, Domain.TEMPORAL)
     # dependency pair: the two overlap atoms when both are contingent, else
-    # the first entailed query whose complement's text is pooled too
+    # the first entailed query whose complement is pooled too, asked with the
+    # complement's pooled text (the first text pooled for that atom)
     if counts[Label.UNKNOWN] >= 2 and overlap in pools[Label.UNKNOWN] \
             and no_overlap in pools[Label.UNKNOWN]:
         pair = [(overlap, Label.UNKNOWN), (no_overlap, Label.UNKNOWN)]
     else:
-        pool_atoms = {a for lbl in Label for a, _ in pools[lbl]}
-        pair = next(([((a, t), Label.ENTAILED), ((complement(a), f"[negated] {t}"), Label.CONTRADICTED)]
-                     for a, t in pools[Label.ENTAILED] if complement(a) in pool_atoms), None)
+        pool_text: dict[str, str] = {}
+        for lbl in Label:
+            for a, t in pools[lbl]:
+                pool_text.setdefault(a, t)
+        pair = next(([((a, t), Label.ENTAILED),
+                      ((complement(a), pool_text[complement(a)]), Label.CONTRADICTED)]
+                     for a, t in pools[Label.ENTAILED] if complement(a) in pool_text), None)
         if pair is None:
             raise GenerationError("no dependency pair available")
     case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})

@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 ENUMERATION_VAR_LIMIT = 24
+# a solver session sizes per-variable arrays from the header, so a header
+# declaring hundreds of millions of variables would exhaust memory there
+MAX_DIMACS_VARS = 200_000
 
 TAUTOLOGY = None  # marker returned by normalize_clause
 
@@ -96,6 +99,9 @@ def parse_dimacs(text: str) -> Formula:
                 raise DimacsError(f"non-integer counts in header {line!r}", lineno)
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError("negative counts in header", lineno)
+            if num_vars > MAX_DIMACS_VARS:
+                raise DimacsError(f"header declares {num_vars} variables, "
+                                  f"more than {MAX_DIMACS_VARS}", lineno)
             continue
         if num_vars is None:
             raise DimacsError("clause before problem header", lineno)

@@ -37,7 +37,6 @@ class RepairLogEntry:
     tried: list[dict]
     accepted: dict | None
     outcome: str
-    retracted_query_ids: list[str]
     solver_calls: int
 
 
@@ -51,11 +50,9 @@ class BundleReport:
     statuses_before: list[str]
     statuses_after: list[str]
     final_sat: bool
-    partial: bool
-    bundle_status: str  # consistent | repaired | partial | inconsistent
+    bundle_status: str  # consistent | repaired | inconsistent
     repair_log: list[RepairLogEntry] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
-    retractions: int = 0
     min_revision: int = 0
     min_revision_exact: bool = True
     invariant_failures: list[str] = field(default_factory=list)
@@ -147,12 +144,10 @@ def per_query_metrics(reports: Iterable[BundleReport]) -> PerQueryMetrics:
 
 
 def set_cons_rate(reports: Sequence[BundleReport]) -> float:
-    """Fraction of bundles whose final belief state is satisfiable; bundles
-    abandoned mid-repair count as unsatisfied."""
+    """Fraction of bundles whose final belief state is satisfiable."""
     if not reports:
         raise ValueError("no reports")
-    good = sum(1 for r in reports if r.final_sat and not r.partial)
-    return good / len(reports)
+    return sum(1 for r in reports if r.final_sat) / len(reports)
 
 
 def auc_prefix_cons(report: BundleReport) -> float | None:
@@ -190,19 +185,12 @@ def mean_contradiction_density(reports: Sequence[BundleReport]) -> float:
     return sum(contradiction_density(r) for r in reports) / len(reports)
 
 
-@dataclass
-class RevisionCostMetric:
-    mean_min_revision: float       # minimum retractions to restore the final state
-    mean_retractions: float        # retractions actually performed by repair
-
-
-def revision_cost(reports: Sequence[BundleReport]) -> RevisionCostMetric:
+def revision_cost(reports: Sequence[BundleReport]) -> float:
+    """Mean ``min_revision``: the fewest active commitments whose retraction
+    would restore each final state."""
     if not reports:
         raise ValueError("no reports")
-    return RevisionCostMetric(
-        mean_min_revision=sum(r.min_revision for r in reports) / len(reports),
-        mean_retractions=sum(r.retractions for r in reports) / len(reports),
-    )
+    return sum(r.min_revision for r in reports) / len(reports)
 
 
 @dataclass
@@ -234,12 +222,10 @@ class MetricsReport:
     set_cons_rate: float
     auc_prefix_cons: float | None
     revision_cost: float
-    realized_retractions: float
     contradiction_density: float
     solver_calls: int
     answerer_calls: int
     overhead_calls: float | None
-    partial_bundles: int
 
     def validate(self) -> None:
         for name in ("accuracy", "macro_f1", "unknown_f1", "unknown_rate", "set_cons_rate"):
@@ -258,7 +244,6 @@ class MetricsReport:
 def aggregate(reports: Sequence[BundleReport],
               baseline: Sequence[BundleReport] | None = None) -> MetricsReport:
     pq = per_query_metrics(reports)
-    rev = revision_cost(reports)
     oh = overhead(reports, baseline)
     report = MetricsReport(
         bundles=len(reports),
@@ -269,13 +254,11 @@ def aggregate(reports: Sequence[BundleReport],
         unknown_rate=pq.unknown_rate,
         set_cons_rate=set_cons_rate(reports),
         auc_prefix_cons=mean_auc_prefix_cons(reports),
-        revision_cost=rev.mean_min_revision,
-        realized_retractions=rev.mean_retractions,
+        revision_cost=revision_cost(reports),
         contradiction_density=mean_contradiction_density(reports),
         solver_calls=oh.solver_calls,
         answerer_calls=oh.answerer_calls,
         overhead_calls=oh.call_ratio,
-        partial_bundles=sum(1 for r in reports if r.partial),
     )
     report.validate()
     return report

@@ -1,17 +1,16 @@
 """Conflict repair under a minimal-change objective.
 
-When a commitment breaks the satisfiable state, candidates that keep the past
-are verified in cost order, one solver call each: soften by dropping derived
-atoms (the label stays), then flip the label to Unknown. Unknown asserts
-nothing, so the flip verifies SAT unless its own solve times out. When no
-candidate is accepted within ``r_max`` and the caller's ``call_cap``, the step
-abstains: the label reverts to Unknown. The per-bundle cap itself is kept by
-the runner. Also hosts logic-filtered voting and the minimum revision cost
-(the fewest active commitments whose retraction restores satisfiability),
-found by implicit hitting sets: every failed solve yields a core, its failed
-assumptions; every correction set must hit every core, so a minimum hitting
-set of the cores found so far is a lower bound, and the first one whose
-retraction solves SAT is a minimum.
+When a commitment breaks the satisfiable state, softened versions of it that
+keep the past are verified in size order, one solver call each: derived atoms
+are dropped and the label stays. When none is accepted within ``r_max`` and
+the caller's ``call_cap``, the step abstains: the label reverts to Unknown,
+which asserts nothing and so needs no solve. The per-bundle cap itself is
+kept by the runner. Also hosts logic-filtered voting and the minimum revision
+cost (the fewest active commitments whose retraction restores
+satisfiability), found by implicit hitting sets: every failed solve yields a
+core, its failed assumptions; every correction set must hit every core, so a
+minimum hitting set of the cores found so far is a lower bound, and the first
+one whose retraction solves SAT is a minimum.
 """
 
 from __future__ import annotations
@@ -24,19 +23,6 @@ from typing import Sequence
 from .casefile import Label, majority_label
 from .commitments import BeliefState, Commitment
 from .solver import SolveStatus
-
-class RepairKind(str, Enum):
-    FLIP = "flip"  # to Unknown
-    SOFTEN = "soften"
-
-
-@dataclass(frozen=True)
-class RepairAction:
-    kind: RepairKind
-    dropped_atoms: tuple[int, ...] = ()
-    # (past retractions, label changed, psi size); repair keeps the past, so
-    # the first is always 0
-    cost: tuple[int, int, int] = (0, 0, 0)
 
 
 @dataclass
@@ -60,29 +46,15 @@ class RepairOutcomeKind(str, Enum):
 class RepairOutcome:
     kind: RepairOutcomeKind
     final_commitment: Commitment
-    action: RepairAction | None = None
-    tried: list[tuple[RepairAction, str]] = field(default_factory=list)
+    tried: list[tuple[Commitment, str]] = field(default_factory=list)  # (candidate, verdict)
 
 
-def propose_repairs(commitment: Commitment) -> list[RepairAction]:
-    """The candidates in cost order: soften by dropping derived atoms (all of
-    them first, then one fewer each time, so the smallest commitment comes
-    first), then flip to Unknown."""
-    derived = commitment.literals[1:]
-    d = len(derived)
-    out = [RepairAction(RepairKind.SOFTEN, dropped_atoms=tuple(derived[d - k:]),
-                        cost=(0, 0, 1 + d - k))
-           for k in range(d, 0, -1)]
-    if commitment.label is not Label.UNKNOWN:
-        out.append(RepairAction(RepairKind.FLIP, cost=(0, 1, 0)))
-    return out
-
-
-def _revised_commitment(original: Commitment, action: RepairAction) -> Commitment:
-    if action.kind is RepairKind.FLIP:
-        return Commitment(original.query_id, Label.UNKNOWN, ())
-    kept = tuple(l for l in original.literals if l not in action.dropped_atoms)
-    return Commitment(original.query_id, original.label, kept)
+def propose_repairs(commitment: Commitment) -> list[Commitment]:
+    """The softened candidates, smallest first: the queried atom alone, then
+    with one more derived atom each time, up to all but the last. A
+    commitment without derived atoms has none."""
+    return [Commitment(commitment.query_id, commitment.label, commitment.literals[:size])
+            for size in range(1, commitment.size)]
 
 
 def attempt_repair(state: BeliefState, commitment: Commitment,
@@ -92,20 +64,17 @@ def attempt_repair(state: BeliefState, commitment: Commitment,
     state, one call each, and activate the first that verifies SAT. Without
     one the step abstains; the abstention makes no solver call."""
     allowed = budget.r_max if budget.call_cap is None else min(budget.r_max, budget.call_cap)
-    tried: list[tuple[RepairAction, str]] = []
-    for action in propose_repairs(commitment)[:allowed]:
-        trial_idx = state.install(_revised_commitment(commitment, action))
+    tried: list[tuple[Commitment, str]] = []
+    for candidate in propose_repairs(commitment)[:allowed]:
+        trial_idx = state.install(candidate)
         result = state.solve_with(extra=(state.selectors[trial_idx],))
         if result.status is SolveStatus.SAT:
             state.activate(trial_idx, sat=True)
-            tried.append((action, "accepted"))
-            return RepairOutcome(RepairOutcomeKind.REPAIRED,
-                                 final_commitment=state.commitments[trial_idx],
-                                 action=action, tried=tried)
-        tried.append((action, "timeout" if result.status is SolveStatus.TIMEOUT else "unsat"))
+            tried.append((candidate, "accepted"))
+            return RepairOutcome(RepairOutcomeKind.REPAIRED, candidate, tried)
+        tried.append((candidate, "timeout" if result.status is SolveStatus.TIMEOUT else "unsat"))
     idx = state.abstain(commitment.query_id)
-    return RepairOutcome(RepairOutcomeKind.FALLBACK_UNKNOWN,
-                         final_commitment=state.commitments[idx], tried=tried)
+    return RepairOutcome(RepairOutcomeKind.FALLBACK_UNKNOWN, state.commitments[idx], tried)
 
 
 # ------------------------------------------------------------- filtered vote

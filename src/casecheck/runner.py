@@ -9,11 +9,12 @@ Three methods share one loop over a bundle's queries:
   (the label reverts to Unknown); conflicts that implicate earlier
   commitments are localized and reported, but altering the past requires
   repair authority, so the bundle keeps the contradiction.
-* ``check+repair``: detected conflicts go through the repair search (soften,
-  then flip to Unknown) under the per-query and per-bundle budgets; without
-  an accepted candidate the step abstains (the label reverts to Unknown).
-  Repair starts from a satisfiable state, since every repaired or abstaining
-  step leaves one, and keeps the past: no earlier commitment is retracted.
+* ``check+repair``: detected conflicts go through the repair search
+  (softened commitments, smallest first) under the per-query and per-bundle
+  budgets; without an accepted candidate the step abstains (the label reverts
+  to Unknown, with no solve). Repair starts from a satisfiable state, since
+  every repaired or abstaining step leaves one, and keeps the past: no
+  earlier commitment is retracted.
 
 In sequential mode the answerer sees earlier final answers; in set mode the
 whole bundle is answered up front. Checking walks the bundle order in both.
@@ -30,7 +31,8 @@ from .answerers import Answer, Answerer, PolicyConfig, policy_from_dict, policy_
 from .casefile import CaseFile, Label, Query, case_from_record, case_to_record, load_corpus
 from .commitments import AppendStatus, BeliefState, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
-from .repair import RepairBudget, attempt_repair, logic_filtered_vote, min_revision_cost
+from .repair import (RepairBudget, RepairOutcomeKind, attempt_repair, logic_filtered_vote,
+                     min_revision_cost)
 
 METHODS = ("baseline", "check", "check+repair")
 MODES = ("set", "sequential")
@@ -200,8 +202,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                     repair_log.append(RepairLogEntry(
                         query_id=query.id, core_query_ids=core_qids,
                         core_minimal=core.minimal, tried=[], accepted=None,
-                        outcome=outcome_name, retracted_query_ids=[],
-                        solver_calls=0))
+                        outcome=outcome_name, solver_calls=0))
                 else:  # check+repair
                     budget = RepairBudget(r_max=config.r_max,
                                           call_cap=ledger.slack(n - t - 1))
@@ -213,15 +214,11 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
                     repair_log.append(RepairLogEntry(
                         query_id=query.id, core_query_ids=core_qids,
                         core_minimal=core.minimal,
-                        tried=[{"kind": a.kind.value,
-                                "cost": list(a.cost),
-                                "verdict": verdict}
-                               for a, verdict in outcome.tried],
-                        accepted=(None if outcome.action is None else
-                                  {"kind": outcome.action.kind.value,
-                                   "cost": list(outcome.action.cost)}),
+                        tried=[{"size": c.size, "verdict": verdict}
+                               for c, verdict in outcome.tried],
+                        accepted=({"size": outcome.final_commitment.size}
+                                  if outcome.kind is RepairOutcomeKind.REPAIRED else None),
                         outcome=outcome.kind.value,
-                        retracted_query_ids=[],
                         solver_calls=repair_calls))
 
         records.append(QueryRecord(
@@ -266,7 +263,6 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
         statuses_before=statuses_before,
         statuses_after=statuses_after,
         final_sat=final_sat,
-        partial=False,
         bundle_status=bundle_status,
         repair_log=repair_log,
         counts=counts,

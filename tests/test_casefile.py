@@ -148,6 +148,21 @@ def test_deep_nesting_fails_with_its_case_named(tmp_path, assertion):
         load_corpus(corpus)
 
 
+def test_oversized_dimacs_header_fails_at_load_with_its_case_named(tmp_path):
+    # used to load, leaving the first solver session to size its arrays from
+    # the header and die with MemoryError; only the loader runs here, since a
+    # session over this header would allocate gigabytes
+    good = {"id": "r-0001", "domain": "relational", "premises": "p cnf 2 1\n1 2 0\n",
+            "queries": [{"id": "q1", "atom": 1}]}
+    bad = dict(good, id="r-0002", premises="p cnf 300000000 1\n1 2 0\n")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in (good, bad)))
+    with pytest.raises(CorpusFormatError, match=r"^cases\[1\] \(case r-0002\): line 1: "
+                                                r"header declares 300000000 variables, "
+                                                r"more than 200000$"):
+        load_corpus(corpus)
+
+
 def test_scheduling_fixture_loads_with_capacity_query():
     case = load_casefile(FIXTURES / "scheduling.jsonl")
     assert case.bundle_size == 5

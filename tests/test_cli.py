@@ -83,6 +83,22 @@ def test_run_rejects_timeouts_that_are_not_positive_and_finite(tmp_path, corpus,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "label"])
+def test_malformed_corpus_exits_2_naming_the_case(tmp_path, corpus, capsys, command):
+    # used to end in a traceback with exit 1, the code kept for invariant failures
+    records = [json.loads(line) for line in Path(corpus).read_text().splitlines()]
+    del records[3]["premises"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    args = (run_args(bad, out, policy="oracle") if command == "run"
+            else ["label", "--corpus", str(bad), "--out", str(out)])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"casecheck {command}: error: cases[3].premises: missing required field\n"
+    assert not out.exists()
+
+
 def test_oracle_run_and_score(tmp_path, corpus, capsys):
     out = tmp_path / "run-oracle"
     rc = main(run_args(corpus, out, policy="oracle", method="check"))

@@ -187,9 +187,9 @@ def test_retract_restores_satisfiability():
     assert res.status is AppendStatus.VIOLATION
     state.force_append(c2)
     assert not state.sat
-    state.retract(0)  # q1
-    assert state.check().status is SolveStatus.SAT
-    assert state.sat
+    assert state.solve_with().status is SolveStatus.UNSAT
+    # retraction is an assumption flip: solve without q1's selector
+    assert state.solve_with(exclude=frozenset({0})).status is SolveStatus.SAT
 
 
 def test_timeout_degrades_to_unknown():
@@ -241,8 +241,8 @@ def test_validation_re_solves_an_unsat_core_in_a_fresh_session():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     # a clause only the incremental session sees makes its selector fail
     state.session.add_clause([-state.selectors[0], -1])
-    assert state.check().status is SolveStatus.UNSAT
-    assert not state.sat
+    assert state.solve_with().status is SolveStatus.UNSAT
+    state.sat = False  # what the corrupted session now claims
     assert state.rebuild_check() is True
 
 

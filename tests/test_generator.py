@@ -59,6 +59,14 @@ def test_temporal_golds_match_integer_enumeration():
     assert negated > 0
 
 
+def test_no_query_is_negated_twice(default_corpus):
+    # a dependency pair built on a pooled complement used to ask the
+    # complement of the complement as "[negated] [negated] <text>"
+    texts = [q.text for c in default_corpus for q in c.queries]
+    assert not [t for t in texts if "[negated] [negated]" in t]
+    assert any(t.startswith("[negated] ") for t in texts)
+
+
 def test_relational_label_distribution_over_50_cases():
     counts = Counter()
     for seed in range(50):
@@ -100,7 +108,7 @@ def test_default_corpus_unknown_prevalence(default_corpus):
 # sha256 of the default corpus file at seed 0, the corpus behind the README's
 # anchor scores: any change to generation, grounding or the solver that moves
 # a premise, query or gold label changes it
-DEFAULT_CORPUS_DIGEST = "90f7c346254234f97364c65950746f07bf976d51812e139703dbbe6d5ff74e26"
+DEFAULT_CORPUS_DIGEST = "3472aadbe8b61d656c61895732e3f1abce072a30d5537a352a5174c03d4b3602"
 
 
 def test_default_corpus_is_pinned(default_corpus, tmp_path):
@@ -113,7 +121,7 @@ def test_default_corpus_is_pinned(default_corpus, tmp_path):
 
 # sha256 of a 40-case corpus with 14-16 queries per bundle at seed 0: long
 # bundles run the label classes short, so the spill into Unknown is pinned too
-LONG_CORPUS_DIGEST = "88bbb3f3c4e8726b83723e6dde89a19f068d910122d2be7ef7b20af6d9ed928d"
+LONG_CORPUS_DIGEST = "b43f58390b828e7c156fecd406a3ea3222b607c2fb01538f93e7b10d84e45fa8"
 
 
 def test_long_bundle_corpus_is_pinned(tmp_path):

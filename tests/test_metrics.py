@@ -18,8 +18,8 @@ from casecheck.metrics import (
 
 
 def report(case_id="c1", statuses=("sat", "sat"), labels=None, mode="sequential",
-           final_sat=True, partial=False, min_rev=0, counts=None, domain="relational",
-           statuses_before=None, retractions=0):
+           final_sat=True, min_rev=0, counts=None, domain="relational",
+           statuses_before=None):
     labels = labels or [("entailed", "entailed", "entailed")] * len(statuses)
     queries = [QueryRecord(f"q{i}", g, p, f) for i, (g, p, f) in enumerate(labels)]
     return BundleReport(
@@ -27,10 +27,10 @@ def report(case_id="c1", statuses=("sat", "sat"), labels=None, mode="sequential"
         queries=queries,
         statuses_before=list(statuses_before or statuses),
         statuses_after=list(statuses),
-        final_sat=final_sat, partial=partial,
+        final_sat=final_sat,
         bundle_status="consistent" if final_sat else "inconsistent",
         counts=counts or {"check_solver_calls": len(statuses), "answerer_calls": len(statuses)},
-        min_revision=min_rev, retractions=retractions,
+        min_revision=min_rev,
     )
 
 
@@ -67,14 +67,6 @@ def test_absent_unknown_class_scores_one_by_convention():
     assert m.unknown_f1 == 1.0
 
 
-def test_set_cons_rate_counts_partial_as_failed():
-    reports = [report(case_id=f"c{i}") for i in range(9)]
-    reports.append(report(case_id="c9", final_sat=False))
-    assert set_cons_rate(reports) == 0.9
-    reports[0].partial = True
-    assert set_cons_rate(reports) == 0.8
-
-
 def test_auc_prefix_cons_direct_formula():
     r = report(statuses=("sat", "sat", "sat", "unsat", "unsat"), final_sat=False)
     assert auc_prefix_cons(r) == pytest.approx(0.6)
@@ -103,10 +95,8 @@ def test_contradiction_density_cases():
 
 def test_revision_cost_means():
     reports = [report(), report(min_rev=1, final_sat=False),
-               report(min_rev=2, final_sat=False, retractions=1)]
-    rc = revision_cost(reports)
-    assert rc.mean_min_revision == pytest.approx(1.0)
-    assert rc.mean_retractions == pytest.approx(1 / 3)
+               report(min_rev=2, final_sat=False)]
+    assert revision_cost(reports) == pytest.approx(1.0)
 
 
 def test_overhead_self_ratio_is_exactly_one():
@@ -134,9 +124,9 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
 def test_set_cons_consistency_with_terminal_flags():
     reports = [report(case_id=f"c{i}") for i in range(6)]
     reports[1].final_sat = False
-    reports[4].partial = True
+    reports[4].final_sat = False
     rate = set_cons_rate(reports)
-    flagged = sum(1 for r in reports if (not r.final_sat) or r.partial)
+    flagged = sum(1 for r in reports if not r.final_sat)
     assert rate == pytest.approx(1 - flagged / len(reports))
 
 

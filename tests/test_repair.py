@@ -5,9 +5,7 @@ from casecheck.casefile import Label
 from casecheck.commitments import AppendStatus, BeliefState, Commitment
 from casecheck.logic import Formula, count_models, parse_dimacs
 from casecheck.repair import (
-    RepairAction,
     RepairBudget,
-    RepairKind,
     RepairOutcomeKind,
     RevisionCost,
     attempt_repair,
@@ -39,11 +37,17 @@ def forced_conflicts(state, atoms) -> None:
 
 
 def test_candidates_without_derived_atoms():
-    # nothing to soften: the one candidate is the flip to Unknown
+    # nothing to soften: the step abstains without a solve
     state = state_of("p cnf 1 1\n1 0")
-    c = Commitment("q1", Label.ENTAILED, (-1,))
+    c = Commitment("q1", Label.CONTRADICTED, (-1,))
     violating_append(state, c)
-    assert propose_repairs(c) == [RepairAction(RepairKind.FLIP, cost=(0, 1, 0))]
+    assert propose_repairs(c) == []
+    before = state.session.stats.solver_calls
+    outcome = attempt_repair(state, c, RepairBudget())
+    assert state.session.stats.solver_calls == before
+    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN and outcome.tried == []
+    assert outcome.final_commitment == Commitment("q1", Label.UNKNOWN, ())
+    assert state.rebuild_check()
 
 
 def test_soften_candidate_keeps_queried_atom():
@@ -51,57 +55,52 @@ def test_soften_candidate_keeps_queried_atom():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (-5,)))
     c = Commitment("q2", Label.ENTAILED, (3, 5))  # derived atom 5 conflicts
     violating_append(state, c)
-    actions = propose_repairs(c)
-    softens = [a for a in actions if a.kind is RepairKind.SOFTEN]
-    assert softens and softens[0].dropped_atoms == (5,)
-    budget = RepairBudget()
-    outcome = attempt_repair(state, c, budget)
-    assert outcome.kind is RepairOutcomeKind.REPAIRED
-    assert outcome.action.kind is RepairKind.SOFTEN
-    assert outcome.final_commitment.literals == (3,)
-    assert outcome.final_commitment.label is Label.ENTAILED
-    assert state.rebuild_check()
-
-
-def test_forced_flip_to_unknown_cost():
-    state = state_of("p cnf 1 1\n1 0")
-    c = Commitment("q1", Label.CONTRADICTED, (-1,))
-    violating_append(state, c)
+    assert propose_repairs(c) == [Commitment("q2", Label.ENTAILED, (3,))]
     outcome = attempt_repair(state, c, RepairBudget())
     assert outcome.kind is RepairOutcomeKind.REPAIRED
-    assert outcome.action.kind is RepairKind.FLIP
-    assert outcome.final_commitment.label is Label.UNKNOWN
-    assert outcome.action.cost == (0, 1, 0)
+    assert outcome.final_commitment.literals == (3,)
+    assert outcome.final_commitment.label is Label.ENTAILED
+    assert [(t.size, verdict) for t, verdict in outcome.tried] == [(1, "accepted")]
     assert state.rebuild_check()
+
+
+def test_candidates_grow_by_one_derived_atom():
+    c = Commitment("q1", Label.CONTRADICTED, (-1, 2, -3, 4))
+    assert [t.literals for t in propose_repairs(c)] == [(-1,), (-1, 2), (-1, 2, -3)]
+    assert all(t.label is Label.CONTRADICTED and t.query_id == "q1" for t in propose_repairs(c))
 
 
 def test_repair_verification_cap_respected():
-    state = state_of("p cnf 1 1\n1 0")
-    c = Commitment("q1", Label.CONTRADICTED, (-1,))
+    # three softened candidates, all refuted by the premises; r_max=2 stops
+    # after two solves and the step abstains
+    state = state_of("p cnf 4 1\n1 0")
+    c = Commitment("q1", Label.CONTRADICTED, (-1, 2, 3, 4))
     violating_append(state, c)
     before = state.session.stats.solver_calls
     outcome = attempt_repair(state, c, RepairBudget(r_max=2))
-    assert state.session.stats.solver_calls - before <= 2
-    assert len([t for t in outcome.tried]) <= 2
+    assert state.session.stats.solver_calls - before == 2
+    assert [(t.size, verdict) for t, verdict in outcome.tried] == [(1, "unsat"), (2, "unsat")]
+    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
 
 
 def test_fallback_unknown_when_candidates_fail():
-    # current commitment conflicts; r_max=1 and the single tried candidate
-    # (flip to Unknown) always succeeds, so force failure differently: make
-    # the sole candidate verification hit the call cap
-    state = state_of("p cnf 1 1\n1 0")
-    c = Commitment("q1", Label.CONTRADICTED, (-1,))
+    # the derived atom conflicts and softening would fix it, but the call cap
+    # leaves no verification call, so the step abstains
+    state = state_of(num_vars=5)
+    state.append_and_check(Commitment("q1", Label.ENTAILED, (-5,)))
+    c = Commitment("q2", Label.ENTAILED, (3, 5))
     violating_append(state, c)
-    budget = RepairBudget(call_cap=0)  # no calls left for verification
-    outcome = attempt_repair(state, c, budget)
-    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
+    before = state.session.stats.solver_calls
+    outcome = attempt_repair(state, c, RepairBudget(call_cap=0))
+    assert state.session.stats.solver_calls == before
+    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN and outcome.tried == []
     assert outcome.final_commitment.label is Label.UNKNOWN
     assert state.rebuild_check()
 
 
 def test_accepted_repair_is_lexicographically_optimal():
     # exhaust the candidate space independently: every candidate that would
-    # restore satisfiability must cost at least as much as the accepted one
+    # restore satisfiability must be at least as large as the accepted one
     rng = random.Random(71)
     checked = 0
     while checked < 30:
@@ -127,20 +126,19 @@ def test_accepted_repair_is_lexicographically_optimal():
             continue
         c = violation
         # oracle pass: which candidates restore satisfiability?
-        from casecheck.repair import _revised_commitment
-        sat_costs = []
-        for action in propose_repairs(c):
+        sat_sizes = []
+        for candidate in propose_repairs(c):
             g = rebuild_formula(state)
-            for lit2 in _revised_commitment(c, action).literals:
+            for lit2 in candidate.literals:
                 g.add_clause([lit2])
             if count_models(g) > 0:
-                sat_costs.append(action.cost)
+                sat_sizes.append(candidate.size)
         outcome = attempt_repair(state, c, RepairBudget(r_max=64))
-        if outcome.kind is RepairOutcomeKind.REPAIRED and outcome.action is not None:
-            assert sat_costs and outcome.action.cost == min(sat_costs)
+        if outcome.kind is RepairOutcomeKind.REPAIRED:
+            assert sat_sizes and outcome.final_commitment.size == min(sat_sizes)
             checked += 1
         else:
-            assert not sat_costs  # nothing could have fixed it
+            assert not sat_sizes  # nothing could have fixed it
             checked += 1
 
 
