@@ -187,8 +187,7 @@ class Answerer:
     def sample_answers(self, case: CaseFile, query: Query,
                        history: list[tuple[Query, Label]] | None, k: int) -> Answer:
         """K independent inner draws with a majority vote; ties -> Unknown."""
-        inner = self._inner or self
-        draws = [inner.answer(case, query, history, draw=i) for i in range(k)]
+        draws = self.sample_commitment_candidates(case, query, history, k)
         return Answer(majority_label([d.label for d in draws]), calls=k)
 
     def sample_commitment_candidates(self, case: CaseFile, query: Query,

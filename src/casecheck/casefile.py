@@ -124,21 +124,20 @@ def compile_case(case: CaseFile) -> CaseFile:
         case.formula = parse_dimacs(case.premises)
         for q in case.queries:
             if not isinstance(q.atom, int) or q.atom == 0 or abs(q.atom) > case.formula.num_vars:
-                raise CorpusFormatError(
-                    f"case {case.id} query {q.id}: atom {q.atom!r} outside premise vocabulary")
+                raise CorpusFormatError(f"query {q.id}: atom {q.atom!r} outside premise vocabulary")
     elif case.premises_format == "theory":
         case.theory = parse_theory(case.premises)
         grounded = ground(case.theory)
         var_map = case.theory.var_map
         for q in case.queries:
             if not q.atom_text:
-                raise CorpusFormatError(f"case {case.id} query {q.id}: missing constraint atom")
+                raise CorpusFormatError(f"query {q.id}: missing constraint atom")
             constraint = parse_constraint(q.atom_text, var_map)
             q.atom = grounded.reify(constraint, f"query:{q.id}")
         case.formula = grounded.formula
         case.formula.validate()
     else:
-        raise CorpusFormatError(f"case {case.id}: unknown premises_format {case.premises_format!r}")
+        raise CorpusFormatError(f"unknown premises_format {case.premises_format!r}")
     return case
 
 
@@ -200,7 +199,7 @@ def case_to_record(case: CaseFile) -> dict:
     return record
 
 
-def case_from_record(record: dict, index: int = 0, compile: bool = True) -> CaseFile:
+def case_from_record(record: dict, index: int = 0) -> CaseFile:
     path = f"cases[{index}]"
 
     def need(d: dict, key: str, where: str):
@@ -253,11 +252,10 @@ def case_from_record(record: dict, index: int = 0, compile: bool = True) -> Case
         split=record.get("split"),
         extra={k: v for k, v in record.items() if k not in _CASE_FIELDS},
     )
-    if compile:
-        try:
-            compile_case(case)
-        except (TheoryError, LogicError) as exc:
-            raise CorpusFormatError(f"{path} (case {case.id}): {exc}") from exc
+    try:
+        compile_case(case)
+    except (CorpusFormatError, TheoryError, LogicError) as exc:
+        raise CorpusFormatError(f"{path} (case {case.id}): {exc}") from exc
     return case
 
 
@@ -269,7 +267,7 @@ def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
             fh.write(json.dumps(case_to_record(case), sort_keys=True) + "\n")
 
 
-def load_corpus(path: str | Path, compile: bool = True) -> list[CaseFile]:
+def load_corpus(path: str | Path) -> list[CaseFile]:
     cases = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for i, line in enumerate(fh):
@@ -280,7 +278,7 @@ def load_corpus(path: str | Path, compile: bool = True) -> list[CaseFile]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"cases[{i}]: invalid JSON ({exc})")
-            cases.append(case_from_record(record, index=i, compile=compile))
+            cases.append(case_from_record(record, index=i))
     return cases
 
 

@@ -151,17 +151,17 @@ def cmd_run(args) -> int:
 def _load_run(run_dir: str):
     reports = load_reports(Path(run_dir) / "reports.jsonl")
     timings_path = Path(run_dir) / "timings.json"
-    wall = None
+    eval_s = None
     if timings_path.exists():
-        wall = json.loads(timings_path.read_text()).get("total_seconds")
-    return reports, wall
+        eval_s = json.loads(timings_path.read_text()).get("total_seconds")
+    return reports, eval_s
 
 
 def cmd_score(args) -> int:
-    reports, wall = _load_run(args.run)
-    baseline_reports, baseline_wall = (None, None)
+    reports, eval_s = _load_run(args.run)
+    baseline_reports, baseline_eval_s = (None, None)
     if args.baseline:
-        baseline_reports, baseline_wall = _load_run(args.baseline)
+        baseline_reports, baseline_eval_s = _load_run(args.baseline)
     m = aggregate(reports, baseline=baseline_reports)
     label = f"{reports[0].method}/{reports[0].mode}" if reports else "run"
     table = render_table([(label, m)])
@@ -171,10 +171,10 @@ def cmd_score(args) -> int:
         json.dumps(m.to_dict(), sort_keys=True, indent=2) + "\n")
     (out_dir / "table.txt").write_text(table)
     print(table, end="")
-    if wall is not None:
-        line = f"wall-clock: {wall:.2f}s"
-        if baseline_wall:
-            line += f" ({wall / baseline_wall:.2f}x baseline)"
+    if eval_s is not None:
+        line = f"evaluation time, summed over bundles: {eval_s:.2f}s"
+        if baseline_eval_s:
+            line += f" ({eval_s / baseline_eval_s:.2f}x baseline)"
         print(line)
     return 0
 

@@ -16,8 +16,8 @@ Three methods share one loop over a bundle's queries:
   every repaired or abstaining step leaves one, and keeps the past: no
   earlier commitment is retracted.
 
-In sequential mode the answerer sees earlier final answers; in set mode the
-whole bundle is answered up front. Checking walks the bundle order in both.
+In sequential mode the answerer sees earlier final answers; in set mode it
+sees no history. Checking walks the bundle order in both.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict
+from itertools import repeat
 from pathlib import Path
 
-from .answerers import Answer, Answerer, PolicyConfig, policy_from_dict, policy_to_dict, resolve_policy
-from .casefile import CaseFile, Label, Query, case_from_record, case_to_record, load_corpus
+from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
+from .casefile import CaseFile, Label, Query, load_corpus
 from .commitments import AppendStatus, BeliefState, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
 from .repair import (RepairBudget, RepairOutcomeKind, attempt_repair, logic_filtered_vote,
@@ -66,13 +67,6 @@ class RunConfig:
         if isinstance(self.policy, PolicyConfig):
             data["policy"] = policy_to_dict(self.policy)
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        if isinstance(data.get("policy"), dict):
-            data["policy"] = policy_from_dict(data["policy"])
-        return cls(**data)
 
 
 CAPPED_PHASES = ("check_solver_calls", "core_solver_calls", "repair_solver_calls")
@@ -124,22 +118,15 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
     repair_log: list[RepairLogEntry] = []
     invariants: list[str] = []
     history: list[tuple[Query, Label]] = []
+    seen = history if config.mode == "sequential" else None
     answerer_calls = 0
     any_violation = False
     any_repair = False
 
-    preset_answers: dict[str, Answer] = {}
-    if config.mode == "set" and not use_filter:
-        for q in case.queries:
-            ans = answerer.answer(case, q, history=None)
-            answerer_calls += ans.calls
-            preset_answers[q.id] = ans
-
     for t, query in enumerate(case.queries):
         # ------------------------------------------------------------ answer
         if use_filter:
-            draws = answerer.sample_commitment_candidates(
-                case, query, history if config.mode == "sequential" else None, policy.k)
+            draws = answerer.sample_commitment_candidates(case, query, seen, policy.k)
             answerer_calls += len(draws)
             candidates = [extract_commitment(query, d.label, d.derived_atoms,
                                              vocabulary_size=state.base_vars)
@@ -147,11 +134,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
             vote = logic_filtered_vote(candidates, state)
             ledger.take("filter_solver_calls")
             answer = Answer(vote.label)
-        elif query.id in preset_answers:
-            answer = preset_answers[query.id]
         else:
-            ans_history = history if config.mode == "sequential" else None
-            answer = answerer.answer(case, query, history=ans_history)
+            answer = answerer.answer(case, query, history=seen)
             answerer_calls += answer.calls
 
         commitment = extract_commitment(query, answer.label, answer.derived_atoms,
@@ -275,20 +259,17 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
 # ----------------------------------------------------------------- run level
 
 
-def _evaluate_record(record_json: str, config_json: str) -> tuple[dict, float]:
-    record = json.loads(record_json)
-    config = RunConfig.from_dict(json.loads(config_json))
-    case = case_from_record(record)
+def _timed(case: CaseFile, config: RunConfig) -> tuple[BundleReport, float]:
+    """One bundle's report and its evaluation time in ms."""
     start = time.perf_counter()
     report = evaluate_bundle(case, config)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return report.to_record(), wall_ms
+    return report, (time.perf_counter() - start) * 1000.0
 
 
 def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[BundleReport], dict[str, float]]:
-    """Evaluate every bundle in the selected split; reports come back ordered
-    by case id regardless of parallelism. Returns (reports, wall-clock ms by
-    case id)."""
+    """Evaluate every bundle in the selected split, in case id order, in
+    process or over ``config.jobs`` worker processes. Returns (reports,
+    evaluation ms by case id)."""
     if cases is None:
         cases = load_corpus(config.corpus)
     if config.split:
@@ -297,25 +278,16 @@ def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[Bu
         raise ValueError("no cases selected")
     cases = sorted(cases, key=lambda c: c.id)
 
-    reports: list[BundleReport] = []
-    timings: dict[str, float] = {}
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up path
 
-        payload = [(json.dumps(case_to_record(c), sort_keys=True),
-                    json.dumps(config.to_dict(), sort_keys=True)) for c in cases]
+        # a few chunks per worker: fewer round-trips, still balanced
+        chunk = -(-len(cases) // (4 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for case, (record, wall_ms) in zip(
-                    cases, pool.map(_evaluate_record, *zip(*payload))):
-                reports.append(BundleReport.from_record(record))
-                timings[case.id] = wall_ms
+            results = list(pool.map(_timed, cases, repeat(config), chunksize=chunk))
     else:
-        for case in cases:
-            start = time.perf_counter()
-            reports.append(evaluate_bundle(case, config))
-            timings[case.id] = (time.perf_counter() - start) * 1000.0
-    reports.sort(key=lambda r: r.case_id)
-    return reports, timings
+        results = [_timed(case, config) for case in cases]
+    return [report for report, _ in results], {report.case_id: ms for report, ms in results}
 
 
 def write_run(out_dir: str | Path, config: RunConfig,

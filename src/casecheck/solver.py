@@ -381,19 +381,14 @@ class SolverSession:
 
     # ------------------------------------------------------------------ solve
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: int | None = None,
-        max_seconds: float | None = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Sequence[int] = ()) -> SolveResult:
         """Check satisfiability under the given assumption literals.
 
         SAT results carry a total model. UNSAT results carry the subset of
         assumptions the refutation used (not necessarily minimal; empty when
-        the clause set is UNSAT on its own). Budget exhaustion yields TIMEOUT
-        and callers must treat the verdict as unknown. A conflict budget, when
-        set, replaces the wall-clock budget.
+        the clause set is UNSAT on its own). Exhausting the session's budget
+        yields TIMEOUT and callers must treat the verdict as unknown. A
+        conflict budget, when set, replaces the wall-clock budget.
         """
         self.stats.solver_calls += 1
         slots = []
@@ -416,11 +411,10 @@ class SolverSession:
             self._ok = False
             return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
 
-        budget_conflicts = max_conflicts if max_conflicts is not None else self.max_conflicts
-        budget_seconds = max_seconds if max_seconds is not None else self.max_seconds
+        budget_conflicts = self.max_conflicts
         deadline = None
-        if budget_conflicts is None and budget_seconds is not None:
-            deadline = time.monotonic() + budget_seconds
+        if budget_conflicts is None and self.max_seconds is not None:
+            deadline = time.monotonic() + self.max_seconds
 
         conflicts_this_call = 0
         restart_idx = 1

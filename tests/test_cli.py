@@ -86,17 +86,27 @@ def test_run_rejects_timeouts_that_are_not_positive_and_finite(tmp_path, corpus,
 @pytest.mark.parametrize("command", ["run", "label"])
 def test_malformed_corpus_exits_2_naming_the_case(tmp_path, corpus, capsys, command):
     # used to end in a traceback with exit 1, the code kept for invariant failures
-    records = [json.loads(line) for line in Path(corpus).read_text().splitlines()]
-    del records[3]["premises"]
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
-    out = tmp_path / "out"
-    args = (run_args(bad, out, policy="oracle") if command == "run"
-            else ["label", "--corpus", str(bad), "--out", str(out)])
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err == f"casecheck {command}: error: cases[3].premises: missing required field\n"
-    assert not out.exists()
+    def no_premises(records):
+        del records[3]["premises"]
+
+    def atom_outside_vocabulary(records):
+        # used to name the case but not its cases[i] index
+        records[1]["queries"][0]["atom"] = 999
+
+    for corrupt, message in [
+            (no_premises, "cases[3].premises: missing required field"),
+            (atom_outside_vocabulary,
+             "cases[1] (case rel-0001): query q1: atom 999 outside premise vocabulary")]:
+        records = [json.loads(line) for line in Path(corpus).read_text().splitlines()]
+        corrupt(records)
+        bad = tmp_path / f"{corrupt.__name__}.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / f"{corrupt.__name__}-out"
+        args = (run_args(bad, out, policy="oracle") if command == "run"
+                else ["label", "--corpus", str(bad), "--out", str(out)])
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"casecheck {command}: error: {message}\n"
+        assert not out.exists()
 
 
 def test_oracle_run_and_score(tmp_path, corpus, capsys):

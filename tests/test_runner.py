@@ -150,11 +150,12 @@ def test_parallel_jobs_match_sequential(tmp_path, cases):
     from casecheck.casefile import save_corpus
     corpus = tmp_path / "corpus.jsonl"
     save_corpus(cases, corpus)
-    cfg1 = config("check", corpus=str(corpus))
-    cfg2 = config("check", corpus=str(corpus), jobs=2)
-    r1, _ = run(cfg1)
-    r2, _ = run(cfg2)
-    assert [r.to_record() for r in r1] == [r.to_record() for r in r2]
+    for method in ("baseline", "check", "check+repair"):
+        for mode in ("sequential", "set"):
+            r1, t1 = run(config(method, corpus=str(corpus), mode=mode))
+            r2, t2 = run(config(method, corpus=str(corpus), mode=mode, jobs=2))
+            assert [r.to_record() for r in r1] == [r.to_record() for r in r2], (method, mode)
+            assert list(t1) == list(t2) == sorted(c.id for c in cases)
 
 
 def test_split_filter(tmp_path, cases):
@@ -187,17 +188,25 @@ def test_invalid_config_rejected():
 
 
 # sha256 of reports.jsonl for each method (policy nocot-like, seed 7) on the
-# seed-0 default corpus and on the 40-case long-bundle corpus of
-# test_generator.py: any change to a verdict, a core, a repair or a solver-call
-# count moves them
+# seed-0 default corpus, in both modes, and on the 40-case long-bundle corpus
+# of test_generator.py: any change to a verdict, a core, a repair or a
+# solver-call count moves them
 REPORT_DIGESTS = {
-    ("default", "baseline"): "c128ee86a2a55fb626ed3382afaab75dd470e5d81b61096a95f1a0e04d14b36c",
-    ("default", "check"): "84156077bd3a558a8c2fcbf84d4b99eff41d84250216758342522df83e41ee51",
-    ("default", "check+repair"): "1b226aa3b3f12a9f4fae2016430913c78ef615234ec327141cb78f1ad66de404",
-    ("long", "baseline"): "0cd61cf52d227ee02174daea78361466f8b98afd3f7c59c5e49a4ea18485b4e0",
-    ("long", "check"): "bd6f2c550b2dd10acfb404c5d36d889f81788a9ed0f8868dd4af428ee619d102",
-    ("long", "check+repair"): "6ad6137f8a3ac7f56f5a2d7ebb66c06096f6a5686db8028b817bad2bb1f88d40",
+    ("default", "sequential", "baseline"): "c128ee86a2a55fb626ed3382afaab75dd470e5d81b61096a95f1a0e04d14b36c",
+    ("default", "sequential", "check"): "84156077bd3a558a8c2fcbf84d4b99eff41d84250216758342522df83e41ee51",
+    ("default", "sequential", "check+repair"): "1b226aa3b3f12a9f4fae2016430913c78ef615234ec327141cb78f1ad66de404",
+    ("default", "set", "baseline"): "523057b4a68ac67616e47cf17e54503985e1c766da1319a8434a73ede6cf686a",
+    ("default", "set", "check"): "afd779622089f4d3e3a7622adf97be0125ec4f8a80a194750462b1fc98b7410b",
+    ("default", "set", "check+repair"): "101d50f61d61b7d2380f951e261e162121ab5498a7029e466bda1eaa68b2a868",
+    ("long", "sequential", "baseline"): "0cd61cf52d227ee02174daea78361466f8b98afd3f7c59c5e49a4ea18485b4e0",
+    ("long", "sequential", "check"): "bd6f2c550b2dd10acfb404c5d36d889f81788a9ed0f8868dd4af428ee619d102",
+    ("long", "sequential", "check+repair"): "6ad6137f8a3ac7f56f5a2d7ebb66c06096f6a5686db8028b817bad2bb1f88d40",
 }
+
+
+def _pin_id(key):
+    corpus_name, mode, method = key
+    return f"{corpus_name}-{method}" if mode == "sequential" else f"{corpus_name}-{mode}-{method}"
 
 
 @pytest.fixture(scope="module")
@@ -206,12 +215,14 @@ def long_corpus():
     return generate_corpus(spec, seed=0)
 
 
-@pytest.mark.parametrize("corpus_name, method", sorted(REPORT_DIGESTS))
-def test_run_reports_are_pinned(tmp_path, default_corpus, long_corpus, corpus_name, method):
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS), ids=_pin_id)
+def test_run_reports_are_pinned(tmp_path, default_corpus, long_corpus, key):
     import hashlib
 
+    corpus_name, mode, method = key
     corpus = default_corpus if corpus_name == "default" else long_corpus
-    reports = [evaluate_bundle(case, config(method, seed=7, max_conflicts=200_000)) for case in corpus]
+    reports = [evaluate_bundle(case, config(method, mode=mode, seed=7, max_conflicts=200_000))
+               for case in corpus]
     path = tmp_path / "reports.jsonl"
     save_reports(reports, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[corpus_name, method]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[key]

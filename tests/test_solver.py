@@ -309,8 +309,8 @@ def _trajectory() -> list:
 
     out = []
 
-    def call(s, assumptions=(), **budget):
-        res = s.solve(assumptions, **budget)
+    def call(s, assumptions=()):
+        res = s.solve(assumptions)
         model = None if res.model is None else sorted(v if b else -v for v, b in res.model.items())
         out.append([res.status.value, model, sorted(res.failed_assumptions), s.stats.snapshot()])
 
@@ -356,8 +356,9 @@ def _trajectory() -> list:
     call(s, selectors)
 
     # a one-conflict budget times out, then the same session finishes
-    s = SolverSession(pigeonhole(5, 4), max_seconds=None)
-    call(s, max_conflicts=1)
+    s = SolverSession(pigeonhole(5, 4), max_conflicts=1, max_seconds=None)
+    call(s)
+    s.max_conflicts = None
     call(s)
     # enough conflicts to restart
     s = SolverSession(pigeonhole(6, 5), max_seconds=None)
