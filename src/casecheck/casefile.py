@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .lia import Theory, TheoryError, ground, parse_constraint, parse_theory
+from .lia import TheoryError, ground, parse_constraint, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
 from .solver import SolveStatus, SolverSession
 
@@ -82,7 +82,6 @@ class CaseFile:
     queries: list[Query]
     split: str | None = None
     formula: Formula | None = None
-    theory: Theory | None = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -126,9 +125,9 @@ def compile_case(case: CaseFile) -> CaseFile:
             if not isinstance(q.atom, int) or q.atom == 0 or abs(q.atom) > case.formula.num_vars:
                 raise CorpusFormatError(f"query {q.id}: atom {q.atom!r} outside premise vocabulary")
     elif case.premises_format == "theory":
-        case.theory = parse_theory(case.premises)
-        grounded = ground(case.theory)
-        var_map = case.theory.var_map
+        theory = parse_theory(case.premises)
+        grounded = ground(theory)
+        var_map = theory.var_map
         for q in case.queries:
             if not q.atom_text:
                 raise CorpusFormatError(f"query {q.id}: missing constraint atom")
@@ -141,35 +140,38 @@ def compile_case(case: CaseFile) -> CaseFile:
     return case
 
 
-def literal_gold_label(session: SolverSession, atom: int) -> Label:
+def literal_gold_label(session: SolverSession, atom: int,
+                       witnesses: set[int] | None = None) -> Label:
     """Label of a literal against satisfiable premises: exactly one of the
-    three labels, decided by two assumption checks."""
-    res = session.solve(assumptions=[-atom])
-    if res.status is SolveStatus.TIMEOUT:
-        raise LabelTimeout("entailment check timed out")
-    if res.status is SolveStatus.UNSAT:
-        return Label.ENTAILED
-    res = session.solve(assumptions=[atom])
-    if res.status is SolveStatus.TIMEOUT:
-        raise LabelTimeout("refutation check timed out")
-    if res.status is SolveStatus.UNSAT:
-        return Label.CONTRADICTED
+    three labels, decided by whether ``-atom`` and ``atom`` are each possible.
+    ``witnesses`` holds the literals true in some model the session has
+    returned in this labelling pass: a witnessed literal is possible without
+    a solve, and each model a check returns joins the set (backbone
+    computation with model filtering: Janota, Lynce & Marques-Silva, AI
+    Communications 2015). A fresh set skips no check."""
+    if witnesses is None:
+        witnesses = set()
+    for lit, label, check in ((-atom, Label.ENTAILED, "entailment"),
+                              (atom, Label.CONTRADICTED, "refutation")):
+        if lit in witnesses:
+            continue
+        res = session.solve(assumptions=[lit])
+        if res.status is SolveStatus.TIMEOUT:
+            raise LabelTimeout(f"{check} check timed out")
+        if res.status is SolveStatus.UNSAT:
+            return label
+        witnesses.update(v if value else -v for v, value in res.model.items())
     return Label.UNKNOWN
 
 
-def derive_gold_label(case: CaseFile, query: Query,
-                      session: SolverSession | None = None) -> Label:
-    if session is None:
-        session = case.new_session()
-    return literal_gold_label(session, query.atom)
-
-
 def label_case(case: CaseFile, session: SolverSession | None = None) -> None:
-    """Fill gold labels for every query; raises LabelTimeout on budget hits."""
+    """Fill gold labels for every query, sharing one witness set; raises
+    LabelTimeout on budget hits."""
     if session is None:
         session = case.new_session()
+    witnesses: set[int] = set()
     for q in case.queries:
-        q.gold_label = literal_gold_label(session, q.atom)
+        q.gold_label = literal_gold_label(session, q.atom, witnesses)
 
 
 # ------------------------------------------------------------------ corpus io

@@ -10,7 +10,9 @@ the opposite label (both under Unknown when the atom is contingent), and
 ``_draw_bundle`` draws a 5-8 query bundle containing every label class, with
 an Unknown share targeted at roughly 18% corpus-wide. Cases are built by the
 corpus loader's ``case_from_record`` and every gold label is re-checked
-against the solver.
+against the solver. The pool labelling and the re-check each keep their own
+witness set (see ``literal_gold_label``), so a check that an earlier model of
+the same pass already answers costs no solve.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def _label_pools(session: SolverSession,
     (literal, query, complement query): one label check places both, the
     complement in the opposite class or, for an Unknown atom, beside it."""
     pools: dict[Label, list[tuple]] = {lbl: [] for lbl in Label}
+    witnesses: set[int] = set()
     for literal, query, comp in candidates:
-        label = literal_gold_label(session, literal)
+        label = literal_gold_label(session, literal, witnesses)
         if label is Label.UNKNOWN:
             pools[label] += [query, comp]
         else:
@@ -115,8 +118,15 @@ def _draw_bundle(rng: random.Random, pools: dict[Label, list[tuple]],
 
 
 def _self_check(case: CaseFile, session: SolverSession) -> CaseFile:
-    for q in case.queries:  # generation self-check against the solver
-        assert literal_gold_label(session, q.atom) is q.gold_label
+    """Re-derive every gold label on the built case with a witness set of its
+    own, so the check shares no model with the pool labelling."""
+    witnesses: set[int] = set()
+    for q in case.queries:
+        label = literal_gold_label(session, q.atom, witnesses)
+        if label is not q.gold_label:
+            # not a GenerationError: the retry loop must not hide a mislabel
+            raise RuntimeError(f"case {case.id} query {q.id}: gold label "
+                               f"{q.gold_label.value} re-derives as {label.value}")
     return case
 
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from casecheck.casefile import Label, derive_gold_label
+from casecheck.casefile import Label, literal_gold_label
 from casecheck.commitments import AppendStatus, BeliefState, Commitment
 from casecheck.generator import generate_corpus
 from casecheck.lia import IntVar, LinConstraint, Theory, enumerate_int_solutions, ground
@@ -133,7 +133,7 @@ def test_criterion_03_gold_label_correctness(corpus):
                     expected = Label.CONTRADICTED
                 else:
                     expected = Label.UNKNOWN
-                assert derive_gold_label(case, q, session) is expected
+                assert literal_gold_label(session, q.atom) is expected
                 assert q.gold_label is expected
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ from casecheck.casefile import (
     case_from_record,
     case_to_record,
     compile_case,
-    derive_gold_label,
     label_case,
+    literal_gold_label,
     load_casefile,
     load_corpus,
     save_corpus,
@@ -32,22 +33,116 @@ def make_case(premises: str, atoms, case_id="t-1", domain=Domain.RELATIONAL) -> 
 
 def test_gold_label_entailed():
     case = make_case("p cnf 1 1\n1 0", [1])
-    assert derive_gold_label(case, case.queries[0]) is Label.ENTAILED
+    assert literal_gold_label(case.new_session(), case.queries[0].atom) is Label.ENTAILED
 
 
 def test_gold_label_contradicted():
     case = make_case("p cnf 1 1\n1 0", [-1])
-    assert derive_gold_label(case, case.queries[0]) is Label.CONTRADICTED
+    assert literal_gold_label(case.new_session(), case.queries[0].atom) is Label.CONTRADICTED
 
 
 def test_gold_label_unknown_confirmed_by_enumeration():
     from casecheck.logic import enumerate_models
 
     case = make_case("p cnf 2 1\n1 2 0", [1])
-    assert derive_gold_label(case, case.queries[0]) is Label.UNKNOWN
+    assert literal_gold_label(case.new_session(), case.queries[0].atom) is Label.UNKNOWN
     # enumeration shows models with the atom true and false
     models = [m[1] for m in enumerate_models(case.formula).models]
     assert True in models and False in models
+
+
+def _label_twice(formula, literals):
+    """Labels from one pass sharing a witness set and from fresh-set checks
+    on a second session, each with its solve count."""
+    from casecheck.solver import SolverSession
+
+    shared_session, witnesses = SolverSession(formula), set()
+    shared = {lit: literal_gold_label(shared_session, lit, witnesses) for lit in literals}
+    fresh_session = SolverSession(formula)
+    fresh = {lit: literal_gold_label(fresh_session, lit) for lit in literals}
+    return shared, fresh, shared_session.stats.solver_calls, fresh_session.stats.solver_calls
+
+
+def _oracle_label(possible_true: bool, possible_false: bool) -> Label:
+    if not possible_false:
+        return Label.ENTAILED
+    return Label.UNKNOWN if possible_true else Label.CONTRADICTED
+
+
+def test_shared_witnesses_label_like_fresh_checks_on_random_cnfs():
+    from casecheck.logic import Formula, count_models
+
+    rng = random.Random(2015)
+    saved = labelled = 0
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        clauses = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))]
+                   for _ in range(rng.randint(1, 8))]
+
+        def with_units(*units) -> Formula:
+            f = Formula(num_vars=n)
+            for c in clauses + [[u] for u in units]:
+                f.add_clause(c)
+            return f
+
+        if count_models(with_units()) == 0:
+            continue  # labelling needs satisfiable premises
+        literals = [sign * v for v in range(1, n + 1) for sign in (1, -1)]
+        rng.shuffle(literals)
+        shared, fresh, shared_calls, fresh_calls = _label_twice(with_units(), literals)
+        assert shared == fresh
+        for lit in literals:
+            assert shared[lit] is _oracle_label(count_models(with_units(lit)) > 0,
+                                                count_models(with_units(-lit)) > 0)
+        assert shared_calls <= fresh_calls
+        saved += fresh_calls - shared_calls
+        labelled += 1
+    assert labelled > 100 and saved > 0
+
+
+def test_shared_witnesses_label_like_fresh_checks_on_theories():
+    from casecheck.lia import (IntVar, LinConstraint, Theory, enumerate_int_solutions,
+                               eval_constraint, ground)
+
+    rng = random.Random(2015)
+
+    def constraint(variables, relations):
+        chosen = rng.sample(variables, rng.randint(1, len(variables)))
+        terms = tuple((rng.choice([-3, -2, -1, 1, 2, 3]), v.name) for v in chosen)
+        return LinConstraint(terms, rng.choice(relations), rng.randint(-12, 12))
+
+    saved = labelled = 0
+    for _ in range(300):
+        variables = []
+        for i in range(rng.randint(1, 3)):
+            lower = rng.randint(-3, 2)
+            variables.append(IntVar(f"v{i}", lower, lower + rng.randint(1, 4)))
+        premises = [constraint(variables, ("<=", "<", "=", ">=", ">", "!="))
+                    for _ in range(rng.randint(1, 3))]
+        theory = Theory(variables, [(f"c{j}", c) for j, c in enumerate(premises)])
+        solutions = enumerate_int_solutions(theory)
+        if not solutions:
+            continue
+        gt = ground(theory)
+        query = constraint(variables, ("<=", "<", ">=", ">"))
+        atom = gt.reify(query, "query:q1")
+        # every literal with an integer meaning: the query atom and x <= k
+        meaning = {atom: query}
+        for (name, k), v in gt.order_vars.items():
+            meaning[v] = LinConstraint(((1, name),), "<=", k)
+        literals = [sign * v for v in range(1, gt.formula.num_vars + 1) for sign in (1, -1)]
+        rng.shuffle(literals)
+        shared, fresh, shared_calls, fresh_calls = _label_twice(gt.formula, literals)
+        assert shared == fresh
+        for v, c in meaning.items():
+            truth = [eval_constraint(c, s) for s in solutions]
+            for lit, holds in ((v, truth), (-v, [not t for t in truth])):
+                assert shared[lit] is _oracle_label(any(holds), not all(holds)), (theory, c)
+        assert shared_calls <= fresh_calls
+        saved += fresh_calls - shared_calls
+        labelled += 1
+    assert labelled > 100 and saved > 0
 
 
 def test_unsatisfiable_premises_rejected(tmp_path):
@@ -65,7 +160,6 @@ def test_unsatisfiable_premises_rejected(tmp_path):
     corpus = tmp_path / "bad.jsonl"
     save_corpus([case], corpus)
     entry_points = [case.new_session, lambda: label_case(case),
-                    lambda: derive_gold_label(case, case.queries[0]),
                     lambda: run(RunConfig(corpus=str(corpus), policy="nocot-like", jobs=2))]
     entry_points += [lambda m=m: evaluate_bundle(bad_case(), RunConfig(
         corpus="", policy="nocot-like", method=m)) for m in METHODS]
@@ -82,7 +176,7 @@ def test_minimal_handwritten_case_roundtrip(tmp_path):
     loaded = load_casefile(path)
     assert loaded.id == case.id
     assert loaded.queries[0].gold_label is Label.ENTAILED
-    assert derive_gold_label(loaded, loaded.queries[0]) is Label.ENTAILED
+    assert literal_gold_label(loaded.new_session(), loaded.queries[0].atom) is Label.ENTAILED
 
 
 def test_roundtrip_preserves_unknown_fields(tmp_path):
@@ -168,10 +262,10 @@ def test_scheduling_fixture_loads_with_capacity_query():
     assert case.bundle_size == 5
     texts = [q.text for q in case.queries]
     assert any("Room-1 capacity" in t for t in texts)
-    assert [n for n, _ in case.theory.assertions] == [
+    from casecheck.lia import parse_theory
+    assert [n for n, _ in parse_theory(case.premises).assertions] == [
         "dur_A", "dur_B", "order_ab", "horizon_a", "horizon_b"]
     session = case.new_session()
-    from casecheck.casefile import literal_gold_label
     for q in case.queries:
         assert literal_gold_label(session, q.atom) is q.gold_label
 

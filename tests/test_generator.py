@@ -1,13 +1,17 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
-from casecheck.casefile import Domain, Label, derive_gold_label, case_to_record, save_corpus
+from casecheck.casefile import Domain, Label, case_to_record, literal_gold_label, save_corpus
 from casecheck.generator import (
     GeneratorSpec,
     corpus_composition,
     generate_casefile,
     generate_corpus,
 )
-from casecheck.lia import enumerate_int_solutions, eval_constraint, parse_constraint
+from casecheck.lia import enumerate_int_solutions, eval_constraint, parse_constraint, parse_theory
 
 
 def test_seeded_generation_is_reproducible():
@@ -33,7 +37,28 @@ def test_generated_gold_labels_match_solver():
         case = generate_casefile(domain, 99)
         session = case.new_session()
         for q in case.queries:
-            assert derive_gold_label(case, q, session) is q.gold_label
+            assert literal_gold_label(session, q.atom) is q.gold_label
+
+
+def test_self_check_rejects_a_mislabel_under_optimize():
+    # python -O strips assert statements; the self-check must still fail and
+    # name the case, the query and both labels
+    import casecheck
+
+    src = str(Path(casecheck.__file__).resolve().parent.parent)
+    code = ("from casecheck.casefile import Label\n"
+            "from casecheck.generator import Domain, _self_check, generate_casefile\n"
+            "case = generate_casefile(Domain.RELATIONAL, 7, case_id='rel-7')\n"
+            "q = next(q for q in case.queries if q.gold_label is Label.ENTAILED)\n"
+            "q.gold_label = Label.UNKNOWN\n"
+            "print(q.id)\n"
+            "_self_check(case, case.new_session())\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode != 0
+    qid = out.stdout.strip()
+    assert f"case rel-7 query {qid}: gold label unknown re-derives as entailed" in out.stderr
 
 
 def test_temporal_golds_match_integer_enumeration():
@@ -41,9 +66,10 @@ def test_temporal_golds_match_integer_enumeration():
     negated = 0
     for seed in (1, 3, 5, 7, 9):
         case = generate_casefile(Domain.TEMPORAL, seed)
-        solutions = enumerate_int_solutions(case.theory)
+        theory = parse_theory(case.premises)
+        solutions = enumerate_int_solutions(theory)
         assert solutions, "premises must be satisfiable"
-        var_map = case.theory.var_map
+        var_map = theory.var_map
         for q in case.queries:
             constraint = parse_constraint(q.atom_text, var_map)
             truth = [eval_constraint(constraint, s) for s in solutions]
