@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .lia import TheoryError, ground, parse_constraint, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
-from .solver import SolveStatus, SolverSession
+from .solver import SolveResult, SolveStatus, SolverSession
 
 
 class Label(str, Enum):
@@ -95,24 +95,25 @@ class CaseFile:
         raise KeyError(qid)
 
     def new_session(self, max_conflicts: int | None = None,
-                    max_seconds: float | None = 30.0) -> SolverSession:
-        """A labelling session over satisfiable premises: raises CaseError
-        when they are unsatisfiable and LabelTimeout when the check runs out
-        of budget."""
+                    max_seconds: float | None = 30.0) -> tuple[SolverSession, set[int]]:
+        """A labelling session over satisfiable premises, with the literals
+        true in its premise check's model: raises CaseError when they are
+        unsatisfiable and LabelTimeout when the check runs out of budget."""
         if self.formula is None:
             raise CaseError(f"case {self.id} is not compiled")
         session = SolverSession(self.formula, max_conflicts=max_conflicts, max_seconds=max_seconds)
-        check_premises(session, self.id)
-        return session
+        return session, {v if b else -v for v, b in check_premises(session, self.id).model.items()}
 
 
-def check_premises(session: SolverSession, case_id: str | None) -> None:
-    """One solve with no assumptions on a session over the case premises."""
+def check_premises(session: SolverSession, case_id: str | None) -> SolveResult:
+    """One solve with no assumptions on a session over the case premises;
+    returns its SAT result."""
     res = session.solve()
     if res.status is SolveStatus.UNSAT:
         raise CaseError(f"case {case_id}: premises are unsatisfiable")
     if res.status is SolveStatus.TIMEOUT:
         raise LabelTimeout(f"case {case_id}: premise satisfiability check timed out")
+    return res
 
 
 def compile_case(case: CaseFile) -> CaseFile:
@@ -145,10 +146,10 @@ def literal_gold_label(session: SolverSession, atom: int,
     """Label of a literal against satisfiable premises: exactly one of the
     three labels, decided by whether ``-atom`` and ``atom`` are each possible.
     ``witnesses`` holds the literals true in some model the session has
-    returned in this labelling pass: a witnessed literal is possible without
-    a solve, and each model a check returns joins the set (backbone
-    computation with model filtering: Janota, Lynce & Marques-Silva, AI
-    Communications 2015). A fresh set skips no check."""
+    returned in this labelling pass, from its premise check on: a witnessed
+    literal is possible without a solve, and each model a check returns joins
+    the set (backbone computation with model filtering: Janota, Lynce &
+    Marques-Silva, AI Communications 2015). A fresh set skips no check."""
     if witnesses is None:
         witnesses = set()
     for lit, label, check in ((-atom, Label.ENTAILED, "entailment"),
@@ -164,12 +165,10 @@ def literal_gold_label(session: SolverSession, atom: int,
     return Label.UNKNOWN
 
 
-def label_case(case: CaseFile, session: SolverSession | None = None) -> None:
-    """Fill gold labels for every query, sharing one witness set; raises
-    LabelTimeout on budget hits."""
-    if session is None:
-        session = case.new_session()
-    witnesses: set[int] = set()
+def label_case(case: CaseFile) -> None:
+    """Fill gold labels for every query, sharing one witness set seeded with
+    the premise model; raises LabelTimeout on budget hits."""
+    session, witnesses = case.new_session()
     for q in case.queries:
         q.gold_label = literal_gold_label(session, q.atom, witnesses)
 

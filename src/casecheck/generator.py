@@ -11,8 +11,9 @@ the opposite label (both under Unknown when the atom is contingent), and
 an Unknown share targeted at roughly 18% corpus-wide. Cases are built by the
 corpus loader's ``case_from_record`` and every gold label is re-checked
 against the solver. The pool labelling and the re-check each keep their own
-witness set (see ``literal_gold_label``), so a check that an earlier model of
-the same pass already answers costs no solve.
+witness set (see ``literal_gold_label``), seeded with the premise model of the
+session they use, so a check that an earlier model of the same pass already
+answers costs no solve.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ def _plan_counts(rng: random.Random, size: int, domain: Domain) -> dict[Label, i
     }
 
 
-def _label_pools(session: SolverSession,
+def _label_pools(session: SolverSession, premise_model: set[int],
                  candidates: list[tuple[int, tuple, tuple]]) -> dict[Label, list[tuple]]:
     """Pools of (atom, text) queries by gold label. Each candidate is
     (literal, query, complement query): one label check places both, the
     complement in the opposite class or, for an Unknown atom, beside it."""
     pools: dict[Label, list[tuple]] = {lbl: [] for lbl in Label}
-    witnesses: set[int] = set()
+    witnesses = set(premise_model)
     for literal, query, comp in candidates:
         label = literal_gold_label(session, literal, witnesses)
         if label is Label.UNKNOWN:
@@ -117,10 +118,11 @@ def _draw_bundle(rng: random.Random, pools: dict[Label, list[tuple]],
     return records
 
 
-def _self_check(case: CaseFile, session: SolverSession) -> CaseFile:
+def _self_check(case: CaseFile, session: SolverSession, premise_model: set[int]) -> CaseFile:
     """Re-derive every gold label on the built case with a witness set of its
-    own, so the check shares no model with the pool labelling."""
-    witnesses: set[int] = set()
+    own, seeded with the premise model only, so the check shares no model
+    with the pool labelling."""
+    witnesses = set(premise_model)
     for q in case.queries:
         label = literal_gold_label(session, q.atom, witnesses)
         if label is not q.gold_label:
@@ -214,13 +216,13 @@ def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
     record = {"id": case_id, "domain": domain.value, "premises": _cnf_premises(rng, domain),
               "premises_format": "dimacs"}
     probe = case_from_record({**record, "queries": []})
-    session = probe.new_session()
+    session, premise_model = probe.new_session()
 
     def query(lit: int) -> tuple[int, str]:
         return lit, _query_text(domain, lit)
 
-    pools = _label_pools(session, [(v, query(v), query(-v))
-                                   for v in range(1, probe.formula.num_vars + 1)])
+    pools = _label_pools(session, premise_model, [(v, query(v), query(-v))
+                                                  for v in range(1, probe.formula.num_vars + 1)])
     size = rng.randint(spec.bundle_min, spec.bundle_max)
     counts = _plan_counts(rng, size, domain)
     if not pools[Label.ENTAILED] or not pools[Label.UNKNOWN]:
@@ -233,7 +235,7 @@ def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
         e = rng.choice(pools[Label.ENTAILED])
         pair = [(e, Label.ENTAILED), (query(-e[0]), Label.CONTRADICTED)]
     case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})
-    return _self_check(case, session)
+    return _self_check(case, session, premise_model)
 
 
 # --------------------------------------------------------- temporal premises
@@ -281,7 +283,7 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
 
     probe = case_from_record({**record, "queries": [{"id": f"c{i}", "atom": a, "text": t}
                                                     for i, (a, t) in enumerate(candidates.items())]})
-    pools = _label_pools(probe.new_session(),
+    pools = _label_pools(*probe.new_session(),
                          [(q.atom, (q.atom_text, q.text), (complement(q.atom_text), f"[negated] {q.text}"))
                           for q in probe.queries])
     size = rng.randint(spec.bundle_min, spec.bundle_max)
@@ -303,7 +305,7 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
         if pair is None:
             raise GenerationError("no dependency pair available")
     case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})
-    return _self_check(case, case.new_session())
+    return _self_check(case, *case.new_session())
 
 
 # ----------------------------------------------------------------- top level

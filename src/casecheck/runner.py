@@ -101,9 +101,12 @@ class _Ledger:
         return max(0, self.cap - self.capped - checks_left)
 
 
-def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
-    policy = resolve_policy(config.policy)
-    answerer = Answerer(policy, config.seed)
+def evaluate_bundle(case: CaseFile, config: RunConfig,
+                    answerer: Answerer | None = None) -> BundleReport:
+    """One bundle's report; ``run`` passes the answerer it built for ``config``."""
+    if answerer is None:
+        answerer = Answerer(resolve_policy(config.policy), config.seed)
+    policy = answerer.config
     state = BeliefState(case.formula, max_conflicts=config.max_conflicts,
                         max_seconds=config.max_seconds)
     n = case.bundle_size
@@ -259,17 +262,28 @@ def evaluate_bundle(case: CaseFile, config: RunConfig) -> BundleReport:
 # ----------------------------------------------------------------- run level
 
 
-def _timed(case: CaseFile, config: RunConfig) -> tuple[BundleReport, float]:
+# the answerer of a --jobs worker process, shipped once when the pool starts it
+_worker_answerer: Answerer | None = None
+
+
+def _start_worker(answerer: Answerer) -> None:
+    global _worker_answerer
+    _worker_answerer = answerer
+
+
+def _timed(case: CaseFile, config: RunConfig,
+           answerer: Answerer | None = None) -> tuple[BundleReport, float]:
     """One bundle's report and its evaluation time in ms."""
     start = time.perf_counter()
-    report = evaluate_bundle(case, config)
+    report = evaluate_bundle(case, config, answerer or _worker_answerer)
     return report, (time.perf_counter() - start) * 1000.0
 
 
 def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[BundleReport], dict[str, float]]:
     """Evaluate every bundle in the selected split, in case id order, in
     process or over ``config.jobs`` worker processes. Returns (reports,
-    evaluation ms by case id)."""
+    evaluation ms by case id). The policy is resolved, and a replay trace
+    loaded, once per run; each worker receives the answerer once."""
     if cases is None:
         cases = load_corpus(config.corpus)
     if config.split:
@@ -277,16 +291,17 @@ def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[Bu
     if not cases:
         raise ValueError("no cases selected")
     cases = sorted(cases, key=lambda c: c.id)
+    answerer = Answerer(resolve_policy(config.policy), config.seed)
 
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up path
 
         # a few chunks per worker: fewer round-trips, still balanced
         chunk = -(-len(cases) // (4 * config.jobs))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(config.jobs, initializer=_start_worker, initargs=(answerer,)) as pool:
             results = list(pool.map(_timed, cases, repeat(config), chunksize=chunk))
     else:
-        results = [_timed(case, config) for case in cases]
+        results = [_timed(case, config, answerer) for case in cases]
     return [report for report, _ in results], {report.case_id: ms for report, ms in results}
 
 

@@ -8,15 +8,20 @@ the variables created since (false unless assumed), satisfies a later call's
 assumptions and every clause added since, the call returns it without a
 search, as a counterexample cache would (Cadar, Dunbar & Engler, OSDI 2008).
 A conflict-free search would return the same model, so no status or model
-depends on the shortcut. Verdicts are fully deterministic: branching breaks
-ties by variable index and there is no randomized component.
+depends on the shortcut. The other half: clauses are only ever added, so a
+call assuming the whole failed set of the last UNSAT search is UNSAT with it,
+again without a search. A SAT model is built when first read (once per bundle
+by ``BeliefState.rebuild_check``; per check by gold labelling). Verdicts are
+fully deterministic: branching breaks ties by variable index and there is no
+randomized component.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from heapq import heapify, heappush, heappop
 from typing import Iterable, Sequence
 
@@ -56,8 +61,15 @@ class SolverStats:
 @dataclass
 class SolveResult:
     status: SolveStatus
-    model: dict[int, bool] | None = None
     failed_assumptions: frozenset[int] = frozenset()
+    _bits: list[int] | None = field(default=None, repr=False)  # SAT: sign bit of vars 1..n
+
+    @cached_property
+    def model(self) -> dict[int, bool] | None:
+        """The total model of a SAT result, built on first read; else None."""
+        if self._bits is None:
+            return None
+        return dict(zip(range(1, len(self._bits) + 1), map((0).__eq__, self._bits)))
 
 
 class SolverSession:
@@ -107,6 +119,8 @@ class SolverSession:
         self._reuse = False
         self._fresh_from = n + 1
         self._since: list[tuple[int, ...]] = []
+        # failed set of the last UNSAT search: clauses only grow, so it stays UNSAT
+        self._core: frozenset[int] | None = None
 
         if formula is not None:
             formula.validate()
@@ -397,19 +411,20 @@ class SolverSession:
                 raise LogicError(f"assumption {a} references unknown variable")
             slots.append(2 * a if a > 0 else 1 - 2 * a)
 
+        if not self._ok:
+            return SolveResult(SolveStatus.UNSAT)
+        if self._core is not None and self._core.issubset(assumptions):
+            return SolveResult(SolveStatus.UNSAT, failed_assumptions=self._core)
         if self._reuse and self._reuse_model(assumptions):
             # a search would assign, imply and decide exactly these polarities
             # without a conflict, and return this model
-            return SolveResult(SolveStatus.SAT, model=dict(zip(  # sign bit 0: true
-                range(1, self._num_vars + 1), map((0).__eq__, self._phase[1:]))))
+            return SolveResult(SolveStatus.SAT, _bits=self._phase[1:])
         self._reuse = False
 
         self._cancel_until(0)
-        if not self._ok:
-            return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
         if self._propagate() is not None:
             self._ok = False
-            return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
+            return SolveResult(SolveStatus.UNSAT)
 
         budget_conflicts = self.max_conflicts
         deadline = None
@@ -430,7 +445,7 @@ class SolverSession:
                 conflicts_since_restart += 1
                 if len(trail_lim) == 0:
                     self._ok = False
-                    return SolveResult(SolveStatus.UNSAT, failed_assumptions=frozenset())
+                    return SolveResult(SolveStatus.UNSAT)
                 if budget_conflicts is not None and conflicts_this_call >= budget_conflicts:
                     self._cancel_until(0)
                     return SolveResult(SolveStatus.TIMEOUT)
@@ -460,9 +475,9 @@ class SolverSession:
                 p = slots[len(trail_lim)]
                 val = self._value[p]
                 if val == FALSE:
-                    failed = self._analyze_final(p)
+                    self._core = self._analyze_final(p)
                     self._cancel_until(0)
-                    return SolveResult(SolveStatus.UNSAT, failed_assumptions=failed)
+                    return SolveResult(SolveStatus.UNSAT, failed_assumptions=self._core)
                 trail_lim.append(len(self._trail))  # a true assumption opens an empty level
                 if val == UNDEF:
                     self._enqueue(p, None)
@@ -470,12 +485,11 @@ class SolverSession:
 
             decision = self._decide()
             if decision is None:
-                model = dict(zip(range(1, self._num_vars + 1), map(TRUE.__eq__, self._value[2::2])))
                 self._cancel_until(0)
                 # every variable is assigned, so the saved phases are this model
                 self._reuse = True
                 self._fresh_from = self._num_vars + 1
                 self._since = []
-                return SolveResult(SolveStatus.SAT, model=model)
+                return SolveResult(SolveStatus.SAT, _bits=self._phase[1:])
             trail_lim.append(len(self._trail))
             self._enqueue(decision, None)

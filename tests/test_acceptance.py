@@ -121,7 +121,7 @@ def test_criterion_03_gold_label_correctness(corpus):
             n = case.formula.num_vars
             total = table.bit_count()
             assert total > 0
-            session = case.new_session()
+            session, _ = case.new_session()
             for q in case.queries:
                 var, positive = abs(q.atom), q.atom > 0
                 from casecheck.logic import _var_mask

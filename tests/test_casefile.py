@@ -33,19 +33,19 @@ def make_case(premises: str, atoms, case_id="t-1", domain=Domain.RELATIONAL) -> 
 
 def test_gold_label_entailed():
     case = make_case("p cnf 1 1\n1 0", [1])
-    assert literal_gold_label(case.new_session(), case.queries[0].atom) is Label.ENTAILED
+    assert literal_gold_label(case.new_session()[0], case.queries[0].atom) is Label.ENTAILED
 
 
 def test_gold_label_contradicted():
     case = make_case("p cnf 1 1\n1 0", [-1])
-    assert literal_gold_label(case.new_session(), case.queries[0].atom) is Label.CONTRADICTED
+    assert literal_gold_label(case.new_session()[0], case.queries[0].atom) is Label.CONTRADICTED
 
 
 def test_gold_label_unknown_confirmed_by_enumeration():
     from casecheck.logic import enumerate_models
 
     case = make_case("p cnf 2 1\n1 2 0", [1])
-    assert literal_gold_label(case.new_session(), case.queries[0].atom) is Label.UNKNOWN
+    assert literal_gold_label(case.new_session()[0], case.queries[0].atom) is Label.UNKNOWN
     # enumeration shows models with the atom true and false
     models = [m[1] for m in enumerate_models(case.formula).models]
     assert True in models and False in models
@@ -176,7 +176,7 @@ def test_minimal_handwritten_case_roundtrip(tmp_path):
     loaded = load_casefile(path)
     assert loaded.id == case.id
     assert loaded.queries[0].gold_label is Label.ENTAILED
-    assert literal_gold_label(loaded.new_session(), loaded.queries[0].atom) is Label.ENTAILED
+    assert literal_gold_label(loaded.new_session()[0], loaded.queries[0].atom) is Label.ENTAILED
 
 
 def test_roundtrip_preserves_unknown_fields(tmp_path):
@@ -265,7 +265,7 @@ def test_scheduling_fixture_loads_with_capacity_query():
     from casecheck.lia import parse_theory
     assert [n for n, _ in parse_theory(case.premises).assertions] == [
         "dur_A", "dur_B", "order_ab", "horizon_a", "horizon_b"]
-    session = case.new_session()
+    session, _ = case.new_session()
     for q in case.queries:
         assert literal_gold_label(session, q.atom) is q.gold_label
 

@@ -35,7 +35,7 @@ def test_bundle_shape_and_labels():
 def test_generated_gold_labels_match_solver():
     for domain in Domain:
         case = generate_casefile(domain, 99)
-        session = case.new_session()
+        session, _ = case.new_session()
         for q in case.queries:
             assert literal_gold_label(session, q.atom) is q.gold_label
 
@@ -52,7 +52,7 @@ def test_self_check_rejects_a_mislabel_under_optimize():
             "q = next(q for q in case.queries if q.gold_label is Label.ENTAILED)\n"
             "q.gold_label = Label.UNKNOWN\n"
             "print(q.id)\n"
-            "_self_check(case, case.new_session())\n")
+            "_self_check(case, *case.new_session())\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True)

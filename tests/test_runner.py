@@ -158,6 +158,35 @@ def test_parallel_jobs_match_sequential(tmp_path, cases):
             assert list(t1) == list(t2) == sorted(c.id for c in cases)
 
 
+def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, default_corpus):
+    # a replay policy given as a file: both are read once per run, not once
+    # per bundle; the manifest keeps the policy as it was given
+    from casecheck import answerers
+    cases = default_corpus[:40]
+    trace = tmp_path / "trace.jsonl"
+    answerers.save_trace([{"case_id": c.id, "query_id": q.id, "label": q.gold_label.value}
+                          for c in cases for q in c.queries], trace)
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"kind": "replay", "trace_path": str(trace)}))
+    loads = {"trace": 0, "policy": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            loads[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(answerers, "load_trace", counting("trace", answerers.load_trace))
+    monkeypatch.setattr(answerers, "policy_from_dict", counting("policy", answerers.policy_from_dict))
+    cfg = config("check+repair", policy=str(policy))
+    reports, timings = run(cfg, cases=cases)
+    assert loads == {"trace": 1, "policy": 1}
+    assert [r.to_record() for r in reports] == \
+        [evaluate_bundle(c, cfg).to_record() for c in sorted(cases, key=lambda c: c.id)]
+    out = write_run(tmp_path / "run", cfg, reports, timings)
+    assert json.loads((out / "manifest.json").read_text())["config"]["policy"] == str(policy)
+
+
 def test_split_filter(tmp_path, cases):
     from casecheck.casefile import save_corpus, split_cases
     split_cases(cases, (0.6, 0.2, 0.2), seed=3)

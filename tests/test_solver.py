@@ -270,6 +270,106 @@ def test_reused_model_costs_no_search():
     assert s.solve([lit]).status is SolveStatus.UNSAT
 
 
+def test_cached_cores_agree_with_enumeration(monkeypatch):
+    # UNSAT-heavy incremental sessions: selector groups, clauses added between
+    # solves (root units included), conflict budgets that run out, and
+    # supersets of earlier assumption sets; every answer, searched or taken
+    # from the last failed-assumption set, is checked against enumeration, and
+    # once the clauses alone are refuted every later answer is the empty set
+    rng = random.Random(41)
+    searched_cores = 0
+    analyze_final = SolverSession._analyze_final
+
+    def counting(self, failed_p):
+        nonlocal searched_cores
+        searched_cores += 1
+        return analyze_final(self, failed_p)
+
+    monkeypatch.setattr(SolverSession, "_analyze_final", counting)
+    hits = 0
+    for _ in range(150):
+        f = random_formula(rng, max_vars=6, ratio_range=(0.5, 2.0))
+        s = SolverSession(f, max_conflicts=rng.choice((1, 2, None)), max_seconds=None)
+        clauses = list(f.clauses)
+        selectors: list[int] = []
+        asked: list[list[int]] = [[]]
+        refuted = False
+        for _ in range(20):
+            op = rng.random()
+            if op < 0.2:
+                sel = s.add_variable()
+                selectors.append(sel)
+                for _ in range(rng.randint(1, 2)):
+                    lits = rng.sample(range(1, f.num_vars + 1), rng.randint(1, min(2, f.num_vars)))
+                    clause = (-sel, *(l if rng.random() < 0.5 else -l for l in lits))
+                    s.add_clause(clause)
+                    clauses.append(clause)
+            elif op < 0.3:
+                lit = rng.randint(1, s.num_vars)
+                clause = (lit if rng.random() < 0.5 else -lit,)
+                s.add_clause(clause)
+                clauses.append(clause)
+            else:
+                pool = selectors + rng.sample(range(1, f.num_vars + 1), min(2, f.num_vars))
+                extra = [v if rng.random() < 0.8 else -v
+                         for v in rng.sample(pool, rng.randint(0, min(3, len(pool))))]
+                assumptions = (rng.choice(asked) if rng.random() < 0.5 else []) + extra
+                rng.shuffle(assumptions)
+                asked.append(assumptions)
+                before = searched_cores
+                res = s.solve(assumptions)
+                if refuted:
+                    assert res.status is SolveStatus.UNSAT and not res.failed_assumptions
+                if res.status is SolveStatus.TIMEOUT:
+                    assert res.model is None
+                    continue
+                g = Formula(s.num_vars, clauses + [(a,) for a in assumptions])
+                expected = SolveStatus.SAT if count_models(g) else SolveStatus.UNSAT
+                assert res.status is expected
+                if res.status is SolveStatus.SAT:
+                    assert evaluate(g, res.model)
+                    continue
+                assert res.model is None
+                assert res.failed_assumptions <= set(assumptions)
+                core = Formula(s.num_vars, clauses + [(a,) for a in res.failed_assumptions])
+                assert count_models(core) == 0
+                refuted = not res.failed_assumptions
+                hits += bool(res.failed_assumptions) and searched_cores == before
+    assert hits > 150, hits  # the cache is exercised
+
+
+def test_models_are_built_when_read():
+    # results kept across later solves and read only at the end still give
+    # the model of their own call; a second read returns the same object
+    rng = random.Random(43)
+    kept = []
+    for _ in range(60):
+        f = random_formula(rng, max_vars=7, ratio_range=(0.5, 3.0))
+        s = SolverSession(f, max_seconds=None)
+        clauses = list(f.clauses)
+        for _ in range(6):
+            sel = s.add_variable()
+            lit = rng.randint(1, f.num_vars)
+            clause = (-sel, lit if rng.random() < 0.5 else -lit)
+            s.add_clause(clause)
+            clauses.append(clause)
+            assumptions = [v for v in range(f.num_vars + 1, s.num_vars + 1) if rng.random() < 0.6]
+            res = s.solve(assumptions)
+            g = Formula(s.num_vars, clauses + [(a,) for a in assumptions])
+            assert res.status is (SolveStatus.SAT if count_models(g) else SolveStatus.UNSAT)
+            kept.append((res, g))
+    assert sum(res.status is SolveStatus.SAT for res, _ in kept) > 150
+    for res, g in kept:
+        if res.status is SolveStatus.SAT:
+            model = res.model
+            assert model is res.model
+            assert set(model) == set(range(1, g.num_vars + 1)) and evaluate(g, model)
+        else:
+            assert res.model is None
+    timed_out = SolverSession(pigeonhole(5, 4), max_conflicts=1).solve()
+    assert timed_out.status is SolveStatus.TIMEOUT and timed_out.model is None
+
+
 def test_rejects_unknown_assumption_variable():
     s = SolverSession(Formula(num_vars=1))
     with pytest.raises(Exception):
@@ -295,8 +395,8 @@ PIN_QUERIES = ["(< start_C end_B)", "(>= start_B 5)", "(> end_B 20)",
 
 # sha256 of the trajectory below: any change to the search order (branching,
 # learning, restarts, watch order), to when a solve is answered from the last
-# model, or to a counter changes it
-TRAJECTORY_DIGEST = "19de807bf382ccc14b7c909d72b74402ff39fa605339bcc414a79ecedeb676f6"
+# model or the last failed-assumption set, or to a counter changes it
+TRAJECTORY_DIGEST = "469b66f73aa7287cae9cc5d26d89a39bdb25b736582ab55f13ca8f160568d2f9"
 # sha256 of the status of every call alone: it holds across changes to the
 # search that keep every verdict
 STATUS_DIGEST = "cf3ba7b3403e3009e263afa9b554b9d683fd36dc4350e21af0ffd2bace642b9d"
