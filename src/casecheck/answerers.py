@@ -22,6 +22,12 @@ from .casefile import OPPOSITE_LABEL, CaseFile, Label, Query, majority_label
 log = logging.getLogger(__name__)
 
 LABELS = (Label.ENTAILED, Label.CONTRADICTED, Label.UNKNOWN)
+KINDS = ("oracle", "noisy", "replay", "self-consistency", "history")
+
+
+class PolicyError(ValueError):
+    """A policy name that is no preset, or a config file that is missing or
+    does not describe a policy an ``Answerer`` can run."""
 
 
 @dataclass
@@ -45,10 +51,6 @@ class ConfusionMatrix:
                 raise ValueError(f"row {row} is not a probability distribution")
 
     @classmethod
-    def identity(cls) -> "ConfusionMatrix":
-        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-    @classmethod
     def diagonal(cls, p: float, unknown_p: float | None = None) -> "ConfusionMatrix":
         """Uniform off-diagonal noise at diagonal weight ``p`` (optionally a
         different diagonal for the Unknown row)."""
@@ -65,7 +67,7 @@ class ConfusionMatrix:
 
 @dataclass
 class PolicyConfig:
-    kind: str  # oracle | noisy | replay | self-consistency | history
+    kind: str  # one of KINDS
     matrix: ConfusionMatrix | None = None
     derived_rate: float = 0.0      # chance a non-Unknown answer carries derived atoms
     derived_max: int = 2
@@ -121,12 +123,14 @@ class Answerer:
         self.config = config
         self.seed = seed
         self._trace: dict[tuple[str, str], dict] | None = None
+        if config.kind not in KINDS:
+            raise PolicyError(f"unknown policy kind {config.kind!r}")
         if config.kind == "replay":
             if not config.trace_path:
-                raise ValueError("replay policy needs a trace_path")
+                raise PolicyError("replay policy needs a trace_path")
             self._trace = load_trace(config.trace_path)
         if config.kind == "self-consistency" and config.inner is None:
-            raise ValueError("self-consistency policy needs an inner policy")
+            raise PolicyError("self-consistency policy needs an inner policy")
         self._inner = Answerer(config.inner, seed) if config.inner else None
 
     # history: ordered (query, final label) pairs from earlier steps
@@ -149,9 +153,7 @@ class Answerer:
             return self._noisy_answer(case, query, draw)
         if cfg.kind == "history":
             return self._history_answer(case, query, history or [], draw)
-        if cfg.kind == "self-consistency":
-            return self.sample_answers(case, query, history, cfg.k)
-        raise ValueError(f"unknown policy kind {cfg.kind!r}")
+        return self.sample_answers(case, query, history, cfg.k)  # self-consistency
 
     def _noisy_answer(self, case: CaseFile, query: Query, draw: int) -> Answer:
         cfg = self.config
@@ -263,10 +265,14 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
         return name_or_config
     if name_or_config in PRESETS:
         return PRESETS[name_or_config]
-    path = Path(name_or_config)
-    if path.exists():
-        return policy_from_dict(json.loads(path.read_text()))
-    raise ValueError(f"unknown policy preset or config file: {name_or_config!r}")
+    try:
+        text = Path(name_or_config).read_text()
+    except OSError:
+        raise PolicyError(f"unknown policy preset or config file: {name_or_config!r}") from None
+    try:
+        return policy_from_dict(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise PolicyError(f"malformed policy file {name_or_config!r}: {exc!r}") from None
 
 
 def policy_to_dict(config: PolicyConfig) -> dict:
@@ -321,9 +327,3 @@ def load_trace(path: str | Path) -> dict[tuple[str, str], dict]:
                     raise ValueError(f"{path}:{lineno}: trace record missing {key!r}")
             trace[(record["case_id"], record["query_id"])] = record
     return trace
-
-
-def save_trace(records: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -88,12 +88,6 @@ class CaseFile:
     def bundle_size(self) -> int:
         return len(self.queries)
 
-    def query_by_id(self, qid: str) -> Query:
-        for q in self.queries:
-            if q.id == qid:
-                return q
-        raise KeyError(qid)
-
     def new_session(self, max_conflicts: int | None = None,
                     max_seconds: float | None = 30.0) -> tuple[SolverSession, set[int]]:
         """A labelling session over satisfiable premises, with the literals
@@ -135,7 +129,6 @@ def compile_case(case: CaseFile) -> CaseFile:
             constraint = parse_constraint(q.atom_text, var_map)
             q.atom = grounded.reify(constraint, f"query:{q.id}")
         case.formula = grounded.formula
-        case.formula.validate()
     else:
         raise CorpusFormatError(f"unknown premises_format {case.premises_format!r}")
     return case
@@ -281,13 +274,6 @@ def load_corpus(path: str | Path) -> list[CaseFile]:
                 raise CorpusFormatError(f"cases[{i}]: invalid JSON ({exc})")
             cases.append(case_from_record(record, index=i))
     return cases
-
-
-def load_casefile(path: str | Path) -> CaseFile:
-    cases = load_corpus(path)
-    if len(cases) != 1:
-        raise CorpusFormatError(f"expected one case in {path}, found {len(cases)}")
-    return cases[0]
 
 
 # --------------------------------------------------------------------- splits

@@ -3,9 +3,11 @@ sweeps, and score reports.
 
 Exit codes separate engine problems from measured phenomena and bad input:
 a run exits 1 only when an internal invariant check failed, never because the
-evaluated policy produced contradictions (those are the data). Bad arguments
-and a corpus that fails to load or has unusable premises (``CaseError``,
-which names the case) exit 2 with a one-line message, like argparse.
+evaluated policy produced contradictions (those are the data). Bad arguments,
+a policy that is no preset and no runnable policy file (``PolicyError``), a
+missing input file such as a run directory's ``reports.jsonl``, and a corpus
+that fails to load or has unusable premises (``CaseError``, which names the
+case) exit 2 with a one-line message, like argparse.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .answerers import PRESETS, resolve_policy
+from .answerers import PRESETS, PolicyError
 from .casefile import (
     CaseError,
     Domain,
@@ -132,7 +134,6 @@ def cmd_run(args) -> int:
         max_seconds=args.timeout,
         jobs=args.jobs,
     )
-    resolve_policy(args.policy)  # fail fast on unknown presets
     reports, timings = run_bundles(config)
     out = write_run(args.out, config, reports, timings)
     m = aggregate(reports)
@@ -246,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CaseError as exc:
+    except (CaseError, PolicyError, FileNotFoundError) as exc:
         print(f"casecheck {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,10 +85,6 @@ class Theory:
     def var_map(self) -> dict[str, IntVar]:
         return {v.name: v for v in self.variables}
 
-    @property
-    def assertion_names(self) -> list[str]:
-        return [name for name, _ in self.assertions]
-
 
 # ---------------------------------------------------------------------- parse
 
@@ -395,17 +391,6 @@ class GroundedTheory:
         except TheoryError as e:
             raise TheoryError(f"{name}: {e}") from None
 
-    def decode(self, model: dict[int, bool]) -> dict[str, int]:
-        out = {}
-        for v in self.theory.variables:
-            value = v.upper
-            for k in range(v.lower, v.upper):
-                if model[self.order_vars[(v.name, k)]]:
-                    value = k
-                    break
-            out[v.name] = value
-        return out
-
 
 def _negate_terms(terms):
     return tuple((-co, name) for co, name in terms)
@@ -429,7 +414,6 @@ def ground(theory: Theory, max_width: int = DEFAULT_DOMAIN_WIDTH) -> GroundedThe
             formula.clauses.append((-order_vars[(v.name, k)], order_vars[(v.name, k + 1)]))
     for name, constraint in theory.assertions:
         gt.add_constraint(constraint, name)
-    formula.validate()
     return gt
 
 

@@ -1,4 +1,4 @@
-"""Propositional core: clauses, CNF formulas, DIMACS io, model enumeration.
+"""Propositional core: clauses, CNF formulas, DIMACS io, model counting.
 
 Literals are nonzero ints in DIMACS convention: ``v`` asserts variable ``v``
 true, ``-v`` asserts it false. Variables are numbered from 1.
@@ -7,7 +7,7 @@ true, ``-v`` asserts it false. Variables are numbered from 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ENUMERATION_VAR_LIMIT = 24
 # a solver session sizes per-variable arrays from the header, so a header
@@ -62,12 +62,6 @@ class Formula:
                 raise LogicError(f"literal {l} exceeds declared variable count {self.num_vars}")
         self.clauses.append(clause)
         return True
-
-    def validate(self) -> None:
-        for clause in self.clauses:
-            for l in clause:
-                if l == 0 or abs(l) > self.num_vars:
-                    raise LogicError(f"literal {l} out of range 1..{self.num_vars}")
 
     def copy(self) -> "Formula":
         return Formula(self.num_vars, list(self.clauses))
@@ -192,38 +186,3 @@ def truth_table(formula: Formula) -> int:
 
 def count_models(formula: Formula) -> int:
     return truth_table(formula).bit_count()
-
-
-def _index_to_model(n: int, i: int) -> dict[int, bool]:
-    return {j: bool((i >> (n - j)) & 1) for j in range(1, n + 1)}
-
-
-@dataclass
-class ModelEnumeration:
-    models: list[dict[int, bool]]
-    overflow: bool
-
-    def __iter__(self) -> Iterator[dict[int, bool]]:
-        return iter(self.models)
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-
-def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumeration:
-    """All satisfying total assignments in lexicographic variable order,
-    truncated at ``cap`` with the overflow flag set."""
-    n = formula.num_vars
-    table = truth_table(formula)
-    models: list[dict[int, bool]] = []
-    overflow = False
-    i = 0
-    while table:
-        low = table & -table
-        i = low.bit_length() - 1
-        if cap is not None and len(models) >= cap:
-            overflow = True
-            break
-        models.append(_index_to_model(n, i))
-        table ^= low
-    return ModelEnumeration(models, overflow)

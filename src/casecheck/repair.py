@@ -3,7 +3,7 @@
 When a commitment breaks the satisfiable state, softened versions of it that
 keep the past are verified in size order, one solver call each: derived atoms
 are dropped and the label stays. When none is accepted within ``r_max`` and
-the caller's ``call_cap``, the step abstains: the label reverts to Unknown,
+what the bundle's cap leaves, the step abstains: the label reverts to Unknown,
 which asserts nothing and so needs no solve. The per-bundle cap itself is
 kept by the runner. Also hosts logic-filtered voting and the minimum revision
 cost (the fewest active commitments whose retraction restores
@@ -23,18 +23,6 @@ from typing import Sequence
 from .casefile import Label, majority_label
 from .commitments import BeliefState, Commitment
 from .solver import SolveStatus
-
-
-@dataclass
-class RepairBudget:
-    r_max: int = 2              # solver calls per query
-    call_cap: int | None = None  # verification calls left in the bundle's cap
-
-    def __post_init__(self):
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if self.call_cap is not None and self.call_cap < 0:
-            raise ValueError("call_cap must not be negative")
 
 
 class RepairOutcomeKind(str, Enum):
@@ -57,15 +45,14 @@ def propose_repairs(commitment: Commitment) -> list[Commitment]:
             for size in range(1, commitment.size)]
 
 
-def attempt_repair(state: BeliefState, commitment: Commitment,
-                   budget: RepairBudget) -> RepairOutcome:
-    """Spend at most ``r_max`` solver calls (fewer when ``call_cap`` is
-    smaller) on the candidates for a commitment that broke a satisfiable
-    state, one call each, and activate the first that verifies SAT. Without
-    one the step abstains; the abstention makes no solver call."""
-    allowed = budget.r_max if budget.call_cap is None else min(budget.r_max, budget.call_cap)
+def attempt_repair(state: BeliefState, commitment: Commitment, calls: int) -> RepairOutcome:
+    """Spend at most ``calls`` solver calls (the runner passes the smaller of
+    ``r_max`` and what the bundle's cap leaves) on the candidates for a
+    commitment that broke a satisfiable state, one call each, and activate
+    the first that verifies SAT. Without one the step abstains; the
+    abstention makes no solver call."""
     tried: list[tuple[Commitment, str]] = []
-    for candidate in propose_repairs(commitment)[:allowed]:
+    for candidate in propose_repairs(commitment)[:calls]:
         trial_idx = state.install(candidate)
         result = state.solve_with(extra=(state.selectors[trial_idx],))
         if result.status is SolveStatus.SAT:

@@ -32,8 +32,7 @@ from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_p
 from .casefile import CaseFile, Label, Query, load_corpus
 from .commitments import AppendStatus, BeliefState, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
-from .repair import (RepairBudget, RepairOutcomeKind, attempt_repair, logic_filtered_vote,
-                     min_revision_cost)
+from .repair import RepairOutcomeKind, attempt_repair, logic_filtered_vote, min_revision_cost
 
 METHODS = ("baseline", "check", "check+repair")
 MODES = ("set", "sequential")
@@ -191,9 +190,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                         core_minimal=core.minimal, tried=[], accepted=None,
                         outcome=outcome_name, solver_calls=0))
                 else:  # check+repair
-                    budget = RepairBudget(r_max=config.r_max,
-                                          call_cap=ledger.slack(n - t - 1))
-                    outcome = attempt_repair(state, commitment, budget)
+                    outcome = attempt_repair(state, commitment,
+                                             min(config.r_max, ledger.slack(n - t - 1)))
                     repair_calls = ledger.take("repair_solver_calls")
                     any_repair = True
                     final = outcome.final_commitment.label
@@ -284,6 +282,7 @@ def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[Bu
     process or over ``config.jobs`` worker processes. Returns (reports,
     evaluation ms by case id). The policy is resolved, and a replay trace
     loaded, once per run; each worker receives the answerer once."""
+    answerer = Answerer(resolve_policy(config.policy), config.seed)  # before the corpus loads
     if cases is None:
         cases = load_corpus(config.corpus)
     if config.split:
@@ -291,7 +290,6 @@ def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[Bu
     if not cases:
         raise ValueError("no cases selected")
     cases = sorted(cases, key=lambda c: c.id)
-    answerer = Answerer(resolve_policy(config.policy), config.seed)
 
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up path

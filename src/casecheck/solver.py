@@ -48,15 +48,6 @@ class SolverStats:
     propagations: int = 0
     restarts: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "solver_calls": self.solver_calls,
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-        }
-
 
 @dataclass
 class SolveResult:
@@ -123,7 +114,6 @@ class SolverSession:
         self._core: frozenset[int] | None = None
 
         if formula is not None:
-            formula.validate()
             self._load(formula.clauses)
 
     # ------------------------------------------------------------------ setup
@@ -145,45 +135,47 @@ class SolverSession:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause between solve calls."""
-        clause = tuple(lits)
-        for l in clause:
-            if not isinstance(l, int) or l == 0 or abs(l) > self._num_vars:
-                raise LogicError(f"bad literal {l!r} (have {self._num_vars} variables)")
         self._cancel_until(0)
-        if self._reuse:
-            # before _load: a root unit rewrites the phases it propagates
-            if not self._holds(clause):
-                self._reuse = False
-            elif max(map(abs, clause)) >= self._fresh_from:
-                self._since.append(clause)
-        self._load((clause,))
+        self._load((tuple(lits),))
 
     def _load(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Add clauses at the root level in order: duplicate literals and
-        literals false at the root are dropped, tautologies and clauses true
-        at the root are skipped, and a unit clause propagates at once."""
-        value, watches = self._value, self._watches
+        """Add clauses at the root level in order. Every literal is checked
+        against the variable count as it becomes a slot, also in a clause
+        that is then skipped: unchecked, ``0`` would load as slot 1.
+        Duplicate literals and literals false at the root are dropped,
+        tautologies and clauses true at the root are skipped, and a unit
+        clause propagates at once. A clause the saved phases falsify ends
+        their reuse as a model."""
+        value, watches, n = self._value, self._watches, self._num_vars
         for clause in clauses:
-            if not self._ok:
-                return
             reduced = []
+            skip = not self._ok
             for l in clause:
+                if not isinstance(l, int) or l == 0 or abs(l) > n:
+                    raise LogicError(f"bad literal {l!r} (have {n} variables)")
                 p = 2 * l if l > 0 else 1 - 2 * l
                 v = value[p]
                 if v == TRUE or (p ^ 1) in reduced:
-                    break
-                if v == UNDEF and p not in reduced:
+                    skip = True
+                elif v == UNDEF and p not in reduced:
                     reduced.append(p)
-            else:
-                if not reduced:
+            if self._reuse:
+                # before the unit below, which rewrites the phases it propagates
+                if not self._holds(clause):
+                    self._reuse = False
+                elif max(map(abs, clause)) >= self._fresh_from:
+                    self._since.append(clause)
+            if skip:
+                continue
+            if not reduced:
+                self._ok = False
+            elif len(reduced) == 1:
+                self._enqueue(reduced[0], None)
+                if self._propagate() is not None:
                     self._ok = False
-                elif len(reduced) == 1:
-                    self._enqueue(reduced[0], None)
-                    if self._propagate() is not None:
-                        self._ok = False
-                else:
-                    watches[reduced[0]].append(reduced)
-                    watches[reduced[1]].append(reduced)
+            else:
+                watches[reduced[0]].append(reduced)
+                watches[reduced[1]].append(reduced)
 
     def _holds(self, clause: Iterable[int]) -> bool:
         """Whether the saved phases make some literal of ``clause`` true."""
@@ -405,11 +397,9 @@ class SolverSession:
         conflict budget, when set, replaces the wall-clock budget.
         """
         self.stats.solver_calls += 1
-        slots = []
         for a in assumptions:
             if a == 0 or abs(a) > self._num_vars:
                 raise LogicError(f"assumption {a} references unknown variable")
-            slots.append(2 * a if a > 0 else 1 - 2 * a)
 
         if not self._ok:
             return SolveResult(SolveStatus.UNSAT)
@@ -421,6 +411,7 @@ class SolverSession:
             return SolveResult(SolveStatus.SAT, _bits=self._phase[1:])
         self._reuse = False
 
+        slots = [2 * a if a > 0 else 1 - 2 * a for a in assumptions]
         self._cancel_until(0)
         if self._propagate() is not None:
             self._ok = False

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from casecheck.answerers import (
@@ -5,7 +7,6 @@ from casecheck.answerers import (
     ConfusionMatrix,
     PolicyConfig,
     resolve_policy,
-    save_trace,
 )
 from casecheck.casefile import Domain, Label
 from casecheck.generator import generate_casefile
@@ -28,7 +29,7 @@ def test_oracle_returns_gold(case):
 
 
 def test_identity_noise_is_gold(case):
-    policy = Answerer(PolicyConfig(kind="noisy", matrix=ConfusionMatrix.identity()), seed=5)
+    policy = Answerer(PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(1.0)), seed=5)
     for draw in range(1000):
         q = case.queries[draw % len(case.queries)]
         assert policy.answer(case, q, draw=draw).label is q.gold_label
@@ -58,7 +59,7 @@ def test_answers_are_seed_deterministic(case):
 
 
 def test_derived_atoms_stay_in_vocabulary(case):
-    config = PolicyConfig(kind="noisy", matrix=ConfusionMatrix.identity(), derived_rate=1.0)
+    config = PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(1.0), derived_rate=1.0)
     policy = Answerer(config, seed=3)
     for draw in range(200):
         q = case.queries[draw % len(case.queries)]
@@ -109,7 +110,7 @@ def test_replay_roundtrip_and_miss(tmp_path, case):
     records = [{"case_id": case.id, "query_id": case.queries[0].id,
                 "label": "entailed", "derived_atoms": [2]}]
     path = tmp_path / "trace.jsonl"
-    save_trace(records, path)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
     policy = Answerer(PolicyConfig(kind="replay", trace_path=str(path)), seed=0)
     ans = policy.answer(case, case.queries[0])
     assert ans.label is Label.ENTAILED and ans.derived_atoms == (2,)
@@ -129,7 +130,7 @@ def test_history_policy_biases_toward_agreement(case):
     policy = Answerer(config, seed=13)
     # find the designed dependency pair: same variable, opposite polarity
     dep = next(q for q in case.queries if q.depends_on)
-    anchor = case.query_by_id(dep.depends_on[0])
+    anchor = next(q for q in case.queries if q.id == dep.depends_on[0])
     history = [(anchor, Label.ENTAILED)]
     ans = policy.answer(case, dep, history=history)
     if anchor.atom == -dep.atom:

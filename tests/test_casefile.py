@@ -16,7 +16,6 @@ from casecheck.casefile import (
     compile_case,
     label_case,
     literal_gold_label,
-    load_casefile,
     load_corpus,
     save_corpus,
     split_cases,
@@ -42,13 +41,15 @@ def test_gold_label_contradicted():
 
 
 def test_gold_label_unknown_confirmed_by_enumeration():
-    from casecheck.logic import enumerate_models
+    from casecheck.logic import count_models
 
     case = make_case("p cnf 2 1\n1 2 0", [1])
     assert literal_gold_label(case.new_session()[0], case.queries[0].atom) is Label.UNKNOWN
-    # enumeration shows models with the atom true and false
-    models = [m[1] for m in enumerate_models(case.formula).models]
-    assert True in models and False in models
+    # enumeration finds models with the atom true and with it false
+    for lit in (1, -1):
+        formula = case.formula.copy()
+        formula.add_clause([lit])
+        assert count_models(formula) > 0
 
 
 def _label_twice(formula, literals):
@@ -173,7 +174,7 @@ def test_minimal_handwritten_case_roundtrip(tmp_path):
     case.queries[0].gold_label = Label.ENTAILED
     path = tmp_path / "mini.jsonl"
     save_corpus([case], path)
-    loaded = load_casefile(path)
+    [loaded] = load_corpus(path)
     assert loaded.id == case.id
     assert loaded.queries[0].gold_label is Label.ENTAILED
     assert literal_gold_label(loaded.new_session()[0], loaded.queries[0].atom) is Label.ENTAILED
@@ -258,7 +259,7 @@ def test_oversized_dimacs_header_fails_at_load_with_its_case_named(tmp_path):
 
 
 def test_scheduling_fixture_loads_with_capacity_query():
-    case = load_casefile(FIXTURES / "scheduling.jsonl")
+    [case] = load_corpus(FIXTURES / "scheduling.jsonl")
     assert case.bundle_size == 5
     texts = [q.text for q in case.queries]
     assert any("Room-1 capacity" in t for t in texts)

@@ -72,6 +72,39 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy, message", [
+    ("no-such", "unknown policy preset or config file: 'no-such'"),
+    ("missing.json", "unknown policy preset or config file: 'missing.json'"),
+    ("bad.json", "malformed policy file 'bad.json': "),
+    ("list.json", "malformed policy file 'list.json': "),
+    ("kind.json", "unknown policy kind 'bogus'"),  # used to fail at the first answer
+    ("replay.json", "replay policy needs a trace_path"),
+])
+def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
+    # each used to end in a traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "kind.json").write_text('{"kind": "bogus"}')
+    (tmp_path / "replay.json").write_text('{"kind": "replay"}')
+    out = tmp_path / "bad-run"
+    assert main(["run", "--corpus", str(corpus), "--out", str(out), "--policy", policy]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"casecheck run: error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+def test_run_directory_without_reports_exits_2(tmp_path, capsys, command):
+    # used to end in a FileNotFoundError traceback, exit 1
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main([command, "--run", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"casecheck {command}: error: ") and err.count("\n") == 1
+    assert str(empty / "reports.jsonl") in err
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])
 def test_run_rejects_timeouts_that_are_not_positive_and_finite(tmp_path, corpus, capsys, value):
     # zero and negative values used to act as a 64-conflict budget

@@ -1,7 +1,7 @@
 import logging
 import random
 
-from casecheck.casefile import Label, Query, load_casefile
+from casecheck.casefile import Label, Query, load_corpus
 from casecheck.commitments import (
     AppendStatus,
     BeliefState,
@@ -82,10 +82,10 @@ def test_append_flags_violation_and_leaves_state_unchanged():
 
 
 def test_scheduling_fixture_violation_at_second_commitment():
-    case = load_casefile(FIXTURES / "scheduling.jsonl")
+    [case] = load_corpus(FIXTURES / "scheduling.jsonl")
     state = BeliefState(case.formula)
-    overlap = case.query_by_id("q2")
-    capacity = case.query_by_id("q5")
+    queries = {q.id: q for q in case.queries}
+    overlap, capacity = queries["q2"], queries["q5"]
     first = state.append_and_check(extract_commitment(overlap, Label.ENTAILED))
     assert first.status is AppendStatus.ACCEPTED
     second = state.append_and_check(extract_commitment(capacity, Label.ENTAILED))

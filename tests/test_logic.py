@@ -8,7 +8,6 @@ from casecheck.logic import (
     Formula,
     count_models,
     emit_dimacs,
-    enumerate_models,
     evaluate,
     normalize_clause,
     parse_dimacs,
@@ -80,33 +79,6 @@ def test_header_counts_tautological_clauses():
     assert f.clauses == [(1, 2)]
     with pytest.raises(DimacsError, match="declares 1 clauses, found 2"):
         parse_dimacs("p cnf 2 1\n1 -1 0\n1 2 0\n")
-
-
-def test_enumerate_single_unit():
-    f = parse_dimacs("p cnf 1 1\n1 0")
-    result = enumerate_models(f)
-    assert result.models == [{1: True}]
-    assert not result.overflow
-
-
-def test_enumerate_unsat_pair():
-    f = Formula(num_vars=1)
-    f.add_clause([1])
-    f.add_clause([-1])
-    assert enumerate_models(f).models == []
-
-
-def test_enumerate_lexicographic_order_and_cap():
-    f = Formula(num_vars=2)  # no constraints: 4 models
-    result = enumerate_models(f)
-    assert result.models == [
-        {1: False, 2: False},
-        {1: False, 2: True},
-        {1: True, 2: False},
-        {1: True, 2: True},
-    ]
-    capped = enumerate_models(f, cap=3)
-    assert len(capped.models) == 3 and capped.overflow
 
 
 def test_count_matches_direct_evaluation():

@@ -5,7 +5,6 @@ from casecheck.casefile import Label
 from casecheck.commitments import AppendStatus, BeliefState, Commitment
 from casecheck.logic import Formula, count_models, parse_dimacs
 from casecheck.repair import (
-    RepairBudget,
     RepairOutcomeKind,
     RevisionCost,
     attempt_repair,
@@ -43,7 +42,7 @@ def test_candidates_without_derived_atoms():
     violating_append(state, c)
     assert propose_repairs(c) == []
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, RepairBudget())
+    outcome = attempt_repair(state, c, 2)
     assert state.session.stats.solver_calls == before
     assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN and outcome.tried == []
     assert outcome.final_commitment == Commitment("q1", Label.UNKNOWN, ())
@@ -56,7 +55,7 @@ def test_soften_candidate_keeps_queried_atom():
     c = Commitment("q2", Label.ENTAILED, (3, 5))  # derived atom 5 conflicts
     violating_append(state, c)
     assert propose_repairs(c) == [Commitment("q2", Label.ENTAILED, (3,))]
-    outcome = attempt_repair(state, c, RepairBudget())
+    outcome = attempt_repair(state, c, 2)
     assert outcome.kind is RepairOutcomeKind.REPAIRED
     assert outcome.final_commitment.literals == (3,)
     assert outcome.final_commitment.label is Label.ENTAILED
@@ -77,7 +76,7 @@ def test_repair_verification_cap_respected():
     c = Commitment("q1", Label.CONTRADICTED, (-1, 2, 3, 4))
     violating_append(state, c)
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, RepairBudget(r_max=2))
+    outcome = attempt_repair(state, c, 2)
     assert state.session.stats.solver_calls - before == 2
     assert [(t.size, verdict) for t, verdict in outcome.tried] == [(1, "unsat"), (2, "unsat")]
     assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
@@ -91,7 +90,7 @@ def test_fallback_unknown_when_candidates_fail():
     c = Commitment("q2", Label.ENTAILED, (3, 5))
     violating_append(state, c)
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, RepairBudget(call_cap=0))
+    outcome = attempt_repair(state, c, 0)
     assert state.session.stats.solver_calls == before
     assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN and outcome.tried == []
     assert outcome.final_commitment.label is Label.UNKNOWN
@@ -133,7 +132,7 @@ def test_accepted_repair_is_lexicographically_optimal():
                 g.add_clause([lit2])
             if count_models(g) > 0:
                 sat_sizes.append(candidate.size)
-        outcome = attempt_repair(state, c, RepairBudget(r_max=64))
+        outcome = attempt_repair(state, c, 64)
         if outcome.kind is RepairOutcomeKind.REPAIRED:
             assert sat_sizes and outcome.final_commitment.size == min(sat_sizes)
             checked += 1

@@ -164,8 +164,9 @@ def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, d
     from casecheck import answerers
     cases = default_corpus[:40]
     trace = tmp_path / "trace.jsonl"
-    answerers.save_trace([{"case_id": c.id, "query_id": q.id, "label": q.gold_label.value}
-                          for c in cases for q in c.queries], trace)
+    trace.write_text("".join(json.dumps({"case_id": c.id, "query_id": q.id,
+                                         "label": q.gold_label.value}) + "\n"
+                             for c in cases for q in c.queries))
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"kind": "replay", "trace_path": str(trace)}))
     loads = {"trace": 0, "policy": 0}

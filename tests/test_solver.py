@@ -1,9 +1,10 @@
 import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 
-from casecheck.logic import Formula, count_models, evaluate
+from casecheck.logic import Formula, LogicError, count_models, evaluate
 from casecheck.solver import SolveStatus, SolverSession
 
 
@@ -179,7 +180,7 @@ def test_determinism_statistics():
     for _ in range(2):
         s = SolverSession(f)
         res = s.solve()
-        runs.append((res.status, res.model, s.stats.snapshot()))
+        runs.append((res.status, res.model, asdict(s.stats)))
     assert runs[0] == runs[1]
 
 
@@ -253,9 +254,9 @@ def test_reused_model_costs_no_search():
     sel = s.add_variable()
     lit = 1 if first.model[1] else -1  # agrees with the model just found
     s.add_clause([-sel, lit])
-    before = s.stats.snapshot()
+    before = asdict(s.stats)
     res = s.solve([sel])
-    after = s.stats.snapshot()
+    after = asdict(s.stats)
     assert res.status is SolveStatus.SAT
     assert res.model == {**first.model, sel: True}
     assert after == {**before, "solver_calls": before["solver_calls"] + 1}
@@ -376,6 +377,35 @@ def test_rejects_unknown_assumption_variable():
         s.solve(assumptions=[5])
 
 
+@pytest.mark.parametrize("bad", [0, 3, -3])
+def test_bad_assumption_raises_where_a_cache_would_answer(bad):
+    # the last model answers [2]; the failed set {1} answers any superset of [1]
+    s = SolverSession(Formula(num_vars=2, clauses=[(-1,)]))
+    assert s.solve([2]).status is SolveStatus.SAT
+    with pytest.raises(LogicError, match="unknown variable"):
+        s.solve([2, bad])
+    assert s.solve([1]).failed_assumptions == {1}
+    with pytest.raises(LogicError, match="unknown variable"):
+        s.solve([1, bad])
+
+
+@pytest.mark.parametrize("clause", [(1, 0), (0,), (2, 3), (-3,), (1, -3)])
+def test_session_rejects_literals_outside_the_variable_count(clause):
+    # a hand-built formula skips Formula.add_clause's check; without the
+    # session's own, 0 would load as slot 1 and 3 would index past the arrays
+    with pytest.raises(LogicError):
+        SolverSession(Formula(num_vars=2, clauses=[clause]))
+    # also in a clause that a root-level unit already satisfies
+    with pytest.raises(LogicError):
+        SolverSession(Formula(num_vars=2, clauses=[(1,), (1, *clause)]))
+    # and in a clause added after a model that the next solve would reuse
+    s = SolverSession(Formula(num_vars=2))
+    assert s.solve().status is SolveStatus.SAT
+    with pytest.raises(LogicError):
+        s.add_clause(clause)
+    assert s.solve([-1, -2]).status is SolveStatus.SAT  # the rejected clause left nothing behind
+
+
 # A compiled temporal case: order-encoded ladders plus reified query atoms.
 PIN_THEORY = """\
 (declare-int start_A 0 14)
@@ -412,7 +442,7 @@ def _trajectory() -> list:
     def call(s, assumptions=()):
         res = s.solve(assumptions)
         model = None if res.model is None else sorted(v if b else -v for v, b in res.model.items())
-        out.append([res.status.value, model, sorted(res.failed_assumptions), s.stats.snapshot()])
+        out.append([res.status.value, model, sorted(res.failed_assumptions), asdict(s.stats)])
 
     def three_sat(rng, num_vars, ratio):
         f = Formula(num_vars=num_vars)
