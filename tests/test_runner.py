@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from casecheck.answerers import PRESETS, PolicyConfig
+from casecheck.answerers import PRESETS, Answerer, PolicyConfig, policy_to_dict
 from casecheck.casefile import Domain, Label
 from casecheck.generator import GeneratorSpec, generate_corpus
 from casecheck.metrics import UNSAT, aggregate, load_reports, save_reports
@@ -256,3 +256,66 @@ def test_run_reports_are_pinned(tmp_path, default_corpus, long_corpus, key):
     path = tmp_path / "reports.jsonl"
     save_reports(reports, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[key]
+
+
+# sha256 of reports.jsonl for the policy paths REPORT_DIGESTS leaves out, each
+# with the three methods (policy seed 7) on the first 40 cases of the seed-0
+# default corpus; the digests were taken at cc0ae94. "replay" reads a trace
+# file holding nocot-like's answers; "sc-filter" is sc-like given as a policy
+# file with "logic_filter": true, the only way into logic_filtered_vote
+POLICY_DIGESTS = {
+    ("cot-like", "baseline"): "cee1905a4b0d844dfcd3cc991787da3183bdbf20846efef4448655494fe7d536",
+    ("cot-like", "check"): "3ad91cad1bcdf7854c5a9622d36fccb7f6f432c6f1581de2c8a39f85cb6e5fcd",
+    ("cot-like", "check+repair"): "58faa2a00d1535d8995a7ebbbe552cc13e5a6f5404f15cb99811a20063680140",
+    ("sc-like", "baseline"): "7fc9e938119fa028f7017c33a66f096afa0d2ac3029f038fdafa87fdb8f03c4b",
+    ("sc-like", "check"): "9b32dfa8cc8165e74f3f6f2613b1f5db72b6a170ebb5e1a830c217b0d6eb1b51",
+    ("sc-like", "check+repair"): "863463254c7f270e36c04b28a3dee4e4b8cb786822e098b229963a50eb1db0b9",
+    ("history-like", "baseline"): "c11a8b8074f548f2280f23d9d2d69d05946aa33bd5194097b0b388d66dbbb643",
+    ("history-like", "check"): "0e89cf4403d250a1ef49e8cb5795d0c5ece079b64d5aeb1d4283e16fc084901b",
+    ("history-like", "check+repair"): "e3d397b9564da68b8c0c5fab833758ca7f28f5b97f80dd0d7bbb295bbbcf5a1a",
+    ("oracle", "baseline"): "1767f4e777080c00cf21e3b3b8c4173a6d4df9dcc6bda7ab8dbdc3e1bb3e74c8",
+    ("oracle", "check"): "a79aac0ddbca6a567567f6b1e79b5bc82cb75ec68e5d63f3786c1eee605c50ff",
+    ("oracle", "check+repair"): "47e710fdc486b62e6c6226fc821d5f2a9d85ffb03365bf12f262e7e4b813dd28",
+    ("replay", "baseline"): "020d895fab6baff5058cf54309ebcb7bc8040269f31c8f932d13d5a1da34d5e7",
+    ("replay", "check"): "32d4a8ef91ac6df2f4dc45a8a7f2e302a4f7526ef929a6cbe6b64094e15a53a2",
+    ("replay", "check+repair"): "d22a64dcb1af6a5a2bb270008a88574e743ae128f16b22698204d6b10d9fce95",
+    ("sc-filter", "baseline"): "7fc9e938119fa028f7017c33a66f096afa0d2ac3029f038fdafa87fdb8f03c4b",
+    ("sc-filter", "check"): "01f2f9c71e6457b139f6183d1937d26a48c7a74d7c19dc9e9437c16b8239a2fa",
+    ("sc-filter", "check+repair"): "40b68f1746058a1754d084b8cc16b265a264561ddf5aa90cd16a3c57faf9ee22",
+}
+
+
+def _policy_under_test(name, cases, tmp_path):
+    """A preset name, or the path of a policy file written for ``name``."""
+    if name == "replay":
+        answerer = Answerer(PRESETS["nocot-like"], seed=7)
+        trace = tmp_path / "trace.jsonl"
+        with trace.open("w") as fh:
+            for case in cases:
+                for query in case.queries:
+                    answer = answerer.answer(case, query)
+                    fh.write(json.dumps({"case_id": case.id, "query_id": query.id,
+                                         "label": answer.label.value,
+                                         "derived_atoms": list(answer.derived_atoms)}) + "\n")
+        data = {"kind": "replay", "trace_path": str(trace)}
+    elif name == "sc-filter":
+        data = {**policy_to_dict(PRESETS["sc-like"]), "logic_filter": True}
+    else:
+        return name
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("key", sorted(POLICY_DIGESTS), ids="-".join)
+def test_policy_reports_are_pinned(tmp_path, default_corpus, key):
+    import hashlib
+
+    name, method = key
+    cases = default_corpus[:40]
+    policy = _policy_under_test(name, cases, tmp_path)
+    reports = [evaluate_bundle(case, config(method, policy=policy, seed=7, max_conflicts=200_000))
+               for case in cases]
+    path = tmp_path / "reports.jsonl"
+    save_reports(reports, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == POLICY_DIGESTS[key]
