@@ -50,16 +50,6 @@ class ConfusionMatrix:
             if any(p < 0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"row {row} is not a probability distribution")
 
-    @classmethod
-    def diagonal(cls, p: float, unknown_p: float | None = None) -> "ConfusionMatrix":
-        """Uniform off-diagonal noise at diagonal weight ``p`` (optionally a
-        different diagonal for the Unknown row)."""
-        rows = []
-        for i, diag in enumerate((p, p, unknown_p if unknown_p is not None else p)):
-            off = (1.0 - diag) / 2.0
-            rows.append(tuple(diag if i == j else off for j in range(3)))
-        return cls(tuple(rows))
-
     def sample(self, gold: Label, rng: random.Random) -> Label:
         row = self.rows[LABELS.index(gold)]
         return rng.choices(LABELS, weights=row, k=1)[0]
@@ -314,16 +304,22 @@ def policy_from_dict(data: dict) -> PolicyConfig:
 
 def load_trace(path: str | Path) -> dict[tuple[str, str], dict]:
     """Line-delimited records: case_id, query_id, label, optional
-    derived_atoms; other fields are ignored."""
+    derived_atoms; other fields are ignored. A line that is no JSON object
+    with the three keys raises PolicyError naming the path and line."""
     trace = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise PolicyError(f"{path}:{lineno}: trace line is not JSON") from None
+            if not isinstance(record, dict):
+                raise PolicyError(f"{path}:{lineno}: trace record is not an object")
             for key in ("case_id", "query_id", "label"):
                 if key not in record:
-                    raise ValueError(f"{path}:{lineno}: trace record missing {key!r}")
+                    raise PolicyError(f"{path}:{lineno}: trace record missing {key!r}")
             trace[(record["case_id"], record["query_id"])] = record
     return trace

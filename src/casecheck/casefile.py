@@ -88,14 +88,13 @@ class CaseFile:
     def bundle_size(self) -> int:
         return len(self.queries)
 
-    def new_session(self, max_conflicts: int | None = None,
-                    max_seconds: float | None = 30.0) -> tuple[SolverSession, set[int]]:
+    def new_session(self) -> tuple[SolverSession, set[int]]:
         """A labelling session over satisfiable premises, with the literals
         true in its premise check's model: raises CaseError when they are
         unsatisfiable and LabelTimeout when the check runs out of budget."""
         if self.formula is None:
             raise CaseError(f"case {self.id} is not compiled")
-        session = SolverSession(self.formula, max_conflicts=max_conflicts, max_seconds=max_seconds)
+        session = SolverSession(self.formula)
         return session, {v if b else -v for v, b in check_premises(session, self.id).model.items()}
 
 

@@ -4,10 +4,11 @@ sweeps, and score reports.
 Exit codes separate engine problems from measured phenomena and bad input:
 a run exits 1 only when an internal invariant check failed, never because the
 evaluated policy produced contradictions (those are the data). Bad arguments,
-a policy that is no preset and no runnable policy file (``PolicyError``), a
-missing input file such as a run directory's ``reports.jsonl``, and a corpus
-that fails to load or has unusable premises (``CaseError``, which names the
-case) exit 2 with a one-line message, like argparse.
+a policy that is no preset and no runnable policy file or replay trace
+(``PolicyError``), a missing input file such as a run directory's
+``reports.jsonl``, and a corpus that fails to load, has unusable premises or
+has no case in the selected split (``CaseError``, which names the case or
+split) exit 2 with a one-line message, like argparse.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .casefile import (
 from .generator import DEFAULT_DOMAIN_MIX, GeneratorSpec, corpus_composition, generate_corpus
 from .metrics import aggregate, domain_breakdown, load_reports, render_table
 from .runner import RunConfig, run as run_bundles, write_run
+from .solver import DEFAULT_WALL_TIMEOUT
 
 ENV_CORPUS_DIR = "CASECHECK_CORPUS_DIR"
 
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--r-max", type=_at_least_one, default=2, dest="r_max")
     r.add_argument("--call-cap-factor", type=_at_least_one, default=3, dest="call_cap_factor")
-    r.add_argument("--timeout", type=_positive_seconds, default=30.0,
+    r.add_argument("--timeout", type=_positive_seconds, default=DEFAULT_WALL_TIMEOUT,
                    help="wall-clock solver budget per call (seconds, positive and finite)")
     r.add_argument("--max-conflicts", type=_at_least_one, default=None, dest="max_conflicts",
                    help="deterministic conflict budget (overrides wall clock in CI)")

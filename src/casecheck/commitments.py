@@ -16,7 +16,7 @@ from enum import Enum
 
 from .casefile import Label, Query, check_premises
 from .logic import Formula, evaluate
-from .solver import SolveResult, SolveStatus, SolverSession
+from .solver import DEFAULT_WALL_TIMEOUT, SolveResult, SolveStatus, SolverSession
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +69,8 @@ class AppendStatus(Enum):
 @dataclass
 class AppendResult:
     status: AppendStatus
-    commitment: Commitment
-    solve_result: SolveResult | None = None
+    index: int  # the checked commitment; its Unknown stand-in after a timeout
+    solve_result: SolveResult
 
 
 @dataclass
@@ -81,44 +81,40 @@ class UnsatCore:
 
 class BeliefState:
     """Premises plus an ordered list of commitments, each behind a selector
-    literal. The retained conjunction at any time equals the premises plus
-    every active commitment; ``rebuild_check`` certifies its status."""
+    literal: commitment ``i`` is guarded by variable ``base_vars + 1 + i``,
+    the session variable its installation added. The retained conjunction at
+    any time equals the premises plus every active commitment;
+    ``rebuild_check`` certifies its status."""
 
     def __init__(self, formula: Formula, max_conflicts: int | None = None,
-                 max_seconds: float | None = 30.0):
+                 max_seconds: float | None = DEFAULT_WALL_TIMEOUT):
         self.base_formula = formula
         self.session = SolverSession(formula, max_conflicts=max_conflicts,
                                      max_seconds=max_seconds)
         self.base_vars = formula.num_vars
         self.commitments: list[Commitment] = []
-        self.selectors: list[int] = []
-        self._slot: dict[int, int] = {}  # selector -> commitment index
         self.active: list[bool] = []
         self.sat = True  # status of the retained conjunction; premises checked by rebuild_check
 
     # ------------------------------------------------------------- plumbing
 
     def _install(self, commitment: Commitment) -> int:
+        """Add the commitment, inactive, behind the next session variable."""
         selector = self.session.add_variable()
         for lit in commitment.literals:
             self.session.add_clause([-selector, lit])
         self.commitments.append(commitment)
-        self.selectors.append(selector)
-        self._slot[selector] = len(self.commitments) - 1
         self.active.append(False)
         return len(self.commitments) - 1
 
     def commitment_indices(self, failed: frozenset[int]) -> set[int]:
-        """Commitment indices behind the selectors in a failed-assumption set;
-        other literals are ignored."""
-        return {self._slot[s] for s in failed if s in self._slot}
+        """Commitment indices behind the selectors in a failed-assumption set."""
+        return {s - self.base_vars - 1 for s in failed if s > self.base_vars}
 
-    def active_assumptions(self, extra: tuple[int, ...] = (),
-                           exclude: frozenset[int] = frozenset()) -> list[int]:
-        out = [s for i, s in enumerate(self.selectors)
-               if self.active[i] and i not in exclude]
-        out.extend(extra)
-        return out
+    def assumptions(self, exclude: tuple[int, ...] = ()) -> list[int]:
+        """Selectors of the active commitments, but those in ``exclude``."""
+        base = self.base_vars + 1
+        return [base + i for i, on in enumerate(self.active) if on and i not in exclude]
 
     @property
     def active_indices(self) -> list[int]:
@@ -126,36 +122,28 @@ class BeliefState:
 
     # ------------------------------------------------------------ operations
 
-    def append_and_check(self, commitment: Commitment) -> AppendResult:
-        """One solver call: tentatively assume the new commitment on top of
-        the active set. Accepted on SAT; on UNSAT the state is unchanged and
-        repair (or the caller's policy) decides what happens; on TIMEOUT the
-        commitment conservatively degrades to Unknown and is accepted."""
+    def trial(self, commitment: Commitment) -> tuple[int, SolveResult]:
+        """Install the commitment inactive and solve it on top of the active
+        set; the caller decides whether to ``activate`` it."""
         idx = self._install(commitment)
-        result = self.session.solve(self.active_assumptions(extra=(self.selectors[idx],)))
+        return idx, self.session.solve([*self.assumptions(), self.base_vars + 1 + idx])
+
+    def append_and_check(self, commitment: Commitment) -> AppendResult:
+        """One trial of the new commitment. Accepted on SAT; on UNSAT the
+        state is unchanged and repair (or the caller's policy) decides what
+        happens; on TIMEOUT the commitment conservatively degrades to Unknown
+        and is accepted."""
+        idx, result = self.trial(commitment)
         if result.status is SolveStatus.SAT:
             self.active[idx] = True
-            return AppendResult(AppendStatus.ACCEPTED, commitment, result)
+            return AppendResult(AppendStatus.ACCEPTED, idx, result)
         if result.status is SolveStatus.TIMEOUT:
             # fresh entry: the original selector still guards the old literals
             fb_idx = self.abstain(commitment.query_id)
             log.warning("query %s: satisfiability check timed out, label degraded to Unknown",
                         commitment.query_id)
-            return AppendResult(AppendStatus.TIMEOUT_FALLBACK, self.commitments[fb_idx], result)
-        return AppendResult(AppendStatus.VIOLATION, commitment, result)
-
-    def force_append(self, commitment: Commitment) -> int:
-        """Continue past a violation the caller has just seen: activate the
-        commitment regardless, which leaves the retained conjunction
-        unsatisfiable."""
-        if (self.commitments and self.commitments[-1] is commitment
-                and not self.active[-1]):
-            idx = len(self.commitments) - 1
-        else:
-            idx = self._install(commitment)
-        self.active[idx] = True
-        self.sat = False
-        return idx
+            return AppendResult(AppendStatus.TIMEOUT_FALLBACK, fb_idx, result)
+        return AppendResult(AppendStatus.VIOLATION, idx, result)
 
     def abstain(self, query_id: str) -> int:
         """Install and activate an empty Unknown commitment for the query. It
@@ -164,46 +152,35 @@ class BeliefState:
         self.active[idx] = True
         return idx
 
-    def install(self, commitment: Commitment) -> int:
-        """Install without activating (trial commitments for repair/voting)."""
-        return self._install(commitment)
-
     def activate(self, index: int, sat: bool = True) -> None:
+        """Activate a tried commitment; ``sat=False`` continues past a
+        violation, which leaves the retained conjunction unsatisfiable."""
         self.active[index] = True
         self.sat = sat
 
-    def solve_with(self, extra: tuple[int, ...] = (),
-                   exclude: frozenset[int] = frozenset()) -> SolveResult:
-        """Trial check with some commitments masked out or selectors added."""
-        return self.session.solve(self.active_assumptions(extra=extra, exclude=exclude))
-
     # ------------------------------------------------------------ core logic
 
-    def unsat_core(self, pending_index: int | None = None,
-                   failed: frozenset[int] | None = None,
-                   minimize: bool = True,
-                   call_budget: int | None = None) -> UnsatCore:
+    def unsat_core(self, pending_index: int, failed: frozenset[int],
+                   call_budget: int) -> UnsatCore:
         """Core over commitment indices whose conjunction with the premises is
-        UNSAT. Starts from the solver's failed-assumption set and then runs a
-        deletion scan, most recent first, so cores bias toward recent
-        commitments. A minimization timeout returns the unminimized core."""
+        UNSAT: the active and pending commitments in the failed-assumption
+        set. With a positive ``call_budget`` a deletion scan of at most that
+        many solves minimizes it, most recent first, so cores bias toward
+        recent commitments. A minimization timeout or an exhausted budget
+        returns the core unminimized."""
         candidates = set(self.active_indices)
-        if pending_index is not None:
-            candidates.add(pending_index)
-        if failed is not None:
-            candidates &= self.commitment_indices(failed)
-
-        core = sorted(candidates)
-        if not minimize:
+        candidates.add(pending_index)
+        core = sorted(candidates & self.commitment_indices(failed))
+        if call_budget <= 0:
             return UnsatCore(tuple(core), minimal=False)
+        base = self.base_vars + 1
         calls = 0
         for idx in sorted(core, reverse=True):  # most recent first
             if idx not in core:
                 continue
-            if call_budget is not None and calls >= call_budget:
+            if calls >= call_budget:
                 return UnsatCore(tuple(sorted(core)), minimal=False)
-            trial = [self.selectors[i] for i in core if i != idx]
-            result = self.session.solve(trial)
+            result = self.session.solve([base + i for i in core if i != idx])
             calls += 1
             if result.status is SolveStatus.TIMEOUT:
                 return UnsatCore(tuple(sorted(core)), minimal=False)
@@ -225,7 +202,7 @@ class BeliefState:
         the literals of the failed-assumption commitments, or of every active
         commitment after a timeout or a failed certificate; that verdict
         stands."""
-        result = self.session.solve(self.active_assumptions())
+        result = self.session.solve(self.assumptions())
         model = result.model
         if (result.status is SolveStatus.SAT and evaluate(self.base_formula, model)
                 and all(model[abs(lit)] == (lit > 0)

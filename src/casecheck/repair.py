@@ -16,25 +16,12 @@ one whose retraction solves SAT is a minimum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Sequence
 
 from .casefile import Label, majority_label
 from .commitments import BeliefState, Commitment
 from .solver import SolveStatus
-
-
-class RepairOutcomeKind(str, Enum):
-    REPAIRED = "repaired"
-    FALLBACK_UNKNOWN = "fallback-unknown"
-
-
-@dataclass
-class RepairOutcome:
-    kind: RepairOutcomeKind
-    final_commitment: Commitment
-    tried: list[tuple[Commitment, str]] = field(default_factory=list)  # (candidate, verdict)
 
 
 def propose_repairs(commitment: Commitment) -> list[Commitment]:
@@ -45,52 +32,42 @@ def propose_repairs(commitment: Commitment) -> list[Commitment]:
             for size in range(1, commitment.size)]
 
 
-def attempt_repair(state: BeliefState, commitment: Commitment, calls: int) -> RepairOutcome:
+def attempt_repair(state: BeliefState, commitment: Commitment,
+                   calls: int) -> tuple[Commitment | None, list[tuple[Commitment, str]]]:
     """Spend at most ``calls`` solver calls (the runner passes the smaller of
     ``r_max`` and what the bundle's cap leaves) on the candidates for a
-    commitment that broke a satisfiable state, one call each, and activate
-    the first that verifies SAT. Without one the step abstains; the
-    abstention makes no solver call."""
+    commitment that broke a satisfiable state, one trial each, and activate
+    the first that verifies SAT. Returns it (None when the step abstains
+    instead, which makes no solver call) and the (candidate, verdict) pairs
+    tried."""
     tried: list[tuple[Commitment, str]] = []
     for candidate in propose_repairs(commitment)[:calls]:
-        trial_idx = state.install(candidate)
-        result = state.solve_with(extra=(state.selectors[trial_idx],))
+        idx, result = state.trial(candidate)
         if result.status is SolveStatus.SAT:
-            state.activate(trial_idx, sat=True)
+            state.activate(idx)
             tried.append((candidate, "accepted"))
-            return RepairOutcome(RepairOutcomeKind.REPAIRED, candidate, tried)
+            return candidate, tried
         tried.append((candidate, "timeout" if result.status is SolveStatus.TIMEOUT else "unsat"))
-    idx = state.abstain(commitment.query_id)
-    return RepairOutcome(RepairOutcomeKind.FALLBACK_UNKNOWN, state.commitments[idx], tried)
+    state.abstain(commitment.query_id)
+    return None, tried
 
 
 # ------------------------------------------------------------- filtered vote
 
 
-@dataclass
-class VoteResult:
-    label: Label
-    survivors: list[Label]
-
-
-def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState) -> VoteResult:
+def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState) -> Label:
     """Keep only sampled answers whose commitments preserve satisfiability,
     then majority-vote the survivors; ties and empty survivor sets yield
-    Unknown. Trial checks roll back (commitments are installed but never
-    activated)."""
+    Unknown. Each trial stays installed but inactive, so the state is
+    unchanged."""
     if not samples:
         raise ValueError("need at least one sample")
     survivors: list[Label] = []
     for commitment in samples:
-        if not commitment.literals:
-            survivors.append(commitment.label)  # asserts nothing, trivially safe
-            continue
-        idx = state.install(commitment)
-        result = state.solve_with(extra=(state.selectors[idx],))
-        if result.status is SolveStatus.SAT:
+        # an Unknown sample asserts nothing, so it is trivially safe
+        if not commitment.literals or state.trial(commitment)[1].status is SolveStatus.SAT:
             survivors.append(commitment.label)
-    label = majority_label(survivors) if survivors else Label.UNKNOWN
-    return VoteResult(label, survivors)
+    return majority_label(survivors) if survivors else Label.UNKNOWN
 
 
 # --------------------------------------------------------- minimum revision
@@ -111,7 +88,7 @@ def min_revision_cost(state: BeliefState) -> RevisionCost:
     cores: list[set[int]] = []
     hitting: tuple[int, ...] = ()
     while True:
-        result = state.solve_with(exclude=frozenset(hitting))
+        result = state.session.solve(state.assumptions(exclude=hitting))
         if result.status is SolveStatus.SAT:
             return RevisionCost(len(hitting), True, hitting)
         if result.status is SolveStatus.TIMEOUT:

@@ -29,10 +29,11 @@ from itertools import repeat
 from pathlib import Path
 
 from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
-from .casefile import CaseFile, Label, Query, load_corpus
+from .casefile import CaseError, CaseFile, Label, Query, load_corpus
 from .commitments import AppendStatus, BeliefState, extract_commitment
 from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
-from .repair import RepairOutcomeKind, attempt_repair, logic_filtered_vote, min_revision_cost
+from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
+from .solver import DEFAULT_WALL_TIMEOUT
 
 METHODS = ("baseline", "check", "check+repair")
 MODES = ("set", "sequential")
@@ -49,7 +50,7 @@ class RunConfig:
     r_max: int = 2
     call_cap_factor: int = 3       # per-bundle solver-call cap = factor * n
     max_conflicts: int | None = None
-    max_seconds: float | None = 30.0
+    max_seconds: float | None = DEFAULT_WALL_TIMEOUT
     jobs: int = 1
 
     def __post_init__(self):
@@ -122,7 +123,6 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
     history: list[tuple[Query, Label]] = []
     seen = history if config.mode == "sequential" else None
     answerer_calls = 0
-    any_violation = False
     any_repair = False
 
     for t, query in enumerate(case.queries):
@@ -133,9 +133,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
             candidates = [extract_commitment(query, d.label, d.derived_atoms,
                                              vocabulary_size=state.base_vars)
                           for d in draws]
-            vote = logic_filtered_vote(candidates, state)
+            answer = Answer(logic_filtered_vote(candidates, state))
             ledger.take("filter_solver_calls")
-            answer = Answer(vote.label)
         else:
             answer = answerer.answer(case, query, history=seen)
             answerer_calls += answer.calls
@@ -157,19 +156,14 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
             if config.method != "baseline":
                 final = Label.UNKNOWN
         else:
-            any_violation = True
             statuses_before.append(UNSAT)
-            pending = len(state.commitments) - 1
+            pending = result.index
             if config.method == "baseline":
-                state.force_append(commitment)
+                state.activate(pending, sat=False)
                 statuses_after.append(UNSAT)
             else:
-                slack = ledger.slack(n - t - 1)
-                core = state.unsat_core(
-                    pending_index=pending,
-                    failed=result.solve_result.failed_assumptions,
-                    minimize=slack > 0,
-                    call_budget=slack)
+                core = state.unsat_core(pending, result.solve_result.failed_assumptions,
+                                        ledger.slack(n - t - 1))
                 ledger.take("core_solver_calls")
                 core_qids = [state.commitments[i].query_id
                              for i in core.commitment_indices]
@@ -182,7 +176,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                         outcome_name = "fallback-unknown"
                     else:
                         # altering past commitments needs repair authority
-                        state.force_append(commitment)
+                        state.activate(pending, sat=False)
                         outcome_name = "reported"
                     statuses_after.append(SAT if state.sat else UNSAT)
                     repair_log.append(RepairLogEntry(
@@ -190,20 +184,18 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                         core_minimal=core.minimal, tried=[], accepted=None,
                         outcome=outcome_name, solver_calls=0))
                 else:  # check+repair
-                    outcome = attempt_repair(state, commitment,
-                                             min(config.r_max, ledger.slack(n - t - 1)))
+                    accepted, tried = attempt_repair(state, commitment,
+                                                     min(config.r_max, ledger.slack(n - t - 1)))
                     repair_calls = ledger.take("repair_solver_calls")
                     any_repair = True
-                    final = outcome.final_commitment.label
+                    final = accepted.label if accepted else Label.UNKNOWN
                     statuses_after.append(SAT)
                     repair_log.append(RepairLogEntry(
                         query_id=query.id, core_query_ids=core_qids,
                         core_minimal=core.minimal,
-                        tried=[{"size": c.size, "verdict": verdict}
-                               for c, verdict in outcome.tried],
-                        accepted=({"size": outcome.final_commitment.size}
-                                  if outcome.kind is RepairOutcomeKind.REPAIRED else None),
-                        outcome=outcome.kind.value,
+                        tried=[{"size": c.size, "verdict": verdict} for c, verdict in tried],
+                        accepted={"size": accepted.size} if accepted else None,
+                        outcome="repaired" if accepted else "fallback-unknown",
                         solver_calls=repair_calls))
 
         records.append(QueryRecord(
@@ -232,7 +224,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
 
     if not final_sat:
         bundle_status = "inconsistent"
-    elif any_repair and any_violation:
+    elif any_repair:  # only a violation starts a repair
         bundle_status = "repaired"
     else:
         bundle_status = "consistent"
@@ -288,7 +280,8 @@ def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[Bu
     if config.split:
         cases = [c for c in cases if c.split == config.split]
     if not cases:
-        raise ValueError("no cases selected")
+        raise CaseError(f"no cases in split {config.split!r}" if config.split
+                        else "the corpus holds no cases")
     cases = sorted(cases, key=lambda c: c.id)
 
     if config.jobs > 1:

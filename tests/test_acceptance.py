@@ -23,7 +23,7 @@ from casecheck.repair import logic_filtered_vote, min_revision_cost
 from casecheck.runner import RunConfig, evaluate_bundle
 from casecheck.solver import SolveStatus, SolverSession
 
-from test_commitments import rebuild_formula
+from test_commitments import rebuild_formula, selector
 
 POLICY_SEED = 7  # calibrated configuration: default corpus seed 0, this seed
 
@@ -163,11 +163,9 @@ def test_criterion_05_core_minimality():
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
                 res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
                 if res.status is AppendStatus.VIOLATION:
-                    core = state.unsat_core(
-                        pending_index=len(state.commitments) - 1,
-                        failed=res.solve_result.failed_assumptions)
+                    core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
                     assert core.minimal
-                    members = [state.selectors[j] for j in core.commitment_indices]
+                    members = [selector(state, j) for j in core.commitment_indices]
                     assert state.session.solve(members).status is SolveStatus.UNSAT
                     for drop in range(len(members)):
                         rest = members[:drop] + members[drop + 1:]
@@ -192,9 +190,9 @@ def test_criterion_06_revision_cost_exactness(corpus, sweep):
             state = BeliefState(f, max_seconds=None)
             for i in range(rng.randint(2, 8)):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
-                c = Commitment(f"q{i}", Label.ENTAILED, (lit,))
-                if state.append_and_check(c).status is AppendStatus.VIOLATION:
-                    state.force_append(c)
+                res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
+                if res.status is AppendStatus.VIOLATION:
+                    state.activate(res.index, sat=False)
             rev = min_revision_cost(state)
             assert rev.exact
             # independent oracle: exhaustive retraction subsets by cardinality
@@ -302,9 +300,9 @@ def test_criterion_11_filtered_vote_conservative():
                 else:
                     lit = atom if label is Label.ENTAILED else -atom
                     samples.append(Commitment("q", label, (lit,)))
-            result = logic_filtered_vote(samples, state)
-            if result.label is not Label.UNKNOWN:
-                lit = atom if result.label is Label.ENTAILED else -atom
+            label = logic_filtered_vote(samples, state)
+            if label is not Label.UNKNOWN:
+                lit = atom if label is Label.ENTAILED else -atom
                 g = rebuild_formula(state)
                 g.add_clause([lit])
                 assert count_models(g) > 0, "vote returned a state-killing label"

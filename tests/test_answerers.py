@@ -12,6 +12,13 @@ from casecheck.casefile import Domain, Label
 from casecheck.generator import generate_casefile
 
 
+def diagonal(p: float) -> ConfusionMatrix:
+    """Diagonal weight ``p``, the rest of each row split evenly."""
+    off = (1.0 - p) / 2.0
+    return ConfusionMatrix(tuple(tuple(p if i == j else off for j in range(3))
+                                 for i in range(3)))
+
+
 @pytest.fixture(scope="module")
 def case():
     return generate_casefile(Domain.RELATIONAL, 123)
@@ -29,14 +36,14 @@ def test_oracle_returns_gold(case):
 
 
 def test_identity_noise_is_gold(case):
-    policy = Answerer(PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(1.0)), seed=5)
+    policy = Answerer(PolicyConfig(kind="noisy", matrix=diagonal(1.0)), seed=5)
     for draw in range(1000):
         q = case.queries[draw % len(case.queries)]
         assert policy.answer(case, q, draw=draw).label is q.gold_label
 
 
 def test_noisy_marginals_match_matrix(case):
-    policy = Answerer(PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(0.8)), seed=7)
+    policy = Answerer(PolicyConfig(kind="noisy", matrix=diagonal(0.8)), seed=7)
     q = case.queries[0]
     hits = 0
     n = 10_000
@@ -47,7 +54,7 @@ def test_noisy_marginals_match_matrix(case):
 
 
 def test_answers_are_seed_deterministic(case):
-    config = PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(0.6),
+    config = PolicyConfig(kind="noisy", matrix=diagonal(0.6),
                           derived_rate=0.5)
     a = Answerer(config, seed=11)
     b = Answerer(config, seed=11)
@@ -59,7 +66,7 @@ def test_answers_are_seed_deterministic(case):
 
 
 def test_derived_atoms_stay_in_vocabulary(case):
-    config = PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(1.0), derived_rate=1.0)
+    config = PolicyConfig(kind="noisy", matrix=diagonal(1.0), derived_rate=1.0)
     policy = Answerer(config, seed=3)
     for draw in range(200):
         q = case.queries[draw % len(case.queries)]
@@ -70,7 +77,7 @@ def test_derived_atoms_stay_in_vocabulary(case):
 
 
 def test_self_consistency_k1_equals_single_draw(case):
-    inner = PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(0.6))
+    inner = PolicyConfig(kind="noisy", matrix=diagonal(0.6))
     sc = Answerer(PolicyConfig(kind="self-consistency", k=1, inner=inner), seed=9)
     single = Answerer(inner, seed=9)
     for q in case.queries:
@@ -85,7 +92,7 @@ def test_self_consistency_majority_and_tie():
 
 
 def test_majority_vote_amplifies_accuracy(case):
-    inner = PolicyConfig(kind="noisy", matrix=ConfusionMatrix.diagonal(0.6))
+    inner = PolicyConfig(kind="noisy", matrix=diagonal(0.6))
     single = Answerer(inner, seed=21)
     sc = Answerer(PolicyConfig(kind="self-consistency", k=20, inner=inner), seed=21)
     q = case.queries[0]
@@ -125,7 +132,7 @@ def test_presets_resolve():
 
 
 def test_history_policy_biases_toward_agreement(case):
-    config = PolicyConfig(kind="history", matrix=ConfusionMatrix.diagonal(0.5),
+    config = PolicyConfig(kind="history", matrix=diagonal(0.5),
                           history_bias=1.0)
     policy = Answerer(config, seed=13)
     # find the designed dependency pair: same variable, opposite polarity

@@ -79,6 +79,9 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     ("list.json", "malformed policy file 'list.json': "),
     ("kind.json", "unknown policy kind 'bogus'"),  # used to fail at the first answer
     ("replay.json", "replay policy needs a trace_path"),
+    ("no-query.json", "no-query.jsonl:1: trace record missing 'query_id'"),
+    ("not-json.json", "not-json.jsonl:2: trace line is not JSON"),
+    ("scalar.json", "scalar.jsonl:1: trace record is not an object"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
@@ -87,10 +90,25 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "kind.json").write_text('{"kind": "bogus"}')
     (tmp_path / "replay.json").write_text('{"kind": "replay"}')
+    for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
+                        ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
+                                     '"label": "entailed"}\n{not json\n'),
+                        ("scalar", '"case_id query_id label"\n')]:
+        (tmp_path / f"{name}.jsonl").write_text(trace)
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"kind": "replay", "trace_path": f"{name}.jsonl"}))
     out = tmp_path / "bad-run"
     assert main(["run", "--corpus", str(corpus), "--out", str(out), "--policy", policy]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"casecheck run: error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_of_a_split_with_no_cases_exits_2(tmp_path, corpus, capsys):
+    # used to end in a ValueError traceback, exit 1
+    out = tmp_path / "no-split"
+    assert main(run_args(corpus, out, split="nosuch")) == 2
+    assert capsys.readouterr().err == "casecheck run: error: no cases in split 'nosuch'\n"
     assert not out.exists()
 
 

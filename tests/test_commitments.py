@@ -19,6 +19,11 @@ def q(atom, qid="q1"):
     return Query(id=qid, atom=atom)
 
 
+def selector(state, index):
+    """The session variable that guards commitment ``index``."""
+    return state.base_vars + 1 + index
+
+
 def rebuild_formula(state, exclude=frozenset()):
     """Premises plus the active commitments (but those in ``exclude``) as
     plain unit clauses: the retained conjunction, outside the session."""
@@ -98,7 +103,7 @@ def test_core_localizes_conflicting_pair():
     state.append_and_check(Commitment("q2", Label.ENTAILED, (2,)))
     res = state.append_and_check(Commitment("q3", Label.CONTRADICTED, (-1,)))
     assert res.status is AppendStatus.VIOLATION
-    core = state.unsat_core(pending_index=2, failed=res.solve_result.failed_assumptions)
+    core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
     assert core.minimal
     ids = {state.commitments[i].query_id for i in core.commitment_indices}
     assert ids == {"q1", "q3"}
@@ -109,7 +114,7 @@ def test_core_never_contains_unknown_commitments():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     state.append_and_check(Commitment("q2", Label.UNKNOWN, ()))
     res = state.append_and_check(Commitment("q3", Label.CONTRADICTED, (-1,)))
-    core = state.unsat_core(pending_index=2, failed=res.solve_result.failed_assumptions)
+    core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
     labels = {state.commitments[i].label for i in core.commitment_indices}
     assert Label.UNKNOWN not in labels
 
@@ -125,13 +130,12 @@ def test_minimal_cores_verified_by_single_removal():
             lit = rng.choice([1, -1]) * rng.randint(1, nv)
             res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
             if res.status is AppendStatus.VIOLATION:
-                core = state.unsat_core(pending_index=len(state.commitments) - 1,
-                                        failed=res.solve_result.failed_assumptions)
+                core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
                 assert core.minimal
-                sel = [state.selectors[j] for j in core.commitment_indices]
+                sel = [selector(state, j) for j in core.commitment_indices]
                 assert state.session.solve(sel).status is SolveStatus.UNSAT
                 for drop in core.commitment_indices:
-                    subset = [state.selectors[j] for j in core.commitment_indices if j != drop]
+                    subset = [selector(state, j) for j in core.commitment_indices if j != drop]
                     assert state.session.solve(subset).status is SolveStatus.SAT
                 verified += 1
                 break
@@ -157,7 +161,7 @@ def test_belief_state_matches_fresh_rebuild():
             else:
                 # rejected commitment: conjunction incl. it must really be UNSAT
                 g = rebuild_formula(state)
-                for lit2 in res.commitment.literals:
+                for lit2 in state.commitments[res.index].literals:
                     g.add_clause([lit2])
                 assert count_models(g) == 0
 
@@ -171,7 +175,7 @@ def test_monotone_prefix_without_intervention():
         c = Commitment(f"q{i}", Label.ENTAILED, lits)
         res = state.append_and_check(c)
         if res.status is AppendStatus.VIOLATION:
-            state.force_append(c)
+            state.activate(res.index, sat=False)
             statuses.append(False)
         else:
             statuses.append(state.sat)
@@ -185,11 +189,11 @@ def test_retract_restores_satisfiability():
     c2 = Commitment("q2", Label.ENTAILED, (-1,))
     res = state.append_and_check(c2)
     assert res.status is AppendStatus.VIOLATION
-    state.force_append(c2)
+    state.activate(res.index, sat=False)
     assert not state.sat
-    assert state.solve_with().status is SolveStatus.UNSAT
+    assert state.session.solve(state.assumptions()).status is SolveStatus.UNSAT
     # retraction is an assumption flip: solve without q1's selector
-    assert state.solve_with(exclude=frozenset({0})).status is SolveStatus.SAT
+    assert state.session.solve(state.assumptions(exclude=(0,))).status is SolveStatus.SAT
 
 
 def test_timeout_degrades_to_unknown():
@@ -207,8 +211,8 @@ def test_timeout_degrades_to_unknown():
             hit = res
             break
     if hit is not None:
-        assert hit.commitment.label is Label.UNKNOWN
-        assert hit.commitment.literals == ()
+        assert state.commitments[hit.index] == Commitment(f"q{v}", Label.UNKNOWN, ())
+        assert state.active[hit.index]
 
 
 # Deliberately corrupted belief states: each test below passes only if
@@ -221,7 +225,7 @@ def test_validation_rejects_a_model_that_misses_the_retained_conjunction():
     assert state.sat
     # the session still guards +1 while the state now claims -1
     state.commitments[0].literals = (-1,)
-    model = state.session.solve(state.active_assumptions()).model
+    model = state.session.solve(state.assumptions()).model
     assert not evaluate(rebuild_formula(state), model)
     assert state.rebuild_check() is False
 
@@ -231,7 +235,7 @@ def test_validation_rejects_a_model_that_misses_a_premise():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     # a premise the incremental session never saw contradicts the commitment
     state.base_formula.clauses.append((-1,))
-    model = state.session.solve(state.active_assumptions()).model
+    model = state.session.solve(state.assumptions()).model
     assert model[1] and not evaluate(state.base_formula, model)
     assert state.rebuild_check() is False
 
@@ -240,8 +244,8 @@ def test_validation_re_solves_an_unsat_core_in_a_fresh_session():
     state = empty_state(2)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     # a clause only the incremental session sees makes its selector fail
-    state.session.add_clause([-state.selectors[0], -1])
-    assert state.solve_with().status is SolveStatus.UNSAT
+    state.session.add_clause([-selector(state, 0), -1])
+    assert state.session.solve(state.assumptions()).status is SolveStatus.UNSAT
     state.sat = False  # what the corrupted session now claims
     assert state.rebuild_check() is True
 
@@ -265,8 +269,9 @@ def guarded_pigeonhole(pigeons: int, holes: int) -> Formula:
 def test_validation_after_a_timeout_re_solves_every_active_commitment():
     f = guarded_pigeonhole(4, 3)
     state = BeliefState(f, max_conflicts=1, max_seconds=None)
-    idx = state.install(Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
-    state.activate(idx, sat=True)  # the claim no check has made
-    assert state.session.solve(state.active_assumptions()).status is SolveStatus.TIMEOUT
+    idx, result = state.trial(Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
+    assert result.status is SolveStatus.TIMEOUT
+    state.activate(idx)  # as if the timed-out trial had verified SAT
+    assert state.session.solve(state.assumptions()).status is SolveStatus.TIMEOUT
     assert state.rebuild_check() is False
 

@@ -5,7 +5,6 @@ from casecheck.casefile import Label
 from casecheck.commitments import AppendStatus, BeliefState, Commitment
 from casecheck.logic import Formula, count_models, parse_dimacs
 from casecheck.repair import (
-    RepairOutcomeKind,
     RevisionCost,
     attempt_repair,
     logic_filtered_vote,
@@ -21,8 +20,17 @@ def state_of(dimacs: str | None = None, num_vars: int = 4) -> BeliefState:
     return BeliefState(formula)
 
 
-def violating_append(state, commitment) -> None:
-    assert state.append_and_check(commitment).status is AppendStatus.VIOLATION
+def violating_append(state, commitment) -> int:
+    result = state.append_and_check(commitment)
+    assert result.status is AppendStatus.VIOLATION
+    return result.index
+
+
+def force(state, commitment) -> None:
+    """Activate the commitment whatever its trial says, as a baseline run
+    continues past a violation."""
+    idx, _ = state.trial(commitment)
+    state.activate(idx, sat=False)
 
 
 def forced_conflicts(state, atoms) -> None:
@@ -31,8 +39,7 @@ def forced_conflicts(state, atoms) -> None:
         state.append_and_check(Commitment(f"p{i}", Label.ENTAILED, (v,)))
     for i, v in enumerate(atoms, start=1):
         c = Commitment(f"n{i}", Label.CONTRADICTED, (-v,))
-        assert state.append_and_check(c).status is AppendStatus.VIOLATION
-        state.force_append(c)
+        state.activate(violating_append(state, c), sat=False)
 
 
 def test_candidates_without_derived_atoms():
@@ -42,10 +49,11 @@ def test_candidates_without_derived_atoms():
     violating_append(state, c)
     assert propose_repairs(c) == []
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, 2)
+    accepted, tried = attempt_repair(state, c, 2)
     assert state.session.stats.solver_calls == before
-    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN and outcome.tried == []
-    assert outcome.final_commitment == Commitment("q1", Label.UNKNOWN, ())
+    assert accepted is None and tried == []
+    assert state.commitments[-1] == Commitment("q1", Label.UNKNOWN, ())
+    assert state.active[-1]
     assert state.rebuild_check()
 
 
@@ -55,11 +63,9 @@ def test_soften_candidate_keeps_queried_atom():
     c = Commitment("q2", Label.ENTAILED, (3, 5))  # derived atom 5 conflicts
     violating_append(state, c)
     assert propose_repairs(c) == [Commitment("q2", Label.ENTAILED, (3,))]
-    outcome = attempt_repair(state, c, 2)
-    assert outcome.kind is RepairOutcomeKind.REPAIRED
-    assert outcome.final_commitment.literals == (3,)
-    assert outcome.final_commitment.label is Label.ENTAILED
-    assert [(t.size, verdict) for t, verdict in outcome.tried] == [(1, "accepted")]
+    accepted, tried = attempt_repair(state, c, 2)
+    assert accepted == Commitment("q2", Label.ENTAILED, (3,))
+    assert [(t.size, verdict) for t, verdict in tried] == [(1, "accepted")]
     assert state.rebuild_check()
 
 
@@ -76,10 +82,10 @@ def test_repair_verification_cap_respected():
     c = Commitment("q1", Label.CONTRADICTED, (-1, 2, 3, 4))
     violating_append(state, c)
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, 2)
+    accepted, tried = attempt_repair(state, c, 2)
     assert state.session.stats.solver_calls - before == 2
-    assert [(t.size, verdict) for t, verdict in outcome.tried] == [(1, "unsat"), (2, "unsat")]
-    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN
+    assert [(t.size, verdict) for t, verdict in tried] == [(1, "unsat"), (2, "unsat")]
+    assert accepted is None
 
 
 def test_fallback_unknown_when_candidates_fail():
@@ -90,10 +96,10 @@ def test_fallback_unknown_when_candidates_fail():
     c = Commitment("q2", Label.ENTAILED, (3, 5))
     violating_append(state, c)
     before = state.session.stats.solver_calls
-    outcome = attempt_repair(state, c, 0)
+    accepted, tried = attempt_repair(state, c, 0)
     assert state.session.stats.solver_calls == before
-    assert outcome.kind is RepairOutcomeKind.FALLBACK_UNKNOWN and outcome.tried == []
-    assert outcome.final_commitment.label is Label.UNKNOWN
+    assert accepted is None and tried == []
+    assert state.commitments[-1].label is Label.UNKNOWN
     assert state.rebuild_check()
 
 
@@ -132,9 +138,9 @@ def test_accepted_repair_is_lexicographically_optimal():
                 g.add_clause([lit2])
             if count_models(g) > 0:
                 sat_sizes.append(candidate.size)
-        outcome = attempt_repair(state, c, 64)
-        if outcome.kind is RepairOutcomeKind.REPAIRED:
-            assert sat_sizes and outcome.final_commitment.size == min(sat_sizes)
+        accepted, _ = attempt_repair(state, c, 64)
+        if accepted is not None:
+            assert sat_sizes and accepted.size == min(sat_sizes)
             checked += 1
         else:
             assert not sat_sizes  # nothing could have fixed it
@@ -149,7 +155,7 @@ def test_vote_plain_majority():
     samples = [Commitment("q1", Label.ENTAILED, (1,)),
                Commitment("q1", Label.ENTAILED, (1,)),
                Commitment("q1", Label.CONTRADICTED, (-1,))]
-    assert logic_filtered_vote(samples, state).label is Label.ENTAILED
+    assert logic_filtered_vote(samples, state) is Label.ENTAILED
 
 
 def test_vote_filters_state_killers():
@@ -157,16 +163,14 @@ def test_vote_filters_state_killers():
     samples = [Commitment("q1", Label.ENTAILED, (1,)),
                Commitment("q1", Label.ENTAILED, (1,)),
                Commitment("q1", Label.CONTRADICTED, (-1,))]
-    result = logic_filtered_vote(samples, state)
-    assert result.label is Label.CONTRADICTED  # sole survivor
-    assert result.survivors == [Label.CONTRADICTED]
+    assert logic_filtered_vote(samples, state) is Label.CONTRADICTED  # sole survivor
 
 
 def test_vote_tie_yields_unknown():
     state = state_of(num_vars=2)
     samples = [Commitment("q1", Label.ENTAILED, (1,)),
                Commitment("q1", Label.CONTRADICTED, (-1,))]
-    assert logic_filtered_vote(samples, state).label is Label.UNKNOWN
+    assert logic_filtered_vote(samples, state) is Label.UNKNOWN
 
 
 def test_vote_conservative_over_seeds():
@@ -189,9 +193,9 @@ def test_vote_conservative_over_seeds():
             else:
                 lit = atom if label is Label.ENTAILED else -atom
                 samples.append(Commitment("q", label, (lit,)))
-        result = logic_filtered_vote(samples, state)
-        if result.label is not Label.UNKNOWN:
-            lit = atom if result.label is Label.ENTAILED else -atom
+        label = logic_filtered_vote(samples, state)
+        if label is not Label.UNKNOWN:
+            lit = atom if label is Label.ENTAILED else -atom
             g = rebuild_formula(state)
             g.add_clause([lit])
             assert count_models(g) > 0
@@ -210,9 +214,8 @@ def test_revision_cost_single_conflict():
     state = state_of(num_vars=3)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     state.append_and_check(Commitment("q2", Label.ENTAILED, (2,)))
-    c = Commitment("q3", Label.CONTRADICTED, (-1,))
-    res = state.append_and_check(c)
-    state.force_append(c)
+    state.activate(violating_append(state, Commitment("q3", Label.CONTRADICTED, (-1,))),
+                   sat=False)
     rev = min_revision_cost(state)
     assert rev.value == 1 and rev.exact
 
@@ -245,7 +248,7 @@ def test_revision_cost_matches_brute_force_on_seeded_conflicts():
             c = Commitment(f"q{i}", Label.ENTAILED, (lit,))
             res = state.append_and_check(c)
             if res.status is AppendStatus.VIOLATION:
-                state.force_append(c)
+                state.activate(res.index, sat=False)
         rev = min_revision_cost(state)
         assert rev.exact
         assert rev.value == len(rev.witness) == brute_force_min_retraction(state)
@@ -269,11 +272,10 @@ def test_revision_cost_exact_past_twelve_commitments():
     # clashing commitment suffices, however many others are active
     state = state_of(num_vars=13)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
-    c = Commitment("q2", Label.CONTRADICTED, (-1,))
-    assert state.append_and_check(c).status is AppendStatus.VIOLATION
-    state.force_append(c)
+    state.activate(violating_append(state, Commitment("q2", Label.CONTRADICTED, (-1,))),
+                   sat=False)
     for v in range(2, 14):  # the state is already unsatisfiable
-        state.force_append(Commitment(f"q{v + 1}", Label.ENTAILED, (v,)))
+        force(state, Commitment(f"q{v + 1}", Label.ENTAILED, (v,)))
     assert len(state.active_indices) == 14
     rev = min_revision_cost(state)
     assert rev.value == 1 and rev.exact
@@ -283,7 +285,6 @@ def test_revision_cost_exact_past_twelve_commitments():
 def test_revision_cost_inexact_after_a_timeout():
     f = guarded_pigeonhole(4, 3)
     state = BeliefState(f, max_conflicts=1, max_seconds=None)
-    idx = state.install(Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
-    state.activate(idx, sat=False)
+    force(state, Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
     rev = min_revision_cost(state)
     assert rev.exact is False and rev.witness is None
