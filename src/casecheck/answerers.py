@@ -112,7 +112,7 @@ class Answerer:
     def __init__(self, config: PolicyConfig, seed: int):
         self.config = config
         self.seed = seed
-        self._trace: dict[tuple[str, str], dict] | None = None
+        self._trace: dict[tuple[str, str], Answer] | None = None
         if config.kind not in KINDS:
             raise PolicyError(f"unknown policy kind {config.kind!r}")
         if config.kind == "replay":
@@ -133,12 +133,11 @@ class Answerer:
                 raise ValueError(f"query {query.id} has no gold label for the oracle")
             return Answer(query.gold_label)
         if cfg.kind == "replay":
-            record = self._trace.get((case.id, query.id))
-            if record is None:
+            recorded = self._trace.get((case.id, query.id))
+            if recorded is None:
                 log.warning("replay miss for %s/%s, answering Unknown", case.id, query.id)
                 return Answer(Label.UNKNOWN)
-            derived = tuple(record.get("derived_atoms", ()))
-            return Answer(Label(record["label"]), derived_atoms=derived)
+            return Answer(recorded.label, recorded.derived_atoms)
         if cfg.kind == "noisy":
             return self._noisy_answer(case, query, draw)
         if cfg.kind == "history":
@@ -302,24 +301,36 @@ def policy_from_dict(data: dict) -> PolicyConfig:
 # -------------------------------------------------------------- replay traces
 
 
-def load_trace(path: str | Path) -> dict[tuple[str, str], dict]:
+def load_trace(path: str | Path) -> dict[tuple[str, str], Answer]:
     """Line-delimited records: case_id, query_id, label, optional
-    derived_atoms; other fields are ignored. A line that is no JSON object
-    with the three keys raises PolicyError naming the path and line."""
+    derived_atoms (a list of integers); other fields are ignored. A line
+    that is no JSON object with the three keys, or whose label or derived
+    atoms are not of that form, raises PolicyError naming the path and
+    line."""
     trace = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except ValueError:
-                raise PolicyError(f"{path}:{lineno}: trace line is not JSON") from None
+                raise PolicyError(f"{where}: trace line is not JSON") from None
             if not isinstance(record, dict):
-                raise PolicyError(f"{path}:{lineno}: trace record is not an object")
+                raise PolicyError(f"{where}: trace record is not an object")
             for key in ("case_id", "query_id", "label"):
                 if key not in record:
-                    raise PolicyError(f"{path}:{lineno}: trace record missing {key!r}")
-            trace[(record["case_id"], record["query_id"])] = record
+                    raise PolicyError(f"{where}: trace record missing {key!r}")
+            try:
+                label = Label(record["label"])
+            except ValueError:
+                raise PolicyError(f"{where}: unknown label {record['label']!r}") from None
+            derived = record.get("derived_atoms", [])
+            if not isinstance(derived, list) or not all(
+                    isinstance(a, int) and not isinstance(a, bool) for a in derived):
+                raise PolicyError(f"{where}: derived_atoms must be a list of integers, "
+                                  f"got {derived!r}")
+            trace[(record["case_id"], record["query_id"])] = Answer(label, tuple(derived))
     return trace

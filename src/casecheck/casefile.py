@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .lia import TheoryError, ground, parse_constraint, parse_theory
+from .lia import GroundedTheory, TheoryError, ground, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
 from .solver import SolveResult, SolveStatus, SolverSession
 
@@ -60,6 +60,7 @@ class LabelTimeout(CaseError):
 
 _QUERY_FIELDS = {"id", "atom", "gold_label", "text", "depends_on"}
 _CASE_FIELDS = {"id", "domain", "split", "premises", "premises_format", "queries"}
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
 @dataclass
@@ -109,27 +110,38 @@ def check_premises(session: SolverSession, case_id: str | None) -> SolveResult:
     return res
 
 
-def compile_case(case: CaseFile) -> CaseFile:
-    """Build the case formula; theory cases get each query atom reified to a
-    fresh literal, and its grounding errors name ``query:<id>``. Parsing and
-    grounding only: the premises are checked by whatever session uses them."""
+def compile_premises(premises: str, premises_format: str) -> Formula | GroundedTheory:
+    """The premises alone, compiled: DIMACS text to its formula, theory text
+    to its grounding before any query atom is reified."""
+    if premises_format == "dimacs":
+        return parse_dimacs(premises)
+    if premises_format == "theory":
+        return ground(parse_theory(premises))
+    raise CorpusFormatError(f"unknown premises_format {premises_format!r}")
+
+
+def compile_case(case: CaseFile, premises: Formula | GroundedTheory | None = None) -> CaseFile:
+    """Build the case formula on ``premises``, the case's compiled premises,
+    compiling them first when the caller has none. A DIMACS case uses the
+    premise formula itself; a theory case reifies each query atom to a fresh
+    literal on a copy of the grounding, so one compile serves every case
+    over the same premises, and its grounding errors name ``query:<id>``.
+    Parsing and grounding only: the premises are checked by whatever
+    session uses them."""
+    if premises is None:
+        premises = compile_premises(case.premises, case.premises_format)
     if case.premises_format == "dimacs":
-        case.formula = parse_dimacs(case.premises)
+        case.formula = premises
         for q in case.queries:
             if not isinstance(q.atom, int) or q.atom == 0 or abs(q.atom) > case.formula.num_vars:
                 raise CorpusFormatError(f"query {q.id}: atom {q.atom!r} outside premise vocabulary")
-    elif case.premises_format == "theory":
-        theory = parse_theory(case.premises)
-        grounded = ground(theory)
-        var_map = theory.var_map
+    else:
+        grounded = premises.copy()
         for q in case.queries:
             if not q.atom_text:
                 raise CorpusFormatError(f"query {q.id}: missing constraint atom")
-            constraint = parse_constraint(q.atom_text, var_map)
-            q.atom = grounded.reify(constraint, f"query:{q.id}")
+            q.atom = grounded.reify(grounded.constraint(q.atom_text), f"query:{q.id}")
         case.formula = grounded.formula
-    else:
-        raise CorpusFormatError(f"unknown premises_format {case.premises_format!r}")
     return case
 
 
@@ -192,27 +204,40 @@ def case_to_record(case: CaseFile) -> dict:
     return record
 
 
-def case_from_record(record: dict, index: int = 0) -> CaseFile:
+def case_from_record(record: dict, index: int = 0,
+                     premises: Formula | GroundedTheory | None = None) -> CaseFile:
+    """The compiled case a corpus record describes; ``premises``, when given,
+    are the record's premises already compiled by ``compile_premises``.
+    Malformed records raise CorpusFormatError naming ``cases[index]`` and
+    the field."""
     path = f"cases[{index}]"
 
-    def need(d: dict, key: str, where: str):
+    def need(d: dict, key: str, where: str, kind: type | None = None):
         if key not in d:
             raise CorpusFormatError(f"{where}.{key}: missing required field")
-        return d[key]
+        return typed(d[key], f"{where}.{key}", kind) if kind else d[key]
 
+    def typed(value, where: str, kind: type):
+        if not isinstance(value, kind):
+            raise CorpusFormatError(f"{where}: expected {_KIND_NAMES[kind]}, "
+                                    f"got {type(value).__name__}")
+        return value
+
+    typed(record, path, dict)
     case_id = need(record, "id", path)
     domain_raw = need(record, "domain", path)
     try:
         domain = Domain(domain_raw)
     except ValueError:
         raise CorpusFormatError(f"{path}.domain: unknown domain {domain_raw!r}")
-    premises = need(record, "premises", path)
+    premises_text = need(record, "premises", path, str)
     fmt = record.get("premises_format")
     if fmt is None:
-        fmt = "dimacs" if premises.lstrip().startswith(("p cnf", "c", "p")) else "theory"
+        fmt = "dimacs" if premises_text.lstrip().startswith(("p cnf", "c", "p")) else "theory"
     queries = []
-    for j, qrec in enumerate(need(record, "queries", path)):
+    for j, qrec in enumerate(need(record, "queries", path, list)):
         qpath = f"{path}.queries[{j}]"
+        typed(qrec, qpath, dict)
         gold_raw = qrec.get("gold_label")
         try:
             gold = Label(gold_raw) if gold_raw is not None else None
@@ -232,21 +257,22 @@ def case_from_record(record: dict, index: int = 0) -> CaseFile:
             atom=atom_lit,
             gold_label=gold,
             text=qrec.get("text"),
-            depends_on=[str(d) for d in qrec.get("depends_on", [])],
+            depends_on=[str(d) for d in typed(qrec.get("depends_on", []),
+                                              f"{qpath}.depends_on", list)],
             atom_text=atom_text,
             extra={k: v for k, v in qrec.items() if k not in _QUERY_FIELDS},
         ))
     case = CaseFile(
         id=str(case_id),
         domain=domain,
-        premises=premises,
+        premises=premises_text,
         premises_format=fmt,
         queries=queries,
         split=record.get("split"),
         extra={k: v for k, v in record.items() if k not in _CASE_FIELDS},
     )
     try:
-        compile_case(case)
+        compile_case(case, premises)
     except (CorpusFormatError, TheoryError, LogicError) as exc:
         raise CorpusFormatError(f"{path} (case {case.id}): {exc}") from exc
     return case

@@ -8,12 +8,15 @@ their question texts, and the rule that picks the bundle's dependency pair
 labels each candidate once with the solver and files its complement under
 the opposite label (both under Unknown when the atom is contingent), and
 ``_draw_bundle`` draws a 5-8 query bundle containing every label class, with
-an Unknown share targeted at roughly 18% corpus-wide. Cases are built by the
-corpus loader's ``case_from_record`` and every gold label is re-checked
-against the solver. The pool labelling and the re-check each keep their own
-witness set (see ``literal_gold_label``), seeded with the premise model of the
-session they use, so a check that an earlier model of the same pass already
-answers costs no solve.
+an Unknown share targeted at roughly 18% corpus-wide. Each attempt compiles
+its drafted premises once, with the corpus loader's ``compile_premises``; the
+probe case whose session labels the pools, the complements of theory atoms
+and the final case are all built on that one result by the loader's
+``case_from_record``, and every gold label is re-checked against the solver.
+The pool labelling and the re-check each keep their own witness set (see
+``literal_gold_label``), seeded with the premise model of the session they
+use, so a check that an earlier model of the same pass already answers costs
+no solve.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .casefile import OPPOSITE_LABEL, CaseFile, Domain, Label, case_from_record, literal_gold_label
-from .lia import format_constraint, parse_constraint, parse_theory
+from .casefile import (OPPOSITE_LABEL, CaseFile, Domain, Label, case_from_record,
+                       compile_premises, literal_gold_label)
+from .lia import format_constraint
 from .logic import Formula, emit_dimacs
 from .solver import SolverSession
 
@@ -215,14 +219,15 @@ def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
     rng = random.Random(seed)
     record = {"id": case_id, "domain": domain.value, "premises": _cnf_premises(rng, domain),
               "premises_format": "dimacs"}
-    probe = case_from_record({**record, "queries": []})
+    premises = compile_premises(record["premises"], "dimacs")
+    probe = case_from_record({**record, "queries": []}, premises=premises)
     session, premise_model = probe.new_session()
 
     def query(lit: int) -> tuple[int, str]:
         return lit, _query_text(domain, lit)
 
     pools = _label_pools(session, premise_model, [(v, query(v), query(-v))
-                                                  for v in range(1, probe.formula.num_vars + 1)])
+                                                  for v in range(1, premises.num_vars + 1)])
     size = rng.randint(spec.bundle_min, spec.bundle_max)
     counts = _plan_counts(rng, size, domain)
     if not pools[Label.ENTAILED] or not pools[Label.UNKNOWN]:
@@ -234,7 +239,8 @@ def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
     else:
         e = rng.choice(pools[Label.ENTAILED])
         pair = [(e, Label.ENTAILED), (query(-e[0]), Label.CONTRADICTED)]
-    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})
+    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)},
+                            premises=premises)
     return _self_check(case, session, premise_model)
 
 
@@ -261,10 +267,10 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
         lines.append(f"(assert (! (>= start_A {rng.randint(1, 2)}) :named window_a))")
     record = {"id": case_id, "domain": Domain.TEMPORAL.value, "premises": "\n".join(lines) + "\n",
               "premises_format": "theory"}
-    var_map = parse_theory(record["premises"]).var_map
+    premises = compile_premises(record["premises"], "theory")
 
     def complement(atom_text: str) -> str:
-        return format_constraint(parse_constraint(atom_text, var_map).negated())
+        return format_constraint(premises.constraint(atom_text).negated())
 
     # candidate atoms, the first question text kept when two coincide; each
     # is pooled with its complement so every label class can appear
@@ -282,7 +288,8 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
     candidates.update((overlap, no_overlap))
 
     probe = case_from_record({**record, "queries": [{"id": f"c{i}", "atom": a, "text": t}
-                                                    for i, (a, t) in enumerate(candidates.items())]})
+                                                    for i, (a, t) in enumerate(candidates.items())]},
+                             premises=premises)
     pools = _label_pools(*probe.new_session(),
                          [(q.atom, (q.atom_text, q.text), (complement(q.atom_text), f"[negated] {q.text}"))
                           for q in probe.queries])
@@ -304,7 +311,8 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
                      for a, t in pools[Label.ENTAILED] if complement(a) in pool_text), None)
         if pair is None:
             raise GenerationError("no dependency pair available")
-    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)})
+    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)},
+                            premises=premises)
     return _self_check(case, *case.new_session())
 
 

@@ -282,6 +282,23 @@ class GroundedTheory:
     theory: Theory
     formula: Formula
     order_vars: dict[tuple[str, int], int]  # (var name, k) -> prop var for x <= k
+    var_map: dict[str, IntVar]  # the theory's variables by name, built once
+    # atom text -> its constraint; shared by copies, which have the same variables
+    atoms: dict[str, LinConstraint] = field(default_factory=dict, repr=False)
+
+    def copy(self) -> "GroundedTheory":
+        """The same grounding over a copy of the formula, so atoms reified on
+        the copy leave this one unchanged."""
+        return GroundedTheory(self.theory, self.formula.copy(), self.order_vars,
+                              self.var_map, self.atoms)
+
+    def constraint(self, text: str) -> LinConstraint:
+        """The constraint an atom text denotes over the theory's variables,
+        parsed once per text."""
+        c = self.atoms.get(text)
+        if c is None:
+            c = self.atoms[text] = parse_constraint(text, self.var_map)
+        return c
 
     def _new_prop(self) -> int:
         self.formula.num_vars += 1
@@ -292,9 +309,8 @@ class GroundedTheory:
 
     def clauses_for(self, c: LinConstraint, prefix: tuple[int, ...] = ()) -> list[list[int]]:
         """CNF clauses asserting ``c`` whenever all prefix literals are false."""
-        var_map = self.theory.var_map
         for _, name in c.terms:
-            if name not in var_map:
+            if name not in self.var_map:
                 raise TheoryError(f"constraint references undeclared variable {name!r}")
         rel, k = c.relation, c.constant
         if rel == "<=":
@@ -326,8 +342,7 @@ class GroundedTheory:
         ``x <= b // co`` and ``co < 0`` needs ``x > -(b // -co) - 1``, so each
         prefix gets one clause. Through the order ladder it subsumes the
         clause of every other violating value (Tamura et al., 2009)."""
-        var_map = self.theory.var_map
-        info = [(co, var_map[name]) for co, name in terms]
+        info = [(co, self.var_map[name]) for co, name in terms]
         n = len(info)
         min_suffix = [0] * (n + 1)
         max_suffix = [0] * (n + 1)
@@ -408,7 +423,7 @@ def ground(theory: Theory, max_width: int = DEFAULT_DOMAIN_WIDTH) -> GroundedThe
             formula.num_vars += 1
             order_vars[(v.name, k)] = formula.num_vars
 
-    gt = GroundedTheory(theory, formula, order_vars)
+    gt = GroundedTheory(theory, formula, order_vars, theory.var_map)
     for v in theory.variables:
         for k in range(v.lower, v.upper - 1):
             formula.clauses.append((-order_vars[(v.name, k)], order_vars[(v.name, k + 1)]))

@@ -6,6 +6,7 @@ from casecheck.answerers import (
     Answerer,
     ConfusionMatrix,
     PolicyConfig,
+    PolicyError,
     resolve_policy,
 )
 from casecheck.casefile import Domain, Label
@@ -123,6 +124,24 @@ def test_replay_roundtrip_and_miss(tmp_path, case):
     assert ans.label is Label.ENTAILED and ans.derived_atoms == (2,)
     miss = policy.answer(case, case.queries[1])
     assert miss.label is Label.UNKNOWN
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"label": "maybe"}, "unknown label 'maybe'"),  # used to raise ValueError at the answer
+    ({"label": ["entailed"]}, "unknown label ['entailed']"),
+    ({"derived_atoms": ["x"]}, "derived_atoms must be a list of integers, got ['x']"),
+    ({"derived_atoms": 3}, "derived_atoms must be a list of integers, got 3"),
+    ({"derived_atoms": [1, True]}, "derived_atoms must be a list of integers, got [1, True]"),
+], ids=["label-maybe", "label-list", "atom-text", "atoms-scalar", "atom-bool"])
+def test_replay_trace_values_are_checked_at_load(tmp_path, fields, message):
+    # a bad derived atom used to raise TypeError in the commitment extractor
+    good = {"case_id": "rel-0001", "query_id": "q1", "label": "entailed", "derived_atoms": [2]}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "query_id": "q2", **fields})
+                    + "\n")
+    with pytest.raises(PolicyError) as exc:
+        Answerer(PolicyConfig(kind="replay", trace_path=str(path)), seed=0)
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_presets_resolve():

@@ -209,6 +209,25 @@ def test_schema_errors_carry_field_path():
     assert "queries[0].gold_label" in str(exc.value)
 
 
+_GOOD = {"id": "r-0001", "domain": "relational", "premises": "p cnf 2 1\n1 2 0\n",
+         "premises_format": "dimacs", "queries": [{"id": "q1", "atom": 1, "depends_on": []}]}
+
+
+@pytest.mark.parametrize("record, message", [
+    (["r-0001"], r"cases\[5\]: expected an object, got list"),
+    ({**_GOOD, "premises": 5}, r"cases\[5\]\.premises: expected a string, got int"),
+    ({**_GOOD, "queries": {"a": 1}}, r"cases\[5\]\.queries: expected a list, got dict"),
+    ({**_GOOD, "queries": ["q1"]}, r"cases\[5\]\.queries\[0\]: expected an object, got str"),
+    ({**_GOOD, "queries": [{"id": "q1", "atom": 1, "depends_on": 3}]},
+     r"cases\[5\]\.queries\[0\]\.depends_on: expected a list, got int"),
+], ids=["record", "premises", "queries", "query", "depends_on"])
+def test_records_of_the_wrong_type_name_their_field(record, message):
+    # each used to end in a raw AttributeError or TypeError
+    case_from_record(_GOOD, index=5)
+    with pytest.raises(CorpusFormatError, match=f"^{message}$"):
+        case_from_record(record, index=5)
+
+
 def test_compile_errors_name_their_case(tmp_path):
     good = {"id": "t-0001", "domain": "temporal", "premises": "(declare-int x 0 9)",
             "premises_format": "theory", "queries": [{"id": "q1", "atom": "(<= x 3)"}]}

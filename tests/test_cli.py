@@ -82,6 +82,7 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     ("no-query.json", "no-query.jsonl:1: trace record missing 'query_id'"),
     ("not-json.json", "not-json.jsonl:2: trace line is not JSON"),
     ("scalar.json", "scalar.jsonl:1: trace record is not an object"),
+    ("maybe.json", "maybe.jsonl:1: unknown label 'maybe'"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
@@ -93,7 +94,8 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
     for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
                         ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
                                      '"label": "entailed"}\n{not json\n'),
-                        ("scalar", '"case_id query_id label"\n')]:
+                        ("scalar", '"case_id query_id label"\n'),
+                        ("maybe", '{"case_id": "rel-0001", "query_id": "q1", "label": "maybe"}\n')]:
         (tmp_path / f"{name}.jsonl").write_text(trace)
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"kind": "replay", "trace_path": f"{name}.jsonl"}))

@@ -4,7 +4,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from casecheck.casefile import Domain, Label, case_to_record, literal_gold_label, save_corpus
+import pytest
+
+from casecheck import casefile, generator
+from casecheck.casefile import (Domain, Label, case_from_record, case_to_record,
+                                literal_gold_label, save_corpus)
+from casecheck.cli import _apportion
 from casecheck.generator import (
     GeneratorSpec,
     corpus_composition,
@@ -157,3 +162,41 @@ def test_long_bundle_corpus_is_pinned(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus(generate_corpus(spec, seed=0), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(domain_mix=_apportion(40)),
+    GeneratorSpec(bundle_min=14, bundle_max=16, domain_mix={d: 4 for d in Domain}),
+], ids=["default-40", "long-16"])
+def test_generated_cases_compile_as_the_loader_compiles_them(spec, seed):
+    # generation builds its cases on premises compiled once per attempt; the
+    # formula and atoms must be those the loader builds from the saved record
+    for case in generate_corpus(spec, seed=seed):
+        loaded = case_from_record(case_to_record(case))
+        assert loaded.formula.num_vars == case.formula.num_vars, case.id
+        assert loaded.formula.clauses == case.formula.clauses, case.id
+        assert [q.atom for q in loaded.queries] == [q.atom for q in case.queries], case.id
+
+
+def test_each_generation_attempt_compiles_its_premises_once(monkeypatch):
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every name the generator and the loader look a compile step up by
+    for module in (generator, casefile):
+        for name in ("parse_dimacs", "parse_theory", "ground"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("_generate_cnf_case", "_generate_temporal_case"):
+        monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
+    # seed 3 retries five of the 30 CNF draws
+    cases = generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), seed=3)
+    assert calls["_generate_cnf_case"] + calls["_generate_temporal_case"] == len(cases) + 5
+    assert calls["parse_dimacs"] == calls["_generate_cnf_case"]
+    assert calls["parse_theory"] == calls["ground"] == calls["_generate_temporal_case"]
