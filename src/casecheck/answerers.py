@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .casefile import OPPOSITE_LABEL, CaseFile, Label, Query, majority_label
@@ -47,7 +47,7 @@ class ConfusionMatrix:
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("confusion matrix must be 3x3")
         for row in self.rows:
-            if any(p < 0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
+            if any(p < 0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:  # refuses NaN
                 raise ValueError(f"row {row} is not a probability distribution")
 
     def sample(self, gold: Label, rng: random.Random) -> Label:
@@ -57,8 +57,10 @@ class ConfusionMatrix:
 
 @dataclass
 class PolicyConfig:
+    """One answer policy; a value no ``Answerer`` can run raises PolicyError."""
+
     kind: str  # one of KINDS
-    matrix: ConfusionMatrix | None = None
+    matrix: ConfusionMatrix | None = None  # label noise, needed by noisy and history
     derived_rate: float = 0.0      # chance a non-Unknown answer carries derived atoms
     derived_max: int = 2
     echo_flip: float = 0.0          # chance a leaked echo has the wrong polarity
@@ -68,6 +70,26 @@ class PolicyConfig:
     logic_filter: bool = False      # filter SC samples through the belief state
     trace_path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise PolicyError(f"unknown policy kind {self.kind!r}")
+        for name, value in vars(self).items():  # type() is exact, so booleans are no numbers
+            if name in ("k", "derived_max") and not (type(value) is int and value >= 1):
+                raise PolicyError(f"{name} must be an integer >= 1, got {value!r}")
+            if name in ("derived_rate", "echo_flip", "history_bias") and not (
+                    type(value) in (int, float) and 0 <= value <= 1):
+                raise PolicyError(f"{name} must be a number in [0, 1], got {value!r}")
+        if type(self.logic_filter) is not bool:
+            raise PolicyError(f"logic_filter must be true or false, got {self.logic_filter!r}")
+        if self.trace_path is not None and type(self.trace_path) is not str:
+            raise PolicyError(f"trace_path must be a string, got {self.trace_path!r}")
+        if self.kind in ("noisy", "history") and self.matrix is None:
+            raise PolicyError(f"{self.kind} policy needs a matrix")
+        if self.kind == "replay" and not self.trace_path:
+            raise PolicyError("replay policy needs a trace_path")
+        if self.kind == "self-consistency" and self.inner is None:
+            raise PolicyError("self-consistency policy needs an inner policy")
+
 
 def _rng_for(seed: int, case_id: str, query_id: str, draw: int) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{case_id}:{query_id}:{draw}".encode()).digest()
@@ -75,28 +97,27 @@ def _rng_for(seed: int, case_id: str, query_id: str, draw: int) -> random.Random
 
 
 def _sample_derived(rng: random.Random, case: CaseFile, query: Query,
-                    matrix: "ConfusionMatrix", rate: float, max_atoms: int,
-                    echo_flip: float) -> tuple[int, ...]:
+                    cfg: PolicyConfig) -> tuple[int, ...]:
     """Spurious derived assertions ride along with an answer: mostly noisy
     echoes of the answerer's belief about other queries in the bundle
     (cross-query leakage), occasionally a fabricated atom from the wider
-    vocabulary. ``echo_flip`` is the chance an echo lands with the wrong
+    vocabulary. ``cfg.echo_flip`` is the chance an echo lands with the wrong
     polarity; leakage is sloppier than the direct answer."""
-    if rate <= 0.0 or rng.random() >= rate:
+    if cfg.derived_rate <= 0.0 or rng.random() >= cfg.derived_rate:
         return ()
     others = [q for q in case.queries
               if abs(q.atom) != abs(query.atom) and q.gold_label is not None]
     # leakage concentrates on underdetermined content
     weights = [2.0 if q.gold_label is Label.UNKNOWN else 1.0 for q in others]
     picks = []
-    for _ in range(rng.randint(1, max_atoms)):
+    for _ in range(rng.randint(1, cfg.derived_max)):
         if others and rng.random() < 0.8:
             echoed = rng.choices(others, weights=weights, k=1)[0]
-            belief = matrix.sample(echoed.gold_label, rng)
+            belief = cfg.matrix.sample(echoed.gold_label, rng)
             if belief is Label.UNKNOWN:
                 continue
             atom = echoed.atom if belief is Label.ENTAILED else -echoed.atom
-            if rng.random() < echo_flip:
+            if rng.random() < cfg.echo_flip:
                 atom = -atom
             picks.append(atom)
         else:
@@ -112,15 +133,7 @@ class Answerer:
     def __init__(self, config: PolicyConfig, seed: int):
         self.config = config
         self.seed = seed
-        self._trace: dict[tuple[str, str], Answer] | None = None
-        if config.kind not in KINDS:
-            raise PolicyError(f"unknown policy kind {config.kind!r}")
-        if config.kind == "replay":
-            if not config.trace_path:
-                raise PolicyError("replay policy needs a trace_path")
-            self._trace = load_trace(config.trace_path)
-        if config.kind == "self-consistency" and config.inner is None:
-            raise PolicyError("self-consistency policy needs an inner policy")
+        self._trace = load_trace(config.trace_path) if config.kind == "replay" else None
         self._inner = Answerer(config.inner, seed) if config.inner else None
 
     # history: ordered (query, final label) pairs from earlier steps
@@ -142,7 +155,8 @@ class Answerer:
             return self._noisy_answer(case, query, draw)
         if cfg.kind == "history":
             return self._history_answer(case, query, history or [], draw)
-        return self.sample_answers(case, query, history, cfg.k)  # self-consistency
+        draws = self.sample_commitment_candidates(case, query, history, cfg.k)  # self-consistency
+        return Answer(majority_label([d.label for d in draws]), calls=cfg.k)  # ties -> Unknown
 
     def _noisy_answer(self, case: CaseFile, query: Query, draw: int) -> Answer:
         cfg = self.config
@@ -152,8 +166,7 @@ class Answerer:
         label = cfg.matrix.sample(query.gold_label, rng)
         derived = ()
         if label is not Label.UNKNOWN:
-            derived = _sample_derived(rng, case, query, cfg.matrix,
-                                      cfg.derived_rate, cfg.derived_max, cfg.echo_flip)
+            derived = _sample_derived(rng, case, query, cfg)
         return Answer(label, derived_atoms=derived)
 
     def _history_answer(self, case: CaseFile, query: Query,
@@ -175,12 +188,6 @@ class Answerer:
                 return Answer(label)
         return self._noisy_answer(case, query, draw)
 
-    def sample_answers(self, case: CaseFile, query: Query,
-                       history: list[tuple[Query, Label]] | None, k: int) -> Answer:
-        """K independent inner draws with a majority vote; ties -> Unknown."""
-        draws = self.sample_commitment_candidates(case, query, history, k)
-        return Answer(majority_label([d.label for d in draws]), calls=k)
-
     def sample_commitment_candidates(self, case: CaseFile, query: Query,
                                      history, k: int) -> list[Answer]:
         """Raw per-draw answers, for logic-filtered aggregation."""
@@ -195,17 +202,18 @@ class Answerer:
 # tests); the mechanism mirrors the dominant observed failure modes: spurious
 # derived assertions, occasional label flips, and overconfident answers on
 # underdetermined queries.
+NOCOT_MATRIX = ConfusionMatrix((
+    (0.875, 0.015, 0.110),
+    (0.015, 0.875, 0.110),
+    (0.140, 0.140, 0.720),
+))
+
 PRESETS: dict[str, PolicyConfig] = {
     "oracle": PolicyConfig(kind="oracle"),
     "nocot-like": PolicyConfig(
         kind="noisy",
-        matrix=ConfusionMatrix((
-            (0.875, 0.015, 0.110),
-            (0.015, 0.875, 0.110),
-            (0.140, 0.140, 0.720),
-        )),
+        matrix=NOCOT_MATRIX,
         derived_rate=0.60,
-        derived_max=2,
         echo_flip=0.10,
     ),
     "cot-like": PolicyConfig(
@@ -216,7 +224,6 @@ PRESETS: dict[str, PolicyConfig] = {
             (0.12, 0.12, 0.76),
         )),
         derived_rate=0.42,
-        derived_max=2,
         echo_flip=0.08,
     ),
     "sc-like": PolicyConfig(
@@ -224,25 +231,15 @@ PRESETS: dict[str, PolicyConfig] = {
         k=5,
         inner=PolicyConfig(
             kind="noisy",
-            matrix=ConfusionMatrix((
-                (0.875, 0.015, 0.110),
-                (0.015, 0.875, 0.110),
-                (0.140, 0.140, 0.720),
-            )),
+            matrix=NOCOT_MATRIX,
             derived_rate=0.42,
-            derived_max=2,
             echo_flip=0.10,
         ),
     ),
     "history-like": PolicyConfig(
         kind="history",
-        matrix=ConfusionMatrix((
-            (0.875, 0.015, 0.110),
-            (0.015, 0.875, 0.110),
-            (0.140, 0.140, 0.720),
-        )),
+        matrix=NOCOT_MATRIX,
         derived_rate=0.60,
-        derived_max=2,
         echo_flip=0.10,
         history_bias=0.5,
     ),
@@ -260,42 +257,29 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
         raise PolicyError(f"unknown policy preset or config file: {name_or_config!r}") from None
     try:
         return policy_from_dict(json.loads(text))
+    except PolicyError:
+        raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise PolicyError(f"malformed policy file {name_or_config!r}: {exc!r}") from None
 
 
 def policy_to_dict(config: PolicyConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "matrix": [list(row) for row in config.matrix.rows] if config.matrix else None,
-        "derived_rate": config.derived_rate,
-        "derived_max": config.derived_max,
-        "echo_flip": config.echo_flip,
-        "k": config.k,
-        "inner": policy_to_dict(config.inner) if config.inner else None,
-        "history_bias": config.history_bias,
-        "logic_filter": config.logic_filter,
-        "trace_path": config.trace_path,
-    }
+    data = {f.name: getattr(config, f.name) for f in fields(PolicyConfig)}
+    if config.matrix is not None:
+        data["matrix"] = [list(row) for row in config.matrix.rows]
+    if config.inner is not None:
+        data["inner"] = policy_to_dict(config.inner)
+    return data
 
 
 def policy_from_dict(data: dict) -> PolicyConfig:
-    matrix = None
-    if data.get("matrix") is not None:
-        matrix = ConfusionMatrix(tuple(tuple(row) for row in data["matrix"]))
-    inner = policy_from_dict(data["inner"]) if data.get("inner") else None
-    return PolicyConfig(
-        kind=data["kind"],
-        matrix=matrix,
-        derived_rate=data.get("derived_rate", 0.0),
-        derived_max=data.get("derived_max", 2),
-        echo_flip=data.get("echo_flip", 0.0),
-        k=data.get("k", 1),
-        inner=inner,
-        history_bias=data.get("history_bias", 0.0),
-        logic_filter=data.get("logic_filter", False),
-        trace_path=data.get("trace_path"),
-    )
+    """Missing fields take their defaults; keys that are no field are ignored."""
+    values = {f.name: data[f.name] for f in fields(PolicyConfig) if f.name in data}
+    if values.get("matrix") is not None:
+        values["matrix"] = ConfusionMatrix(tuple(tuple(row) for row in values["matrix"]))
+    if values.get("inner") is not None:
+        values["inner"] = policy_from_dict(values["inner"])
+    return PolicyConfig(**values)
 
 
 # -------------------------------------------------------------- replay traces

@@ -249,11 +249,14 @@ def case_from_record(record: dict, index: int = 0,
                 raise CorpusFormatError(f"{qpath}.atom: theory cases need constraint text")
             atom_text, atom_lit = atom, 0
         else:
-            if not isinstance(atom, int):
+            if type(atom) is not int:  # a JSON boolean is no literal
                 raise CorpusFormatError(f"{qpath}.atom: expected a literal (int)")
             atom_text, atom_lit = None, atom
+        query_id = str(need(qrec, "id", qpath))
+        if any(q.id == query_id for q in queries):
+            raise CorpusFormatError(f"{qpath}.id: duplicate query id {query_id!r}")
         queries.append(Query(
-            id=str(need(qrec, "id", qpath)),
+            id=query_id,
             atom=atom_lit,
             gold_label=gold,
             text=qrec.get("text"),
@@ -305,11 +308,13 @@ def load_corpus(path: str | Path) -> list[CaseFile]:
 
 
 def split_cases(cases: Sequence[CaseFile], ratios: Sequence[float] = (0.8, 0.1, 0.1),
-                seed: int = 0, names: Sequence[str] = ("train", "dev", "test")) -> list[CaseFile]:
-    """Partition at case granularity with deterministic shuffling; bundle
-    membership never straddles splits. Counts use largest-remainder rounding."""
+                seed: int = 0) -> list[CaseFile]:
+    """Partition into train, dev and test at case granularity with
+    deterministic shuffling; bundle membership never straddles splits.
+    Counts use largest-remainder rounding."""
+    names = ("train", "dev", "test")
     if len(ratios) != len(names):
-        raise ValueError("ratios and names must align")
+        raise ValueError(f"expected {len(names)} split ratios, got {len(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios sum to {sum(ratios)}, expected 1")
     import random

@@ -5,10 +5,12 @@ Exit codes separate engine problems from measured phenomena and bad input:
 a run exits 1 only when an internal invariant check failed, never because the
 evaluated policy produced contradictions (those are the data). Bad arguments,
 a policy that is no preset and no runnable policy file or replay trace
-(``PolicyError``), a missing input file such as a run directory's
-``reports.jsonl``, and a corpus that fails to load, has unusable premises or
-has no case in the selected split (``CaseError``, which names the case or
-split) exit 2 with a one-line message, like argparse.
+(``PolicyError``, which names the field or trace line), a missing input file
+such as a run directory's ``reports.jsonl``, a run directory file that is no
+JSON or no report (``ReportFormatError``, which names the file and line), and
+a corpus that fails to load, has unusable premises or has no case in the
+selected split (``CaseError``, which names the case or split) exit 2 with a
+one-line message, like argparse.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .casefile import (
     split_cases,
 )
 from .generator import DEFAULT_DOMAIN_MIX, GeneratorSpec, corpus_composition, generate_corpus
-from .metrics import aggregate, domain_breakdown, load_reports, render_table
+from .metrics import ReportFormatError, aggregate, domain_breakdown, load_reports, render_table
 from .runner import RunConfig, run as run_bundles, write_run
 from .solver import DEFAULT_WALL_TIMEOUT
 
@@ -156,7 +158,11 @@ def _load_run(run_dir: str):
     timings_path = Path(run_dir) / "timings.json"
     eval_s = None
     if timings_path.exists():
-        eval_s = json.loads(timings_path.read_text()).get("total_seconds")
+        try:
+            eval_s = json.loads(timings_path.read_text()).get("total_seconds")
+        except (ValueError, AttributeError) as exc:  # no JSON, or no JSON object
+            raise ReportFormatError(f"{timings_path}:{getattr(exc, 'lineno', 1)}: "
+                                    f"not a timings object ({exc!r})") from None
     return reports, eval_s
 
 
@@ -249,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CaseError, PolicyError, FileNotFoundError) as exc:
+    except (CaseError, PolicyError, ReportFormatError, FileNotFoundError) as exc:
         print(f"casecheck {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

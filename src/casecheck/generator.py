@@ -356,23 +356,14 @@ def corpus_composition(cases) -> list[dict]:
     """Composition rows: domain, case count, queries per bundle, total queries."""
     from statistics import mean, pstdev
 
-    rows = []
-    for domain in Domain:
-        sizes = [c.bundle_size for c in cases if c.domain is domain]
-        if not sizes:
-            continue
-        rows.append({
-            "domain": domain.value,
+    def row(name: str, sizes: list[int]) -> dict:
+        return {
+            "domain": name,
             "cases": len(sizes),
-            "queries_per_bundle_mean": round(mean(sizes), 2),
-            "queries_per_bundle_sd": round(pstdev(sizes), 2),
+            "queries_per_bundle_mean": round(mean(sizes), 2) if sizes else 0,
+            "queries_per_bundle_sd": round(pstdev(sizes), 2) if sizes else 0,
             "queries": sum(sizes),
-        })
-    rows.append({
-        "domain": "total",
-        "cases": len(cases),
-        "queries_per_bundle_mean": round(mean([c.bundle_size for c in cases]), 2) if cases else 0,
-        "queries_per_bundle_sd": round(pstdev([c.bundle_size for c in cases]), 2) if cases else 0,
-        "queries": sum(c.bundle_size for c in cases),
-    })
-    return rows
+        }
+
+    rows = [row(d.value, [c.bundle_size for c in cases if c.domain is d]) for d in Domain]
+    return [r for r in rows if r["cases"]] + [row("total", [c.bundle_size for c in cases])]

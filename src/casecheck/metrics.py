@@ -91,13 +91,22 @@ def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
             fh.write(json.dumps(report.to_record(), sort_keys=True) + "\n")
 
 
+class ReportFormatError(ValueError):
+    """A run directory file that is no JSON or holds no bundle report; the
+    message names the file and line."""
+
+
 def load_reports(path: str | Path) -> list[BundleReport]:
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(BundleReport.from_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ReportFormatError(f"{path}:{lineno}: not a bundle report ({exc!r})") from None
     return out
 
 

@@ -269,14 +269,13 @@ def _timed(case: CaseFile, config: RunConfig,
     return report, (time.perf_counter() - start) * 1000.0
 
 
-def run(config: RunConfig, cases: list[CaseFile] | None = None) -> tuple[list[BundleReport], dict[str, float]]:
+def run(config: RunConfig) -> tuple[list[BundleReport], dict[str, float]]:
     """Evaluate every bundle in the selected split, in case id order, in
     process or over ``config.jobs`` worker processes. Returns (reports,
     evaluation ms by case id). The policy is resolved, and a replay trace
     loaded, once per run; each worker receives the answerer once."""
     answerer = Answerer(resolve_policy(config.policy), config.seed)  # before the corpus loads
-    if cases is None:
-        cases = load_corpus(config.corpus)
+    cases = load_corpus(config.corpus)
     if config.split:
         cases = [c for c in cases if c.split == config.split]
     if not cases:

@@ -3,10 +3,13 @@ import json
 import pytest
 
 from casecheck.answerers import (
+    PRESETS,
     Answerer,
     ConfusionMatrix,
     PolicyConfig,
     PolicyError,
+    policy_from_dict,
+    policy_to_dict,
     resolve_policy,
 )
 from casecheck.casefile import Domain, Label
@@ -28,6 +31,8 @@ def case():
 def test_matrix_rows_must_be_distributions():
     with pytest.raises(ValueError):
         ConfusionMatrix(((0.5, 0.5, 0.1), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError):  # used to pass, and to fail in the first draw
+        ConfusionMatrix(((float("nan"), 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_oracle_returns_gold(case):
@@ -148,6 +153,17 @@ def test_presets_resolve():
     for name in ("oracle", "nocot-like", "cot-like", "sc-like", "history-like"):
         cfg = resolve_policy(name)
         Answerer(cfg, seed=0)  # constructible
+
+
+def test_presets_round_trip_through_policy_files(tmp_path):
+    for name, preset in PRESETS.items():
+        assert policy_from_dict(policy_to_dict(preset)) == preset
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**policy_to_dict(preset), "comment": "not a field"}))
+        assert resolve_policy(str(path)) == preset  # a key that is no field is ignored
+    # one nocot matrix, not three copies of it
+    assert (PRESETS["sc-like"].inner.matrix is PRESETS["nocot-like"].matrix
+            is PRESETS["history-like"].matrix)
 
 
 def test_history_policy_biases_toward_agreement(case):

@@ -228,6 +228,19 @@ def test_records_of_the_wrong_type_name_their_field(record, message):
         case_from_record(record, index=5)
 
 
+@pytest.mark.parametrize("queries, message", [
+    ([{"id": "q1", "atom": 1}, {"id": "q1", "atom": 2}],
+     r"cases\[5\]\.queries\[1\]\.id: duplicate query id 'q1'"),
+    ([{"id": "q1", "atom": 1}, {"id": 1, "atom": 2}, {"id": "1", "atom": -2}],
+     r"cases\[5\]\.queries\[2\]\.id: duplicate query id '1'"),
+    ([{"id": "q1", "atom": True}], r"cases\[5\]\.queries\[0\]\.atom: expected a literal \(int\)"),
+], ids=["same-id", "same-id-as-text", "bool-atom"])
+def test_queries_a_report_could_not_tell_apart_are_refused(queries, message):
+    # each used to load: one id for two queries, or True as the literal 1
+    with pytest.raises(CorpusFormatError, match=f"^{message}$"):
+        case_from_record({**_GOOD, "queries": queries}, index=5)
+
+
 def test_compile_errors_name_their_case(tmp_path):
     good = {"id": "t-0001", "domain": "temporal", "premises": "(declare-int x 0 9)",
             "premises_format": "theory", "queries": [{"id": "q1", "atom": "(<= x 3)"}]}

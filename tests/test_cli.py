@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from casecheck.answerers import PRESETS, policy_to_dict
 from casecheck.cli import main
 
 
@@ -83,6 +84,22 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     ("not-json.json", "not-json.jsonl:2: trace line is not JSON"),
     ("scalar.json", "scalar.jsonl:1: trace record is not an object"),
     ("maybe.json", "maybe.jsonl:1: unknown label 'maybe'"),
+    # each of these parsed and then ended in a traceback, exit 1
+    ("k0.json", "k must be an integer >= 1, got 0"),
+    ("k-text.json", "k must be an integer >= 1, got '3'"),
+    ("no-matrix.json", "noisy policy needs a matrix"),
+    ("derived-max.json", "derived_max must be an integer >= 1, got 0"),
+    ("bias-text.json", "history_bias must be a number in [0, 1], got 'x'"),
+    ("rate-text.json", "derived_rate must be a number in [0, 1], got 'x'"),
+    ("trace-int.json", "trace_path must be a string, got 5"),
+    # each of these ran, with a value no policy means
+    ("k-bool.json", "k must be an integer >= 1, got True"),
+    ("max-float.json", "derived_max must be an integer >= 1, got 2.0"),
+    ("flip-bool.json", "echo_flip must be a number in [0, 1], got True"),
+    ("rate-nan.json", "derived_rate must be a number in [0, 1], got nan"),
+    ("bias-above-1.json", "history_bias must be a number in [0, 1], got 1.5"),
+    ("filter-text.json", "logic_filter must be true or false, got 'yes'"),
+    ("history-no-matrix.json", "history policy needs a matrix"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
@@ -91,6 +108,25 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "kind.json").write_text('{"kind": "bogus"}')
     (tmp_path / "replay.json").write_text('{"kind": "replay"}')
+    nocot = policy_to_dict(PRESETS["nocot-like"])
+    sc = {"kind": "self-consistency", "inner": nocot}
+    history = policy_to_dict(PRESETS["history-like"])
+    for name, policy_file in [
+            ("k0", {**sc, "k": 0}),
+            ("k-text", {**sc, "k": "3"}),
+            ("no-matrix", {"kind": "noisy", "derived_rate": 0.5}),
+            ("derived-max", {**nocot, "derived_max": 0, "derived_rate": 1.0}),
+            ("bias-text", {**history, "history_bias": "x"}),
+            ("rate-text", {**nocot, "derived_rate": "x"}),
+            ("trace-int", {"kind": "replay", "trace_path": 5}),
+            ("k-bool", {**sc, "k": True}),
+            ("max-float", {**nocot, "derived_max": 2.0}),
+            ("flip-bool", {**nocot, "echo_flip": True}),
+            ("rate-nan", {**nocot, "derived_rate": float("nan")}),
+            ("bias-above-1", {**history, "history_bias": 1.5}),
+            ("filter-text", {**sc, "k": 3, "logic_filter": "yes"}),
+            ("history-no-matrix", {**history, "matrix": None})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(policy_file))
     for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
                         ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
                                      '"label": "entailed"}\n{not json\n'),
@@ -123,6 +159,29 @@ def test_run_directory_without_reports_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"casecheck {command}: error: ") and err.count("\n") == 1
     assert str(empty / "reports.jsonl") in err
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("name, line, text", [
+    ("reports.jsonl", 2, "{not json"),
+    ("reports.jsonl", 2, '{"case_id": "x"}'),
+    ("timings.json", 1, "{not json"),
+    ("timings.json", 1, "[1, 2]"),
+], ids=["reports-not-json", "not-a-report", "timings-not-json", "timings-not-object"])
+def test_corrupt_run_directory_exits_2_naming_file_and_line(tmp_path, corpus, capsys,
+                                                            command, name, line, text):
+    # used to end in a JSONDecodeError, KeyError or AttributeError traceback, exit 1
+    out = tmp_path / "run"
+    assert main(run_args(corpus, out, policy="oracle", method="baseline")) == 0
+    path = out / name
+    if name == "reports.jsonl":
+        text = path.read_text().splitlines()[0] + "\n" + text + "\n"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([command, "--run", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"casecheck {command}: error: {path}:{line}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])

@@ -162,7 +162,10 @@ def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, d
     # a replay policy given as a file: both are read once per run, not once
     # per bundle; the manifest keeps the policy as it was given
     from casecheck import answerers
+    from casecheck.casefile import save_corpus
     cases = default_corpus[:40]
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(cases, corpus)
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(json.dumps({"case_id": c.id, "query_id": q.id,
                                          "label": q.gold_label.value}) + "\n"
@@ -179,8 +182,8 @@ def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, d
 
     monkeypatch.setattr(answerers, "load_trace", counting("trace", answerers.load_trace))
     monkeypatch.setattr(answerers, "policy_from_dict", counting("policy", answerers.policy_from_dict))
-    cfg = config("check+repair", policy=str(policy))
-    reports, timings = run(cfg, cases=cases)
+    cfg = config("check+repair", policy=str(policy), corpus=str(corpus))
+    reports, timings = run(cfg)
     assert loads == {"trace": 1, "policy": 1}
     assert [r.to_record() for r in reports] == \
         [evaluate_bundle(c, cfg).to_record() for c in sorted(cases, key=lambda c: c.id)]
