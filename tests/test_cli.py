@@ -92,14 +92,14 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     ("bias-text.json", "history_bias must be a number in [0, 1], got 'x'"),
     ("rate-text.json", "derived_rate must be a number in [0, 1], got 'x'"),
     ("trace-int.json", "trace_path must be a string, got 5"),
-    # each of these ran, with a value no policy means
+    ("history-no-matrix.json", "history policy needs a matrix"),
+    # each of these was accepted, with a value no policy means
     ("k-bool.json", "k must be an integer >= 1, got True"),
     ("max-float.json", "derived_max must be an integer >= 1, got 2.0"),
     ("flip-bool.json", "echo_flip must be a number in [0, 1], got True"),
     ("rate-nan.json", "derived_rate must be a number in [0, 1], got nan"),
     ("bias-above-1.json", "history_bias must be a number in [0, 1], got 1.5"),
     ("filter-text.json", "logic_filter must be true or false, got 'yes'"),
-    ("history-no-matrix.json", "history policy needs a matrix"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
