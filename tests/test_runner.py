@@ -322,3 +322,27 @@ def test_policy_reports_are_pinned(tmp_path, default_corpus, key):
     path = tmp_path / "reports.jsonl"
     save_reports(reports, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == POLICY_DIGESTS[key]
+
+
+# sha256 of reports.jsonl for the three methods (policy nocot-like, seed 7) on
+# the first 40 cases of the seed-0 default corpus under a one-conflict budget,
+# taken at 8bc49df. The other pins run at 200,000 conflicts and reach no
+# timeout; here the per-step checks time out 8/8/13 times, one repair candidate
+# times out and 2/2/1 minimum revisions end inexact
+TIMEOUT_DIGESTS = {
+    "baseline": "6d65385bfc5fc2397f627c02e0c4a2f0057f1e1ee350588fe22857b7fed825f8",
+    "check": "9f0b258f85677a9b0fc41c42996ccf1589f42f2798ed20cf293a0bb52b1ef837",
+    "check+repair": "6f01b098361cb7cc0b747f4e94ee7ad9faeb97b8e17839dbd3e8eb48e99c19c1",
+}
+
+
+@pytest.mark.parametrize("method", sorted(TIMEOUT_DIGESTS))
+def test_timeout_reports_are_pinned(tmp_path, default_corpus, method):
+    import hashlib
+
+    reports = [evaluate_bundle(case, config(method, seed=7, max_conflicts=1))
+               for case in default_corpus[:40]]
+    assert any(s == "timeout" for r in reports for s in r.statuses_before)
+    path = tmp_path / "reports.jsonl"
+    save_reports(reports, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TIMEOUT_DIGESTS[method]
