@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import random
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .casefile import OPPOSITE_LABEL, CaseFile, Label, Query, majority_label
 
 log = logging.getLogger(__name__)
 
-LABELS = (Label.ENTAILED, Label.CONTRADICTED, Label.UNKNOWN)
+LABELS = tuple(Label)
 KINDS = ("oracle", "noisy", "replay", "self-consistency", "history")
 
 
@@ -273,12 +274,17 @@ def policy_to_dict(config: PolicyConfig) -> dict:
 
 
 def policy_from_dict(data: dict) -> PolicyConfig:
-    """Missing fields take their defaults; keys that are no field are ignored."""
+    """Missing fields take their defaults; keys that are no field are ignored.
+    An error in the inner policy names its path, as in ``inner.k``."""
     values = {f.name: data[f.name] for f in fields(PolicyConfig) if f.name in data}
     if values.get("matrix") is not None:
         values["matrix"] = ConfusionMatrix(tuple(tuple(row) for row in values["matrix"]))
     if values.get("inner") is not None:
-        values["inner"] = policy_from_dict(values["inner"])
+        try:
+            values["inner"] = policy_from_dict(values["inner"])
+        except PolicyError as exc:  # "inner.k must be ...", "inner: unknown policy kind ..."
+            names_field = re.match(r"\w*", str(exc))[0] in {f.name for f in fields(PolicyConfig)}
+            raise PolicyError(f"inner{'.' if names_field else ': '}{exc}") from None
     return PolicyConfig(**values)
 
 

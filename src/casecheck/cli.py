@@ -16,6 +16,7 @@ one-line message, like argparse.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -34,8 +35,7 @@ from .casefile import (
 )
 from .generator import DEFAULT_DOMAIN_MIX, GeneratorSpec, corpus_composition, generate_corpus
 from .metrics import ReportFormatError, aggregate, domain_breakdown, load_reports, render_table
-from .runner import RunConfig, run as run_bundles, write_run
-from .solver import DEFAULT_WALL_TIMEOUT
+from .runner import METHODS, MODES, RunConfig, run as run_bundles, write_run
 
 ENV_CORPUS_DIR = "CASECHECK_CORPUS_DIR"
 
@@ -70,14 +70,21 @@ def _positive_seconds(text: str) -> float:
 
 def _parse_mix(text: str) -> dict[Domain, int]:
     parts = [int(x) for x in text.split(",")]
-    if len(parts) != 4 or min(parts) < 0 or sum(parts) == 0:
+    if len(parts) != len(Domain) or min(parts) < 0 or sum(parts) == 0:
         raise argparse.ArgumentTypeError(
-            "mix needs four counts >= 0 with a positive sum: relational,temporal,policy,abductive")
-    return dict(zip((Domain.RELATIONAL, Domain.TEMPORAL, Domain.POLICY, Domain.ABDUCTIVE), parts))
+            f"mix needs {len(Domain)} counts >= 0 with a positive sum: "
+            f"{','.join(d.value for d in Domain)}")
+    return dict(zip(Domain, parts))
 
 
 def _parse_ratios(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    """Train, dev and test shares: three numbers >= 0 that sum to 1, checked
+    here since ``split_cases`` would fail on others or take them as given."""
+    ratios = tuple(float(x) for x in text.split(","))
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise argparse.ArgumentTypeError(
+            f"needs three shares >= 0 that sum to 1 (train,dev,test), got {text}")
+    return ratios
 
 
 def _apportion(total: int) -> dict[Domain, int]:
@@ -86,8 +93,8 @@ def _apportion(total: int) -> dict[Domain, int]:
     exact = {d: total * w / wsum for d, w in weights.items()}
     counts = {d: int(v) for d, v in exact.items()}
     leftovers = sorted(weights, key=lambda d: (-(exact[d] - counts[d]), d.value))
-    for i in range(total - sum(counts.values())):
-        counts[leftovers[i % 4]] += 1
+    for d in leftovers[:total - sum(counts.values())]:  # fewer than one per domain
+        counts[d] += 1
     return counts
 
 
@@ -95,7 +102,7 @@ def cmd_generate(args) -> int:
     mix = args.mix or (_apportion(args.cases) if args.cases else None)
     spec = GeneratorSpec(domain_mix=mix) if mix else GeneratorSpec()
     cases = generate_corpus(spec, seed=args.seed)
-    split_cases(cases, _parse_ratios(args.split), seed=args.seed)
+    split_cases(cases, args.split, seed=args.seed)
     save_corpus(cases, args.out)
     rows = corpus_composition(cases)
     header = f"{'Domain':<12}{'Cases':>7}{'Q/Bundle':>12}{'Queries':>9}"
@@ -125,19 +132,8 @@ def cmd_label(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig(
-        corpus=_resolve_corpus_path(args.corpus),
-        policy=args.policy,
-        method=args.method,
-        mode=args.mode,
-        split=args.split,
-        seed=args.seed,
-        r_max=args.r_max,
-        call_cap_factor=args.call_cap_factor,
-        max_conflicts=args.max_conflicts,
-        max_seconds=args.timeout,
-        jobs=args.jobs,
-    )
+    options = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    config = RunConfig(**{**options, "corpus": _resolve_corpus_path(args.corpus)})
     reports, timings = run_bundles(config)
     out = write_run(args.out, config, reports, timings)
     m = aggregate(reports)
@@ -211,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cases", type=_at_least_one, default=None,
                    help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
     g.add_argument("--mix", type=_parse_mix, default=None,
-                   help="per-domain counts: relational,temporal,policy,abductive")
-    g.add_argument("--split", default="0.8,0.1,0.1")
+                   help=f"per-domain counts: {','.join(d.value for d in Domain)}")
+    g.add_argument("--split", type=_parse_ratios, default="0.8,0.1,0.1",
+                   help="train,dev,test shares, each >= 0, summing to 1")
     g.set_defaults(func=cmd_generate)
 
     l = sub.add_parser("label", help="derive gold labels with the solver")
@@ -221,23 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(func=cmd_label)
 
     r = sub.add_parser("run", help="evaluate a policy over a corpus")
+    # every default but --policy's is RunConfig's
+    r.set_defaults(func=cmd_run, **{f.name: f.default for f in dataclasses.fields(RunConfig)
+                                    if f.default is not dataclasses.MISSING})
     r.add_argument("--corpus", required=True)
     r.add_argument("--out", required=True, help="run directory")
     r.add_argument("--policy", default="oracle",
                    help=f"preset ({', '.join(sorted(PRESETS))}) or a config file")
-    r.add_argument("--method", default="check+repair",
-                   choices=("baseline", "check", "check+repair"))
-    r.add_argument("--mode", default="sequential", choices=("set", "sequential"))
-    r.add_argument("--split", default=None)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--r-max", type=_at_least_one, default=2, dest="r_max")
-    r.add_argument("--call-cap-factor", type=_at_least_one, default=3, dest="call_cap_factor")
-    r.add_argument("--timeout", type=_positive_seconds, default=DEFAULT_WALL_TIMEOUT,
+    r.add_argument("--method", choices=METHODS)
+    r.add_argument("--mode", choices=MODES)
+    r.add_argument("--split")
+    r.add_argument("--seed", type=int)
+    r.add_argument("--r-max", type=_at_least_one)
+    r.add_argument("--call-cap-factor", type=_at_least_one)
+    r.add_argument("--timeout", dest="max_seconds", type=_positive_seconds,
                    help="wall-clock solver budget per call (seconds, positive and finite)")
-    r.add_argument("--max-conflicts", type=_at_least_one, default=None, dest="max_conflicts",
+    r.add_argument("--max-conflicts", type=_at_least_one,
                    help="deterministic conflict budget (overrides wall clock in CI)")
-    r.add_argument("--jobs", type=_at_least_one, default=1)
-    r.set_defaults(func=cmd_run)
+    r.add_argument("--jobs", type=_at_least_one)
 
     s = sub.add_parser("score", help="compute metrics from a run directory")
     s.add_argument("--run", required=True)

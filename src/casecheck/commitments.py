@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 
 from .casefile import Label, Query, check_premises
 from .logic import Formula, evaluate
@@ -58,19 +57,6 @@ def extract_commitment(query: Query, label: Label,
     else:
         literals = ()
     return Commitment(query.id, label, literals)
-
-
-class AppendStatus(Enum):
-    ACCEPTED = "accepted"
-    VIOLATION = "violation"
-    TIMEOUT_FALLBACK = "timeout-fallback"
-
-
-@dataclass
-class AppendResult:
-    status: AppendStatus
-    index: int  # the checked commitment; its Unknown stand-in after a timeout
-    solve_result: SolveResult
 
 
 @dataclass
@@ -128,22 +114,20 @@ class BeliefState:
         idx = self._install(commitment)
         return idx, self.session.solve([*self.assumptions(), self.base_vars + 1 + idx])
 
-    def append_and_check(self, commitment: Commitment) -> AppendResult:
-        """One trial of the new commitment. Accepted on SAT; on UNSAT the
+    def append_and_check(self, commitment: Commitment) -> tuple[int, SolveResult]:
+        """One ``trial`` of the new commitment, activated on SAT. On UNSAT the
         state is unchanged and repair (or the caller's policy) decides what
-        happens; on TIMEOUT the commitment conservatively degrades to Unknown
-        and is accepted."""
+        happens; on TIMEOUT an Unknown stand-in is activated instead, and the
+        index returned stays the tried commitment's."""
         idx, result = self.trial(commitment)
         if result.status is SolveStatus.SAT:
             self.active[idx] = True
-            return AppendResult(AppendStatus.ACCEPTED, idx, result)
-        if result.status is SolveStatus.TIMEOUT:
+        elif result.status is SolveStatus.TIMEOUT:
             # fresh entry: the original selector still guards the old literals
-            fb_idx = self.abstain(commitment.query_id)
+            self.abstain(commitment.query_id)
             log.warning("query %s: satisfiability check timed out, label degraded to Unknown",
                         commitment.query_id)
-            return AppendResult(AppendStatus.TIMEOUT_FALLBACK, fb_idx, result)
-        return AppendResult(AppendStatus.VIOLATION, idx, result)
+        return idx, result
 
     def abstain(self, query_id: str) -> int:
         """Install and activate an empty Unknown commitment for the query. It

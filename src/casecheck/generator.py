@@ -343,7 +343,7 @@ def generate_casefile(domain: Domain, seed: int, case_id: str | None = None,
 def generate_corpus(spec: GeneratorSpec | None = None, seed: int = 0) -> list[CaseFile]:
     spec = spec or GeneratorSpec()
     cases = []
-    for domain in (Domain.RELATIONAL, Domain.TEMPORAL, Domain.POLICY, Domain.ABDUCTIVE):
+    for domain in Domain:
         count = spec.domain_mix.get(domain, 0)
         for i in range(count):
             case_seed = _subseed(seed, domain.value, i)

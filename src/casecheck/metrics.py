@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .casefile import Label
 
-SAT, UNSAT, TIMEOUT = "sat", "unsat", "timeout"
+SAT, UNSAT = "sat", "unsat"  # SolveStatus values, as the reports spell them
 
 
 @dataclass
@@ -77,10 +77,32 @@ class BundleReport:
 
     @classmethod
     def from_record(cls, record: dict) -> "BundleReport":
+        """A field that scoring reads with the wrong JSON type raises
+        ReportFormatError naming it (``type()`` is exact: true is no int)."""
+        for name, (kind, entry, wording) in _REPORT_TYPES.items():
+            if name not in record:
+                continue  # a required field is missed below; the others take their defaults
+            value = record[name]
+            if type(value) is not kind or entry and any(
+                    type(e) is not entry for e in (value.values() if kind is dict else value)):
+                raise ReportFormatError(f"{name} must be {wording}, got {value!r}")
         data = dict(record)
         data["queries"] = [QueryRecord(**q) for q in data["queries"]]
+        for i, q in enumerate(data["queries"]):
+            if type(q.gold) not in (str, type(None)) or type(q.final) is not str:
+                raise ReportFormatError(f"queries[{i}]: gold must be a string or null, final a string")
         data["repair_log"] = [RepairLogEntry(**e) for e in data.get("repair_log", [])]
         return cls(**data)
+
+
+# JSON type, entry type and wording of each report field that scoring reads
+_REPORT_TYPES = {
+    "domain": (str, None, "a string"), "mode": (str, None, "a string"),
+    "final_sat": (bool, None, "true or false"), "min_revision": (int, None, "an integer"),
+    "queries": (list, dict, "a list of objects"), "counts": (dict, int, "an object of integers"),
+    "statuses_before": (list, str, "a list of strings"),
+    "statuses_after": (list, str, "a list of strings"),
+}
 
 
 def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
@@ -105,14 +127,15 @@ def load_reports(path: str | Path) -> list[BundleReport]:
                 continue
             try:
                 out.append(BundleReport.from_record(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ReportFormatError(f"{path}:{lineno}: not a bundle report ({exc!r})") from None
+            except (ValueError, KeyError, TypeError) as exc:  # a ReportFormatError names its field
+                why = exc if isinstance(exc, ReportFormatError) else f"not a bundle report ({exc!r})"
+                raise ReportFormatError(f"{path}:{lineno}: {why}") from None
     return out
 
 
 # ------------------------------------------------------------------- metrics
 
-LABEL_NAMES = [l.value for l in (Label.ENTAILED, Label.CONTRADICTED, Label.UNKNOWN)]
+LABEL_NAMES = [l.value for l in Label]
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:

@@ -47,7 +47,7 @@ def attempt_repair(state: BeliefState, commitment: Commitment,
             state.activate(idx)
             tried.append((candidate, "accepted"))
             return candidate, tried
-        tried.append((candidate, "timeout" if result.status is SolveStatus.TIMEOUT else "unsat"))
+        tried.append((candidate, result.status.value))
     state.abstain(commitment.query_id)
     return None, tried
 

@@ -30,10 +30,10 @@ from pathlib import Path
 
 from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
 from .casefile import CaseError, CaseFile, Label, Query, load_corpus
-from .commitments import AppendStatus, BeliefState, extract_commitment
-from .metrics import SAT, TIMEOUT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
+from .commitments import BeliefState, extract_commitment
+from .metrics import SAT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
-from .solver import DEFAULT_WALL_TIMEOUT
+from .solver import DEFAULT_WALL_TIMEOUT, SolveStatus
 
 METHODS = ("baseline", "check", "check+repair")
 MODES = ("set", "sequential")
@@ -123,7 +123,6 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
     history: list[tuple[Query, Label]] = []
     seen = history if config.mode == "sequential" else None
     answerer_calls = 0
-    any_repair = False
 
     for t, query in enumerate(case.queries):
         # ------------------------------------------------------------ answer
@@ -145,31 +144,21 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
         final = answer.label
 
         # ------------------------------------------------------------- check
-        result = state.append_and_check(commitment)
+        pending, result = state.append_and_check(commitment)
         ledger.take("check_solver_calls")
-        if result.status is AppendStatus.ACCEPTED:
-            statuses_before.append(SAT)
-            statuses_after.append(SAT)
-        elif result.status is AppendStatus.TIMEOUT_FALLBACK:
-            statuses_before.append(TIMEOUT)
-            statuses_after.append(SAT if state.sat else UNSAT)
+        statuses_before.append(result.status.value)
+        if result.status is SolveStatus.TIMEOUT:
             if config.method != "baseline":
                 final = Label.UNKNOWN
-        else:
-            statuses_before.append(UNSAT)
-            pending = result.index
+        elif result.status is SolveStatus.UNSAT:
             if config.method == "baseline":
                 state.activate(pending, sat=False)
-                statuses_after.append(UNSAT)
             else:
-                core = state.unsat_core(pending, result.solve_result.failed_assumptions,
-                                        ledger.slack(n - t - 1))
+                core = state.unsat_core(pending, result.failed_assumptions, ledger.slack(n - t - 1))
                 ledger.take("core_solver_calls")
-                core_qids = [state.commitments[i].query_id
-                             for i in core.commitment_indices]
+                core_qids = [state.commitments[i].query_id for i in core.commitment_indices]
                 if config.method == "check":
-                    local = core.minimal and core.commitment_indices == (pending,)
-                    if local:
+                    if core.minimal and core.commitment_indices == (pending,):
                         # overconfident answer against the premises: abstain
                         final = Label.UNKNOWN
                         state.abstain(query.id)
@@ -178,7 +167,6 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                         # altering past commitments needs repair authority
                         state.activate(pending, sat=False)
                         outcome_name = "reported"
-                    statuses_after.append(SAT if state.sat else UNSAT)
                     repair_log.append(RepairLogEntry(
                         query_id=query.id, core_query_ids=core_qids,
                         core_minimal=core.minimal, tried=[], accepted=None,
@@ -187,9 +175,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                     accepted, tried = attempt_repair(state, commitment,
                                                      min(config.r_max, ledger.slack(n - t - 1)))
                     repair_calls = ledger.take("repair_solver_calls")
-                    any_repair = True
                     final = accepted.label if accepted else Label.UNKNOWN
-                    statuses_after.append(SAT)
                     repair_log.append(RepairLogEntry(
                         query_id=query.id, core_query_ids=core_qids,
                         core_minimal=core.minimal,
@@ -197,6 +183,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                         accepted={"size": accepted.size} if accepted else None,
                         outcome="repaired" if accepted else "fallback-unknown",
                         solver_calls=repair_calls))
+        # a SAT trial keeps ``sat``; baseline and check clear it to go past a violation
+        statuses_after.append(SAT if state.sat else UNSAT)
 
         records.append(QueryRecord(
             query_id=query.id,
@@ -224,7 +212,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
 
     if not final_sat:
         bundle_status = "inconsistent"
-    elif any_repair:  # only a violation starts a repair
+    elif config.method == "check+repair" and repair_log:  # only a violation starts a repair
         bundle_status = "repaired"
     else:
         bundle_status = "consistent"

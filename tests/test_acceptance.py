@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from casecheck.casefile import Label, literal_gold_label
-from casecheck.commitments import AppendStatus, BeliefState, Commitment
+from casecheck.commitments import BeliefState, Commitment
 from casecheck.generator import generate_corpus
 from casecheck.lia import IntVar, LinConstraint, Theory, enumerate_int_solutions, ground
 from casecheck.logic import Formula, count_models, truth_table
@@ -161,9 +161,9 @@ def test_criterion_05_core_minimality():
             state = BeliefState(f, max_seconds=None)
             for i in range(rng.randint(2, 8)):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
-                res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
-                if res.status is AppendStatus.VIOLATION:
-                    core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
+                idx, res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
+                if res.status is SolveStatus.UNSAT:
+                    core = state.unsat_core(idx, res.failed_assumptions, 64)
                     assert core.minimal
                     members = [selector(state, j) for j in core.commitment_indices]
                     assert state.session.solve(members).status is SolveStatus.UNSAT
@@ -190,9 +190,9 @@ def test_criterion_06_revision_cost_exactness(corpus, sweep):
             state = BeliefState(f, max_seconds=None)
             for i in range(rng.randint(2, 8)):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
-                res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
-                if res.status is AppendStatus.VIOLATION:
-                    state.activate(res.index, sat=False)
+                idx, res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
+                if res.status is SolveStatus.UNSAT:
+                    state.activate(idx, sat=False)
             rev = min_revision_cost(state)
             assert rev.exact
             # independent oracle: exhaustive retraction subsets by cardinality

@@ -41,6 +41,24 @@ def test_generate_rejects_counts_that_give_the_wrong_corpus(tmp_path, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0.5,0.5", None),  # used to end in a ValueError traceback, exit 1
+    ("1.5,-0.5,0", None),  # used to exit 0 with every case in train
+    ("0.5,0.5,0.5", None),
+    ("nan,0,1", None),
+    ("a,b,c", "invalid _parse_ratios value: 'a,b,c'"),
+])
+def test_generate_rejects_split_shares(tmp_path, capsys, value, message):
+    out = tmp_path / "bad.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--out", str(out), "--cases", "10", "--split", value])
+    assert exc.value.code == 2
+    message = message or f"needs three shares >= 0 that sum to 1 (train,dev,test), got {value}"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"casecheck generate: error: argument --split: {message}")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
@@ -100,6 +118,9 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     ("rate-nan.json", "derived_rate must be a number in [0, 1], got nan"),
     ("bias-above-1.json", "history_bias must be a number in [0, 1], got 1.5"),
     ("filter-text.json", "logic_filter must be true or false, got 'yes'"),
+    # an error in a nested policy used to leave out where it was
+    ("inner-k0.json", "inner.k must be an integer >= 1, got 0"),
+    ("inner-kind.json", "inner: unknown policy kind 'bogus'"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
@@ -125,7 +146,9 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
             ("rate-nan", {**nocot, "derived_rate": float("nan")}),
             ("bias-above-1", {**history, "history_bias": 1.5}),
             ("filter-text", {**sc, "k": 3, "logic_filter": "yes"}),
-            ("history-no-matrix", {**history, "matrix": None})]:
+            ("history-no-matrix", {**history, "matrix": None}),
+            ("inner-k0", {**sc, "inner": {**nocot, "k": 0}}),
+            ("inner-kind", {**sc, "inner": {"kind": "bogus"}})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(policy_file))
     for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
                         ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
@@ -182,6 +205,33 @@ def test_corrupt_run_directory_exits_2_naming_file_and_line(tmp_path, corpus, ca
     err = capsys.readouterr().err
     assert err.startswith(f"casecheck {command}: error: {path}:{line}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("field, value, message", [
+    # the first two used to end in a TypeError traceback, exit 1
+    ("statuses_before", 5, "statuses_before must be a list of strings, got 5"),
+    ("min_revision", "3", "min_revision must be an integer, got '3'"),
+    # these were scored as given
+    ("final_sat", "yes", "final_sat must be true or false, got 'yes'"),
+    ("counts", {"check_solver_calls": True},
+     "counts must be an object of integers, got {'check_solver_calls': True}"),
+    ("queries", [{"query_id": "q1", "gold": 5, "predicted": "unknown", "final": "unknown"}],
+     "queries[0]: gold must be a string or null, final a string"),
+], ids=["statuses-number", "revision-text", "sat-text", "count-bool", "gold-number"])
+def test_report_fields_of_the_wrong_type_exit_2(tmp_path, corpus, capsys, command,
+                                                field, value, message):
+    out = tmp_path / "run"
+    assert main(run_args(corpus, out, policy="oracle", method="baseline")) == 0
+    path = out / "reports.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--run", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"casecheck {command}: error: {path}:2: ")
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "inf", "nan"])

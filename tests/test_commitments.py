@@ -2,12 +2,7 @@ import logging
 import random
 
 from casecheck.casefile import Label, Query, load_corpus
-from casecheck.commitments import (
-    AppendStatus,
-    BeliefState,
-    Commitment,
-    extract_commitment,
-)
+from casecheck.commitments import BeliefState, Commitment, extract_commitment
 from casecheck.logic import Formula, count_models, evaluate, parse_dimacs
 from casecheck.solver import SolveStatus
 from pathlib import Path
@@ -73,15 +68,16 @@ def unit_state() -> BeliefState:
 
 def test_append_accepts_consistent():
     state = unit_state()
-    res = state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
-    assert res.status is AppendStatus.ACCEPTED
+    idx, res = state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
+    assert res.status is SolveStatus.SAT
+    assert state.active_indices == [idx]
     assert state.rebuild_check()
 
 
 def test_append_flags_violation_and_leaves_state_unchanged():
     state = unit_state()
-    res = state.append_and_check(Commitment("q1", Label.CONTRADICTED, (-1,)))
-    assert res.status is AppendStatus.VIOLATION
+    _, res = state.append_and_check(Commitment("q1", Label.CONTRADICTED, (-1,)))
+    assert res.status is SolveStatus.UNSAT
     assert state.active_indices == []
     assert state.rebuild_check()  # retained state is still just the premises
 
@@ -91,19 +87,19 @@ def test_scheduling_fixture_violation_at_second_commitment():
     state = BeliefState(case.formula)
     queries = {q.id: q for q in case.queries}
     overlap, capacity = queries["q2"], queries["q5"]
-    first = state.append_and_check(extract_commitment(overlap, Label.ENTAILED))
-    assert first.status is AppendStatus.ACCEPTED
-    second = state.append_and_check(extract_commitment(capacity, Label.ENTAILED))
-    assert second.status is AppendStatus.VIOLATION
+    _, first = state.append_and_check(extract_commitment(overlap, Label.ENTAILED))
+    assert first.status is SolveStatus.SAT
+    _, second = state.append_and_check(extract_commitment(capacity, Label.ENTAILED))
+    assert second.status is SolveStatus.UNSAT
 
 
 def test_core_localizes_conflicting_pair():
     state = empty_state(3)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     state.append_and_check(Commitment("q2", Label.ENTAILED, (2,)))
-    res = state.append_and_check(Commitment("q3", Label.CONTRADICTED, (-1,)))
-    assert res.status is AppendStatus.VIOLATION
-    core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
+    idx, res = state.append_and_check(Commitment("q3", Label.CONTRADICTED, (-1,)))
+    assert res.status is SolveStatus.UNSAT
+    core = state.unsat_core(idx, res.failed_assumptions, 64)
     assert core.minimal
     ids = {state.commitments[i].query_id for i in core.commitment_indices}
     assert ids == {"q1", "q3"}
@@ -113,8 +109,8 @@ def test_core_never_contains_unknown_commitments():
     state = empty_state(3)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     state.append_and_check(Commitment("q2", Label.UNKNOWN, ()))
-    res = state.append_and_check(Commitment("q3", Label.CONTRADICTED, (-1,)))
-    core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
+    idx, res = state.append_and_check(Commitment("q3", Label.CONTRADICTED, (-1,)))
+    core = state.unsat_core(idx, res.failed_assumptions, 64)
     labels = {state.commitments[i].label for i in core.commitment_indices}
     assert Label.UNKNOWN not in labels
 
@@ -128,9 +124,9 @@ def test_minimal_cores_verified_by_single_removal():
         n = rng.randint(3, 6)
         for i in range(n):
             lit = rng.choice([1, -1]) * rng.randint(1, nv)
-            res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
-            if res.status is AppendStatus.VIOLATION:
-                core = state.unsat_core(res.index, res.solve_result.failed_assumptions, 64)
+            idx, res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
+            if res.status is SolveStatus.UNSAT:
+                core = state.unsat_core(idx, res.failed_assumptions, 64)
                 assert core.minimal
                 sel = [selector(state, j) for j in core.commitment_indices]
                 assert state.session.solve(sel).status is SolveStatus.UNSAT
@@ -154,14 +150,14 @@ def test_belief_state_matches_fresh_rebuild():
         state = BeliefState(f)
         for i in range(rng.randint(1, 5)):
             lit = rng.choice([1, -1]) * rng.randint(1, nv)
-            res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
-            incr_sat = res.status is AppendStatus.ACCEPTED
+            idx, res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
+            incr_sat = res.status is SolveStatus.SAT
             if incr_sat:
                 assert state.rebuild_check()
             else:
                 # rejected commitment: conjunction incl. it must really be UNSAT
                 g = rebuild_formula(state)
-                for lit2 in state.commitments[res.index].literals:
+                for lit2 in state.commitments[idx].literals:
                     g.add_clause([lit2])
                 assert count_models(g) == 0
 
@@ -173,9 +169,9 @@ def test_monotone_prefix_without_intervention():
     plan = [(1,), (-1,), (2,), (-2,)]
     for i, lits in enumerate(plan):
         c = Commitment(f"q{i}", Label.ENTAILED, lits)
-        res = state.append_and_check(c)
-        if res.status is AppendStatus.VIOLATION:
-            state.activate(res.index, sat=False)
+        idx, res = state.append_and_check(c)
+        if res.status is SolveStatus.UNSAT:
+            state.activate(idx, sat=False)
             statuses.append(False)
         else:
             statuses.append(state.sat)
@@ -187,9 +183,9 @@ def test_retract_restores_satisfiability():
     state = empty_state(3)
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     c2 = Commitment("q2", Label.ENTAILED, (-1,))
-    res = state.append_and_check(c2)
-    assert res.status is AppendStatus.VIOLATION
-    state.activate(res.index, sat=False)
+    idx, res = state.append_and_check(c2)
+    assert res.status is SolveStatus.UNSAT
+    state.activate(idx, sat=False)
     assert not state.sat
     assert state.session.solve(state.assumptions()).status is SolveStatus.UNSAT
     # retraction is an assumption flip: solve without q1's selector
@@ -206,13 +202,15 @@ def test_timeout_degrades_to_unknown():
     state = BeliefState(f, max_conflicts=1, max_seconds=None)
     hit = None
     for v in range(1, 15):
-        res = state.append_and_check(Commitment(f"q{v}", Label.ENTAILED, (v,)))
-        if res.status is AppendStatus.TIMEOUT_FALLBACK:
-            hit = res
+        idx, res = state.append_and_check(Commitment(f"q{v}", Label.ENTAILED, (v,)))
+        if res.status is SolveStatus.TIMEOUT:
+            hit = idx
             break
-    if hit is not None:
-        assert state.commitments[hit.index] == Commitment(f"q{v}", Label.UNKNOWN, ())
-        assert state.active[hit.index]
+    assert hit is not None
+    # the tried commitment stays inactive; its Unknown stand-in comes last
+    assert not state.active[hit]
+    assert state.commitments[-1] == Commitment(f"q{v}", Label.UNKNOWN, ())
+    assert state.active[-1]
 
 
 # Deliberately corrupted belief states: each test below passes only if

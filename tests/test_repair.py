@@ -2,7 +2,7 @@ import itertools
 import random
 
 from casecheck.casefile import Label
-from casecheck.commitments import AppendStatus, BeliefState, Commitment
+from casecheck.commitments import BeliefState, Commitment
 from casecheck.logic import Formula, count_models, parse_dimacs
 from casecheck.repair import (
     RevisionCost,
@@ -11,6 +11,7 @@ from casecheck.repair import (
     min_revision_cost,
     propose_repairs,
 )
+from casecheck.solver import SolveStatus
 
 from test_commitments import guarded_pigeonhole, rebuild_formula
 
@@ -21,9 +22,9 @@ def state_of(dimacs: str | None = None, num_vars: int = 4) -> BeliefState:
 
 
 def violating_append(state, commitment) -> int:
-    result = state.append_and_check(commitment)
-    assert result.status is AppendStatus.VIOLATION
-    return result.index
+    idx, result = state.append_and_check(commitment)
+    assert result.status is SolveStatus.UNSAT
+    return idx
 
 
 def force(state, commitment) -> None:
@@ -124,7 +125,7 @@ def test_accepted_repair_is_lexicographically_optimal():
                             for _ in range(rng.randint(0, 2)))
             derived = tuple(d for d in derived if abs(d) != abs(lit))
             c = Commitment(f"q{i}", Label.ENTAILED, (lit, *derived))
-            if state.append_and_check(c).status is AppendStatus.VIOLATION:
+            if state.append_and_check(c)[1].status is SolveStatus.UNSAT:
                 violation = c
                 break
         if violation is None:
@@ -246,9 +247,9 @@ def test_revision_cost_matches_brute_force_on_seeded_conflicts():
         for i in range(rng.randint(2, 16)):
             lit = rng.choice([1, -1]) * rng.randint(1, nv)
             c = Commitment(f"q{i}", Label.ENTAILED, (lit,))
-            res = state.append_and_check(c)
-            if res.status is AppendStatus.VIOLATION:
-                state.activate(res.index, sat=False)
+            idx, res = state.append_and_check(c)
+            if res.status is SolveStatus.UNSAT:
+                state.activate(idx, sat=False)
         rev = min_revision_cost(state)
         assert rev.exact
         assert rev.value == len(rev.witness) == brute_force_min_retraction(state)
