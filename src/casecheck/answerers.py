@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .casefile import OPPOSITE_LABEL, CaseFile, Label, Query, majority_label
+from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +144,7 @@ class Answerer:
         cfg = self.config
         if cfg.kind == "oracle":
             if query.gold_label is None:
-                raise ValueError(f"query {query.id} has no gold label for the oracle")
+                raise CaseError(f"case {case.id}: query {query.id} has no gold label for the oracle")
             return Answer(query.gold_label)
         if cfg.kind == "replay":
             recorded = self._trace.get((case.id, query.id))
@@ -163,7 +163,7 @@ class Answerer:
         cfg = self.config
         rng = _rng_for(self.seed, case.id, query.id, draw)
         if query.gold_label is None:
-            raise ValueError(f"query {query.id} has no gold label to perturb")
+            raise CaseError(f"case {case.id}: query {query.id} has no gold label to perturb")
         label = cfg.matrix.sample(query.gold_label, rng)
         derived = ()
         if label is not Label.UNKNOWN:
@@ -257,10 +257,14 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
     except OSError:
         raise PolicyError(f"unknown policy preset or config file: {name_or_config!r}") from None
     try:
-        return policy_from_dict(json.loads(text))
+        data = json.loads(text)
+        if type(data) is not dict:
+            raise PolicyError(f"malformed policy file {name_or_config!r}: "
+                              f"holds no JSON object, got {data!r}")
+        return policy_from_dict(data)
     except PolicyError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError) as exc:  # no JSON, a matrix that is no distribution, no kind
         raise PolicyError(f"malformed policy file {name_or_config!r}: {exc!r}") from None
 
 
@@ -275,13 +279,24 @@ def policy_to_dict(config: PolicyConfig) -> dict:
 
 def policy_from_dict(data: dict) -> PolicyConfig:
     """Missing fields take their defaults; keys that are no field are ignored.
-    An error in the inner policy names its path, as in ``inner.k``."""
+    A value of the wrong JSON type and an error in the inner policy name
+    their path, as in ``matrix[2][2]`` or ``inner.k``."""
     values = {f.name: data[f.name] for f in fields(PolicyConfig) if f.name in data}
-    if values.get("matrix") is not None:
-        values["matrix"] = ConfusionMatrix(tuple(tuple(row) for row in values["matrix"]))
-    if values.get("inner") is not None:
+    matrix = values.get("matrix")
+    if matrix is not None:
+        if type(matrix) is not list or not all(type(row) is list for row in matrix):
+            raise PolicyError(f"matrix must be a list of rows, got {matrix!r}")
+        for i, row in enumerate(matrix):
+            for j, p in enumerate(row):
+                if type(p) not in (int, float):
+                    raise PolicyError(f"matrix[{i}][{j}] must be a number, got {p!r}")
+        values["matrix"] = ConfusionMatrix(tuple(tuple(row) for row in matrix))
+    inner = values.get("inner")
+    if inner is not None:
+        if type(inner) is not dict:
+            raise PolicyError(f"inner must be a JSON object, got {inner!r}")
         try:
-            values["inner"] = policy_from_dict(values["inner"])
+            values["inner"] = policy_from_dict(inner)
         except PolicyError as exc:  # "inner.k must be ...", "inner: unknown policy kind ..."
             names_field = re.match(r"\w*", str(exc))[0] in {f.name for f in fields(PolicyConfig)}
             raise PolicyError(f"inner{'.' if names_field else ': '}{exc}") from None

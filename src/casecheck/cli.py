@@ -5,12 +5,14 @@ Exit codes separate engine problems from measured phenomena and bad input:
 a run exits 1 only when an internal invariant check failed, never because the
 evaluated policy produced contradictions (those are the data). Bad arguments,
 a policy that is no preset and no runnable policy file or replay trace
-(``PolicyError``, which names the field or trace line), a missing input file
-such as a run directory's ``reports.jsonl``, a run directory file that is no
-JSON or no report (``ReportFormatError``, which names the file and line), and
-a corpus that fails to load, has unusable premises or has no case in the
-selected split (``CaseError``, which names the case or split) exit 2 with a
-one-line message, like argparse.
+(``PolicyError``, which names the field by its path or the trace line), a
+missing input file such as a run directory's ``reports.jsonl``, a run
+directory file that is no JSON or no report, or reports with nothing to score
+(``ReportFormatError``, which names the file, line and field path), and a
+corpus that fails to load, has unusable premises, has no case or no
+gold-labelled query in the selected split, or lacks a gold label a policy
+needs (``CaseError``, which names the case and query, split or corpus) exit 2
+with a one-line message, like argparse.
 """
 
 from __future__ import annotations
@@ -150,7 +152,10 @@ def cmd_run(args) -> int:
 
 
 def _load_run(run_dir: str):
-    reports = load_reports(Path(run_dir) / "reports.jsonl")
+    path = Path(run_dir) / "reports.jsonl"
+    reports = load_reports(path)
+    if not any(q.gold is not None for r in reports for q in r.queries):
+        raise ReportFormatError(f"{path}: no gold-labelled query to score")
     timings_path = Path(run_dir) / "timings.json"
     eval_s = None
     if timings_path.exists():
@@ -168,12 +173,12 @@ def cmd_score(args) -> int:
     if args.baseline:
         baseline_reports, baseline_eval_s = _load_run(args.baseline)
     m = aggregate(reports, baseline=baseline_reports)
-    label = f"{reports[0].method}/{reports[0].mode}" if reports else "run"
+    label = f"{reports[0].method}/{reports[0].mode}"
     table = render_table([(label, m)])
     out_dir = Path(args.out or args.run)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(
-        json.dumps(m.to_dict(), sort_keys=True, indent=2) + "\n")
+        json.dumps(m, default=vars, sort_keys=True, indent=2) + "\n")
     (out_dir / "table.txt").write_text(table)
     print(table, end="")
     if eval_s is not None:
@@ -186,11 +191,11 @@ def cmd_score(args) -> int:
 
 def cmd_report(args) -> int:
     reports, _ = _load_run(args.run)
-    m = aggregate(reports)
-    label = f"{reports[0].method}/{reports[0].mode}" if reports else "run"
+    m, domains = aggregate(reports), domain_breakdown(reports)  # both before any output
+    label = f"{reports[0].method}/{reports[0].mode}"
     print(render_table([(label, m)], title="overall"), end="")
     print()
-    print(render_table(domain_breakdown(reports), title="by domain"), end="")
+    print(render_table(domains, title="by domain"), end="")
     return 0
 
 

@@ -3,22 +3,48 @@
 A BundleReport is the complete, serializable record of one bundle run:
 per-query labels (gold, as answered, and final after any interventions),
 per-step satisfiability statuses before and after interventions, the repair
-log, and call counts. Every metric reads only serialized fields, so scoring a
-report file reproduces in-process results bit for bit. Wall-clock timings are
-kept out of the canonical records (they live in a sidecar) so that repeated
-runs of one configuration produce byte-identical report and metric files.
+log, and call counts. Its dataclasses are the only definition of
+``reports.jsonl``: ``save_reports`` writes their fields, ``load_reports``
+checks each line against their annotations. Every metric reads only
+serialized fields, so scoring a report file reproduces in-process results
+bit for bit. Wall-clock timings are kept out of the canonical records (they
+live in a sidecar) so that repeated runs of one configuration produce
+byte-identical report and metric files.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field, asdict
+import operator
+import types
+import typing
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .casefile import Label
 
 SAT, UNSAT = "sat", "unsat"  # SolveStatus values, as the reports spell them
+
+
+class Phase(NamedTuple):
+    name: str       # key in a report's ``counts``
+    capped: bool    # counts against the per-bundle solver-call cap
+    overhead: bool  # counts toward the solver calls of ``OH``
+
+
+# Every phase the run loop books solver calls to. The revision probe is a
+# measurement, not pipeline cost.
+PHASES = (
+    Phase("filter_solver_calls", capped=False, overhead=True),
+    Phase("check_solver_calls", capped=True, overhead=True),
+    Phase("core_solver_calls", capped=True, overhead=True),
+    Phase("repair_solver_calls", capped=True, overhead=True),
+    Phase("revision_probe_calls", capped=False, overhead=False),
+)
 
 
 @dataclass
@@ -63,46 +89,11 @@ class BundleReport:
 
     @property
     def solver_calls(self) -> int:
-        return sum(v for k, v in self.counts.items() if k.endswith("solver_calls"))
+        return sum(self.counts.get(phase.name, 0) for phase in PHASES if phase.overhead)
 
     @property
     def answerer_calls(self) -> int:
         return self.counts.get("answerer_calls", 0)
-
-    def to_record(self) -> dict:
-        record = dict(vars(self))
-        record["queries"] = [dict(vars(q)) for q in self.queries]
-        record["repair_log"] = [dict(vars(e)) for e in self.repair_log]
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "BundleReport":
-        """A field that scoring reads with the wrong JSON type raises
-        ReportFormatError naming it (``type()`` is exact: true is no int)."""
-        for name, (kind, entry, wording) in _REPORT_TYPES.items():
-            if name not in record:
-                continue  # a required field is missed below; the others take their defaults
-            value = record[name]
-            if type(value) is not kind or entry and any(
-                    type(e) is not entry for e in (value.values() if kind is dict else value)):
-                raise ReportFormatError(f"{name} must be {wording}, got {value!r}")
-        data = dict(record)
-        data["queries"] = [QueryRecord(**q) for q in data["queries"]]
-        for i, q in enumerate(data["queries"]):
-            if type(q.gold) not in (str, type(None)) or type(q.final) is not str:
-                raise ReportFormatError(f"queries[{i}]: gold must be a string or null, final a string")
-        data["repair_log"] = [RepairLogEntry(**e) for e in data.get("repair_log", [])]
-        return cls(**data)
-
-
-# JSON type, entry type and wording of each report field that scoring reads
-_REPORT_TYPES = {
-    "domain": (str, None, "a string"), "mode": (str, None, "a string"),
-    "final_sat": (bool, None, "true or false"), "min_revision": (int, None, "an integer"),
-    "queries": (list, dict, "a list of objects"), "counts": (dict, int, "an object of integers"),
-    "statuses_before": (list, str, "a list of strings"),
-    "statuses_after": (list, str, "a list of strings"),
-}
 
 
 def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
@@ -110,27 +101,115 @@ def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for report in sorted(reports, key=lambda r: r.case_id):
-            fh.write(json.dumps(report.to_record(), sort_keys=True) + "\n")
+            # vars gives each dataclass's fields, as dataclasses.asdict does without its copies
+            fh.write(json.dumps(report, default=vars, sort_keys=True) + "\n")
 
 
 class ReportFormatError(ValueError):
-    """A run directory file that is no JSON or holds no bundle report; the
-    message names the file and line."""
+    """A run directory file that is no JSON or holds no bundle report, or
+    reports that hold nothing to score; the message names the file, and the
+    line and field where there is one."""
+
+
+# Report lines built together, a chunk at a time while their JSON is fresh.
+_CHUNK = 64
 
 
 def load_reports(path: str | Path) -> list[BundleReport]:
-    out = []
+    """Every field of a report line, nested records included, is required and
+    checked against its annotation (see ``_build``)."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    reports = []
+    for start in range(0, len(numbered), _CHUNK):
+        chunk, records = numbered[start:start + _CHUNK], []
+        for lineno, line in chunk:
             try:
-                out.append(BundleReport.from_record(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:  # a ReportFormatError names its field
-                why = exc if isinstance(exc, ReportFormatError) else f"not a bundle report ({exc!r})"
-                raise ReportFormatError(f"{path}:{lineno}: {why}") from None
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise ReportFormatError(f"{path}:{lineno}: not JSON ({exc})") from None
+        try:
+            reports += _build(BundleReport, records)
+        except _Unfit as exc:
+            index, where, problem = exc.args
+            raise ReportFormatError(f"{path}:{chunk[index][0]}: "
+                                    f"{where or 'a report'}{problem}") from None
+    return reports
+
+
+# ------------------------------------------------------------ report schema
+
+# Each JSON type in words, alone and as the entries of a list or an object.
+_WORDS = {str: ("a string", "strings"), int: ("an integer >= 0", "integers >= 0"),
+          bool: ("true or false", "booleans"), dict: ("an object", "objects"),
+          list: ("a list", "lists"), type(None): ("null", "nulls")}
+
+
+@functools.cache
+def _schema(cls) -> list[tuple]:
+    """(name, JSON types, entry type, wording) of each field of the report
+    dataclass ``cls``, read off its annotations once per class. The entry
+    type, a JSON type or a report dataclass, is that of a list's entries or
+    an object's values."""
+    out = []
+    for name, hint in typing.get_type_hints(cls).items():
+        options = typing.get_args(hint) if type(hint) is types.UnionType else (hint,)
+        kinds = [typing.get_origin(option) or option for option in options]
+        entry = typing.get_args(hint)[-1] if typing.get_origin(hint) in (list, dict) else None
+        wording = " or ".join(_WORDS[kind][0] for kind in kinds)
+        if entry:
+            wording += " of " + _WORDS[dict if dataclasses.is_dataclass(entry) else entry][1]
+        out.append((name, frozenset(kinds), entry, wording))
     return out
+
+
+class _Unfit(Exception):
+    """args: the index of the item, the path of the bad value in it (empty for
+    the item itself) and the problem, as (0, "queries[1].gold", " must be ...")."""
+
+
+def _build(cls, items: list, locate: bool = True) -> list:
+    """One ``cls`` per JSON object in ``items``. A value whose JSON type is not
+    its field's annotation, a missing field and a key that is no field raise
+    ``_Unfit`` for the first such item. Every integer in a report is a count,
+    so none may be negative. Each check runs over one field of all items at
+    once; only after a failure are the items checked one by one."""
+    if locate and len(items) > 1:
+        try:
+            return _build(cls, items, locate=False)
+        except _Unfit:
+            for i, item in enumerate(items):
+                try:
+                    _build(cls, [item])
+                except _Unfit as exc:
+                    raise _Unfit(i, *exc.args[1:]) from None
+    fields = _schema(cls)
+    if not set(map(type, items)) <= {dict}:
+        raise _Unfit(0, "", f" must be an object, got {items[0]!r}")
+    if max(map(len, items), default=0) > len(fields):
+        raise _Unfit(0, min(items[0].keys() - {f[0] for f in fields}, default=""), ": unknown field")
+    columns = []
+    for name, kinds, entry, wording in fields:
+        try:
+            column = list(map(operator.itemgetter(name), items))
+        except KeyError:
+            raise _Unfit(0, name, ": missing required field") from None
+        values, fits = column, set(map(type, column)) <= kinds
+        if fits and entry:
+            values = list(chain.from_iterable(map(dict.values, column) if dict in kinds else column))
+            if dataclasses.is_dataclass(entry):
+                try:
+                    records = iter(_build(entry, values))
+                except _Unfit as exc:
+                    j, path, problem = exc.args
+                    raise _Unfit(0, f"{name}[{j}]{'.' if path else ''}{path}", problem) from None
+                columns.append([list(islice(records, len(value))) for value in column])
+                continue
+            fits = set(map(type, values)) <= {entry}
+        if not fits or int in kinds | {entry} and min(values, default=0) < 0:
+            raise _Unfit(0, name, f" must be {wording}, got {column[0]!r}")
+        columns.append(column)
+    return list(map(cls, *columns))
 
 
 # ------------------------------------------------------------------- metrics
@@ -145,40 +224,8 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return (2 * tp / denom) if denom else 0.0
 
 
-@dataclass
-class PerQueryMetrics:
-    accuracy: float
-    macro_f1: float
-    unknown_f1: float
-    unknown_rate: float  # share of Unknown among final predictions
-
-
-def per_query_metrics(reports: Iterable[BundleReport]) -> PerQueryMetrics:
-    """Standard multiclass scores over final (post-intervention) labels.
-    A class missing from both gold and predictions scores F1 = 1."""
-    pairs = [(q.gold, q.final) for r in reports for q in r.queries if q.gold is not None]
-    if not pairs:
-        raise ValueError("no scored queries")
-    correct = sum(1 for gold, final in pairs if gold == final)
-    f1s = {}
-    for name in LABEL_NAMES:
-        tp = sum(1 for g, f in pairs if g == name and f == name)
-        fp = sum(1 for g, f in pairs if g != name and f == name)
-        fn = sum(1 for g, f in pairs if g == name and f != name)
-        f1s[name] = _f1(tp, fp, fn)
-    unknown_rate = sum(1 for _, f in pairs if f == Label.UNKNOWN.value) / len(pairs)
-    return PerQueryMetrics(
-        accuracy=correct / len(pairs),
-        macro_f1=sum(f1s.values()) / len(f1s),
-        unknown_f1=f1s[Label.UNKNOWN.value],
-        unknown_rate=unknown_rate,
-    )
-
-
 def set_cons_rate(reports: Sequence[BundleReport]) -> float:
     """Fraction of bundles whose final belief state is satisfiable."""
-    if not reports:
-        raise ValueError("no reports")
     return sum(1 for r in reports if r.final_sat) / len(reports)
 
 
@@ -190,12 +237,6 @@ def auc_prefix_cons(report: BundleReport) -> float | None:
     if not report.statuses_after:
         return 1.0
     return sum(1 for s in report.statuses_after if s == SAT) / len(report.statuses_after)
-
-
-def mean_auc_prefix_cons(reports: Sequence[BundleReport]) -> float | None:
-    values = [auc_prefix_cons(r) for r in reports]
-    values = [v for v in values if v is not None]
-    return sum(values) / len(values) if values else None
 
 
 def contradiction_density(report: BundleReport) -> float:
@@ -213,34 +254,10 @@ def contradiction_density(report: BundleReport) -> float:
     return transitions / len(report.queries)
 
 
-def mean_contradiction_density(reports: Sequence[BundleReport]) -> float:
-    return sum(contradiction_density(r) for r in reports) / len(reports)
-
-
 def revision_cost(reports: Sequence[BundleReport]) -> float:
     """Mean ``min_revision``: the fewest active commitments whose retraction
     would restore each final state."""
-    if not reports:
-        raise ValueError("no reports")
     return sum(r.min_revision for r in reports) / len(reports)
-
-
-@dataclass
-class OverheadReport:
-    solver_calls: int
-    answerer_calls: int
-    call_ratio: float | None       # (solver + answerer) vs the baseline run
-
-
-def overhead(reports: Sequence[BundleReport],
-             baseline: Sequence[BundleReport] | None = None) -> OverheadReport:
-    solver = sum(r.solver_calls for r in reports)
-    answerer = sum(r.answerer_calls for r in reports)
-    call_ratio = None
-    if baseline is not None:
-        base = sum(r.solver_calls for r in baseline) + sum(r.answerer_calls for r in baseline)
-        call_ratio = (solver + answerer) / base if base else None
-    return OverheadReport(solver, answerer, call_ratio)
 
 
 @dataclass
@@ -269,28 +286,41 @@ class MetricsReport:
         if self.revision_cost < 0:
             raise ValueError("revision_cost negative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def aggregate(reports: Sequence[BundleReport],
               baseline: Sequence[BundleReport] | None = None) -> MetricsReport:
-    pq = per_query_metrics(reports)
-    oh = overhead(reports, baseline)
+    """Standard multiclass scores over the final (post-intervention) labels of
+    gold-labelled queries, where a class missing from both gold and
+    predictions scores F1 = 1; the set-level metrics; and ``OH``, the solver
+    plus answerer calls against ``baseline``'s. Reports without a
+    gold-labelled query raise ReportFormatError."""
+    pairs = [(q.gold, q.final) for r in reports for q in r.queries if q.gold is not None]
+    if not pairs:
+        raise ReportFormatError("no gold-labelled query to score")
+    f1s = {}
+    for name in LABEL_NAMES:
+        tp = sum(1 for g, f in pairs if g == name and f == name)
+        fp = sum(1 for g, f in pairs if g != name and f == name)
+        fn = sum(1 for g, f in pairs if g == name and f != name)
+        f1s[name] = _f1(tp, fp, fn)
+    solver = sum(r.solver_calls for r in reports)
+    answerer = sum(r.answerer_calls for r in reports)
+    base = sum(r.solver_calls + r.answerer_calls for r in baseline) if baseline is not None else 0
+    aucs = [auc for auc in map(auc_prefix_cons, reports) if auc is not None]  # sequential only
     report = MetricsReport(
         bundles=len(reports),
         queries=sum(r.n for r in reports),
-        accuracy=pq.accuracy,
-        macro_f1=pq.macro_f1,
-        unknown_f1=pq.unknown_f1,
-        unknown_rate=pq.unknown_rate,
+        accuracy=sum(1 for gold, final in pairs if gold == final) / len(pairs),
+        macro_f1=sum(f1s.values()) / len(f1s),
+        unknown_f1=f1s[Label.UNKNOWN.value],
+        unknown_rate=sum(1 for _, f in pairs if f == Label.UNKNOWN.value) / len(pairs),
         set_cons_rate=set_cons_rate(reports),
-        auc_prefix_cons=mean_auc_prefix_cons(reports),
+        auc_prefix_cons=sum(aucs) / len(aucs) if aucs else None,
         revision_cost=revision_cost(reports),
-        contradiction_density=mean_contradiction_density(reports),
-        solver_calls=oh.solver_calls,
-        answerer_calls=oh.answerer_calls,
-        overhead_calls=oh.call_ratio,
+        contradiction_density=sum(map(contradiction_density, reports)) / len(reports),
+        solver_calls=solver,
+        answerer_calls=answerer,
+        overhead_calls=(solver + answerer) / base if base else None,
     )
     report.validate()
     return report
@@ -328,5 +358,8 @@ def domain_breakdown(reports: Sequence[BundleReport]) -> list[tuple[str, Metrics
     rows = []
     for domain in sorted({r.domain for r in reports}):
         subset = [r for r in reports if r.domain == domain]
-        rows.append((domain, aggregate(subset)))
+        try:
+            rows.append((domain, aggregate(subset)))
+        except ReportFormatError as exc:
+            raise ReportFormatError(f"domain {domain}: {exc}") from None
     return rows

@@ -31,7 +31,8 @@ from pathlib import Path
 from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
 from .casefile import CaseError, CaseFile, Label, Query, load_corpus
 from .commitments import BeliefState, extract_commitment
-from .metrics import SAT, UNSAT, BundleReport, QueryRecord, RepairLogEntry, save_reports
+from .metrics import (PHASES, SAT, UNSAT, BundleReport, QueryRecord, RepairLogEntry,
+                      save_reports)
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
 from .solver import DEFAULT_WALL_TIMEOUT, SolveStatus
 
@@ -69,15 +70,11 @@ class RunConfig:
         return data
 
 
-CAPPED_PHASES = ("check_solver_calls", "core_solver_calls", "repair_solver_calls")
-
-
 class _Ledger:
     """Solver calls of one bundle, read off the session's own counter.
 
-    ``take(phase)`` books every call since the previous take to ``phase``.
-    The check, core and repair phases count against the per-bundle cap;
-    filtered votes and the revision probe are booked but not capped."""
+    ``take(phase)`` books every call since the previous take to ``phase``,
+    one of ``metrics.PHASES``, which says which phases the cap counts."""
 
     def __init__(self, stats, cap: int):
         self.stats = stats
@@ -93,7 +90,7 @@ class _Ledger:
 
     @property
     def capped(self) -> int:
-        return sum(self.counts.get(phase, 0) for phase in CAPPED_PHASES)
+        return sum(self.counts.get(phase.name, 0) for phase in PHASES if phase.capped)
 
     def slack(self, checks_left: int) -> int:
         """Calls left for optional work that still leave one call for each
@@ -261,7 +258,8 @@ def run(config: RunConfig) -> tuple[list[BundleReport], dict[str, float]]:
     """Evaluate every bundle in the selected split, in case id order, in
     process or over ``config.jobs`` worker processes. Returns (reports,
     evaluation ms by case id). The policy is resolved, and a replay trace
-    loaded, once per run; each worker receives the answerer once."""
+    loaded, once per run; each worker receives the answerer once. Selected
+    cases with no gold-labelled query raise CaseError before any evaluation."""
     answerer = Answerer(resolve_policy(config.policy), config.seed)  # before the corpus loads
     cases = load_corpus(config.corpus)
     if config.split:
@@ -269,6 +267,9 @@ def run(config: RunConfig) -> tuple[list[BundleReport], dict[str, float]]:
     if not cases:
         raise CaseError(f"no cases in split {config.split!r}" if config.split
                         else "the corpus holds no cases")
+    if all(q.gold_label is None for c in cases for q in c.queries):
+        where = f"split {config.split!r} of {config.corpus}" if config.split else config.corpus
+        raise CaseError(f"no query in {where} has a gold label to score")
     cases = sorted(cases, key=lambda c: c.id)
 
     if config.jobs > 1:

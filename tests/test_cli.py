@@ -121,6 +121,12 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     # an error in a nested policy used to leave out where it was
     ("inner-k0.json", "inner.k must be an integer >= 1, got 0"),
     ("inner-kind.json", "inner: unknown policy kind 'bogus'"),
+    # these named neither the field nor its path
+    ("inner-int.json", "inner must be a JSON object, got 5"),
+    ("matrix-int.json", "matrix must be a list of rows, got 5"),
+    ("matrix-text.json", "matrix[2][2] must be a number, got 'x'"),
+    ("inner-matrix-int.json", "inner.matrix must be a list of rows, got 5"),
+    ("list.json", "malformed policy file 'list.json': holds no JSON object, got [1, 2]"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
@@ -148,7 +154,11 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
             ("filter-text", {**sc, "k": 3, "logic_filter": "yes"}),
             ("history-no-matrix", {**history, "matrix": None}),
             ("inner-k0", {**sc, "inner": {**nocot, "k": 0}}),
-            ("inner-kind", {**sc, "inner": {"kind": "bogus"}})]:
+            ("inner-kind", {**sc, "inner": {"kind": "bogus"}}),
+            ("inner-int", {**sc, "inner": 5}),
+            ("matrix-int", {**nocot, "matrix": 5}),
+            ("matrix-text", {**nocot, "matrix": [*nocot["matrix"][:2], [0.14, 0.14, "x"]]}),
+            ("inner-matrix-int", {**sc, "inner": {**nocot, "matrix": 5}})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(policy_file))
     for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
                         ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
@@ -171,6 +181,86 @@ def test_run_of_a_split_with_no_cases_exits_2(tmp_path, corpus, capsys):
     assert main(run_args(corpus, out, split="nosuch")) == 2
     assert capsys.readouterr().err == "casecheck run: error: no cases in split 'nosuch'\n"
     assert not out.exists()
+
+
+def unlabelled(corpus, out, case_ids=None):
+    """A copy of ``corpus`` whose cases in ``case_ids`` (all by default) have
+    null gold labels, as ``casecheck label`` writes for a case that timed out."""
+    records = [json.loads(line) for line in Path(corpus).read_text().splitlines()]
+    for record in records:
+        if case_ids is None or record["id"] in case_ids:
+            for q in record["queries"]:
+                q["gold_label"] = None
+    out.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return out, records[0]["id"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("policy, message", [
+    # these two ended in a ValueError traceback, exit 1
+    ("nocot-like", "case {case}: query q1 has no gold label to perturb"),
+    ("oracle", "case {case}: query q1 has no gold label for the oracle"),
+])
+def test_run_over_unlabelled_queries_exits_2(tmp_path, corpus, capsys, jobs, policy, message):
+    first = json.loads(Path(corpus).read_text().splitlines()[0])["id"]
+    bad, case = unlabelled(corpus, tmp_path / "one-unlabelled.jsonl", {first})
+    out = tmp_path / "run"
+    assert main(run_args(bad, out, policy=policy, jobs=jobs)) == 2
+    assert capsys.readouterr().err == f"casecheck run: error: {message.format(case=case)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["nocot-like", "oracle", "replay.json"])
+def test_run_over_a_corpus_without_gold_labels_exits_2(tmp_path, corpus, capsys, monkeypatch,
+                                                      policy):
+    # a replay run used to write its run directory, then end in a ValueError
+    # traceback, exit 1; nothing is evaluated now
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.jsonl").write_text("")
+    (tmp_path / "replay.json").write_text('{"kind": "replay", "trace_path": "trace.jsonl"}')
+    bad, _ = unlabelled(corpus, tmp_path / "unlabelled.jsonl")
+    out = tmp_path / "run"
+    assert main(run_args(bad, out, policy=policy)) == 2
+    assert capsys.readouterr().err == (f"casecheck run: error: no query in {bad} "
+                                       "has a gold label to score\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("unscorable", ["empty", "unlabelled"])
+def test_reports_with_nothing_to_score_exit_2(tmp_path, corpus, capsys, command, unscorable):
+    # each used to end in a ValueError traceback, exit 1
+    out = tmp_path / "run"
+    assert main(run_args(corpus, out, policy="oracle", method="baseline")) == 0
+    path = out / "reports.jsonl"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for report in lines:
+        for q in report["queries"]:
+            q["gold"] = None
+    path.write_text("" if unscorable == "empty" else
+                    "".join(json.dumps(r, sort_keys=True) + "\n" for r in lines))
+    capsys.readouterr()
+    assert main([command, "--run", str(out)]) == 2
+    assert capsys.readouterr().err == (f"casecheck {command}: error: {path}: "
+                                       "no gold-labelled query to score\n")
+
+
+def test_report_of_a_domain_without_gold_labels_exits_2(tmp_path, corpus, capsys):
+    # used to print the overall table, then end in a ValueError traceback, exit 1
+    out = tmp_path / "run"
+    assert main(run_args(corpus, out, policy="oracle", method="baseline")) == 0
+    path = out / "reports.jsonl"
+    reports = [json.loads(line) for line in path.read_text().splitlines()]
+    domain = reports[0]["domain"]
+    for report in reports:
+        if report["domain"] == domain:
+            for q in report["queries"]:
+                q["gold"] = None
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in reports))
+    capsys.readouterr()
+    assert main(["report", "--run", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"casecheck report: error: domain {domain}: "
+                                       "no gold-labelled query to score\n")
 
 
 @pytest.mark.parametrize("command", ["score", "report"])
@@ -211,14 +301,31 @@ def test_corrupt_run_directory_exits_2_naming_file_and_line(tmp_path, corpus, ca
 @pytest.mark.parametrize("field, value, message", [
     # the first two used to end in a TypeError traceback, exit 1
     ("statuses_before", 5, "statuses_before must be a list of strings, got 5"),
-    ("min_revision", "3", "min_revision must be an integer, got '3'"),
+    ("min_revision", "3", "min_revision must be an integer >= 0, got '3'"),
     # these were scored as given
     ("final_sat", "yes", "final_sat must be true or false, got 'yes'"),
     ("counts", {"check_solver_calls": True},
-     "counts must be an object of integers, got {'check_solver_calls': True}"),
+     "counts must be an object of integers >= 0, got {'check_solver_calls': True}"),
     ("queries", [{"query_id": "q1", "gold": 5, "predicted": "unknown", "final": "unknown"}],
-     "queries[0]: gold must be a string or null, final a string"),
-], ids=["statuses-number", "revision-text", "sat-text", "count-bool", "gold-number"])
+     "queries[0].gold must be a string or null, got 5"),
+    # these fields were not checked; a negative revision cost ended in a
+    # ValueError traceback, exit 1
+    ("min_revision_exact", "no", "min_revision_exact must be true or false, got 'no'"),
+    ("invariant_failures", 5, "invariant_failures must be a list of strings, got 5"),
+    ("repair_log", [5], "repair_log[0] must be an object, got 5"),
+    ("repair_log", [{"query_id": "q1", "core_query_ids": [], "core_minimal": True, "tried": [],
+                     "accepted": None, "outcome": "reported", "solver_calls": 0},
+                    {"query_id": "q2", "core_query_ids": [], "core_minimal": True, "tried": 5,
+                     "accepted": None, "outcome": "reported", "solver_calls": 0}],
+     "repair_log[1].tried must be a list of objects, got 5"),
+    ("statuses_after", [1], "statuses_after must be a list of strings, got [1]"),
+    ("queries", [{"query_id": "q1", "gold": "unknown", "predicted": "unknown", "final": 5}],
+     "queries[0].final must be a string, got 5"),
+    ("min_revision", -1, "min_revision must be an integer >= 0, got -1"),
+    ("wall_ms", 3.5, "wall_ms: unknown field"),
+], ids=["statuses-number", "revision-text", "sat-text", "count-bool", "gold-number",
+        "exact-text", "failures-number", "log-entry-number", "log-tried-number",
+        "statuses-entry-number", "final-number", "revision-negative", "unknown-field"])
 def test_report_fields_of_the_wrong_type_exit_2(tmp_path, corpus, capsys, command,
                                                 field, value, message):
     out = tmp_path / "run"

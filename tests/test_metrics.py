@@ -1,15 +1,16 @@
+import json
+
 import pytest
 
 from casecheck.metrics import (
     BundleReport,
     QueryRecord,
+    ReportFormatError,
     aggregate,
     auc_prefix_cons,
     contradiction_density,
     domain_breakdown,
     load_reports,
-    overhead,
-    per_query_metrics,
     render_table,
     revision_cost,
     save_reports,
@@ -38,7 +39,7 @@ def test_perfect_predictions_score_one():
     r = report(labels=[("entailed", "entailed", "entailed"),
                        ("contradicted", "contradicted", "contradicted"),
                        ("unknown", "unknown", "unknown")], statuses=("sat",) * 3)
-    m = per_query_metrics([r])
+    m = aggregate([r])
     assert (m.accuracy, m.macro_f1, m.unknown_f1) == (1.0, 1.0, 1.0)
 
 
@@ -53,7 +54,7 @@ def test_macro_f1_hand_computed():
               ("unknown", "unknown", "unknown"),
               ("unknown", "entailed", "entailed")]
     r = report(labels=labels, statuses=("sat",) * 6)
-    m = per_query_metrics([r])
+    m = aggregate([r])
     # E: tp=1 fp=1 fn=1 -> 0.5; C: tp=2 fp=1 fn=0 -> 0.8; U: tp=1 fp=0 fn=1 -> 2/3
     assert m.accuracy == pytest.approx(4 / 6)
     assert m.macro_f1 == pytest.approx((0.5 + 0.8 + 2 / 3) / 3)
@@ -63,7 +64,7 @@ def test_macro_f1_hand_computed():
 def test_absent_unknown_class_scores_one_by_convention():
     labels = [("entailed", "entailed", "entailed"),
               ("contradicted", "contradicted", "contradicted")]
-    m = per_query_metrics([report(labels=labels)])
+    m = aggregate([report(labels=labels)])
     assert m.unknown_f1 == 1.0
 
 
@@ -101,8 +102,7 @@ def test_revision_cost_means():
 
 def test_overhead_self_ratio_is_exactly_one():
     reports = [report(), report(case_id="c2")]
-    oh = overhead(reports, baseline=reports)
-    assert oh.call_ratio == 1.0
+    assert aggregate(reports, baseline=reports).overhead_calls == 1.0
 
 
 def test_serialization_roundtrip_bit_identical(tmp_path):
@@ -114,11 +114,41 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
     assert [r.case_id for r in loaded] == ["a", "b"]  # canonical order
     m1 = aggregate(sorted(reports, key=lambda r: r.case_id))
     m2 = aggregate(loaded)
-    assert m1.to_dict() == m2.to_dict()
+    assert m1 == m2
     # re-serialization is byte-identical
     path2 = tmp_path / "again.jsonl"
     save_reports(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_a_bad_report_line_is_named_by_line_and_path(tmp_path):
+    # lines are checked a chunk at a time; the first bad value is named,
+    # here in a later chunk than the first
+    path = tmp_path / "reports.jsonl"
+    save_reports([report(case_id=f"c{i:03}") for i in range(100)], path)
+    good = path.read_text().splitlines()
+
+    def load_with(lineno, edit):
+        lines = list(good)
+        record = json.loads(lines[lineno - 1])
+        edit(record)
+        lines[lineno - 1] = json.dumps(record)
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "final_sat": "no"})  # also bad, later
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReportFormatError) as exc:
+            load_reports(path)
+        return str(exc.value)
+
+    def nested(record):
+        record["queries"][1]["predicted"] = None
+
+    assert load_with(70, nested) == f"{path}:70: queries[1].predicted must be a string, got None"
+    assert load_with(3, lambda r: r.pop("domain")) == f"{path}:3: domain: missing required field"
+    assert load_with(5, lambda r: r["queries"][0].update(extra=1)) == \
+        f"{path}:5: queries[0].extra: unknown field"
+    path.write_text(good[0] + "\n[1, 2]\n")
+    with pytest.raises(ReportFormatError, match=r":2: a report must be an object, got \[1, 2\]$"):
+        load_reports(path)
 
 
 def test_set_cons_consistency_with_terminal_flags():

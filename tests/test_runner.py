@@ -6,7 +6,7 @@ from casecheck.answerers import PRESETS, Answerer, PolicyConfig, policy_to_dict
 from casecheck.casefile import Domain, Label
 from casecheck.generator import GeneratorSpec, generate_corpus
 from casecheck.metrics import UNSAT, aggregate, load_reports, save_reports
-from casecheck.runner import RunConfig, evaluate_bundle, run, write_run
+from casecheck.runner import METHODS, RunConfig, evaluate_bundle, run, write_run
 
 GEN_MIX = GeneratorSpec(domain_mix={Domain.RELATIONAL: 8, Domain.TEMPORAL: 6,
                                  Domain.POLICY: 5, Domain.ABDUCTIVE: 6})
@@ -101,12 +101,11 @@ def test_abstain_when_softening_fails(cases):
 def test_overhead_ordering_check_cheaper_than_sampling(cases):
     # checking adds a few solver calls; sampling-based answering multiplies
     # answerer calls, so its normalized overhead is far larger
-    from casecheck.metrics import overhead
     base = [evaluate_bundle(c, config("baseline")) for c in cases]
     check = [evaluate_bundle(c, config("check")) for c in cases]
     sc = [evaluate_bundle(c, config("baseline", policy="sc-like")) for c in cases]
-    oh_check = overhead(check, baseline=base).call_ratio
-    oh_sc = overhead(sc, baseline=base).call_ratio
+    oh_check = aggregate(check, baseline=base).overhead_calls
+    oh_sc = aggregate(sc, baseline=base).overhead_calls
     assert 1.0 <= oh_check < oh_sc
 
 
@@ -154,7 +153,7 @@ def test_parallel_jobs_match_sequential(tmp_path, cases):
         for mode in ("sequential", "set"):
             r1, t1 = run(config(method, corpus=str(corpus), mode=mode))
             r2, t2 = run(config(method, corpus=str(corpus), mode=mode, jobs=2))
-            assert [r.to_record() for r in r1] == [r.to_record() for r in r2], (method, mode)
+            assert r1 == r2, (method, mode)
             assert list(t1) == list(t2) == sorted(c.id for c in cases)
 
 
@@ -185,8 +184,7 @@ def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, d
     cfg = config("check+repair", policy=str(policy), corpus=str(corpus))
     reports, timings = run(cfg)
     assert loads == {"trace": 1, "policy": 1}
-    assert [r.to_record() for r in reports] == \
-        [evaluate_bundle(c, cfg).to_record() for c in sorted(cases, key=lambda c: c.id)]
+    assert reports == [evaluate_bundle(c, cfg) for c in sorted(cases, key=lambda c: c.id)]
     out = write_run(tmp_path / "run", cfg, reports, timings)
     assert json.loads((out / "manifest.json").read_text())["config"]["policy"] == str(policy)
 
@@ -209,6 +207,38 @@ def test_logic_filtered_sc_never_kills_state(cases):
         report = evaluate_bundle(case, config("check", policy=policy))
         assert report.final_sat
         assert report.counts.get("filter_solver_calls", 0) > 0
+
+
+def test_every_booked_phase_is_in_the_phase_table(cases, monkeypatch):
+    # the per-bundle cap and OH read their phases off PHASES alone
+    from casecheck import runner
+    from casecheck.metrics import PHASES
+
+    ledgers = []
+
+    class Recorded(runner._Ledger):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ledgers.append(self)
+
+    monkeypatch.setattr(runner, "_Ledger", Recorded)
+    sc_filter = PolicyConfig(kind="self-consistency", k=3,
+                             inner=PRESETS["nocot-like"], logic_filter=True)
+    phases = {p.name for p in PHASES}
+    booked = set()
+    for method in METHODS:
+        for policy in ("nocot-like", sc_filter):
+            for case in cases[:12]:
+                report = evaluate_bundle(case, config(method, policy=policy))
+                counts = report.counts
+                assert counts.keys() <= phases | {"answerer_calls"}
+                booked |= counts.keys()
+                # OH leaves out the revision probe, a measurement
+                assert report.solver_calls == sum(
+                    v for k, v in counts.items() if k not in ("answerer_calls", "revision_probe_calls"))
+                assert ledgers.pop().capped == sum(counts.get(k, 0) for k in (
+                    "check_solver_calls", "core_solver_calls", "repair_solver_calls"))
+    assert booked == phases | {"answerer_calls"}
 
 
 def test_invalid_config_rejected():
