@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -179,3 +180,51 @@ def test_history_policy_biases_toward_agreement(case):
         assert ans.label is Label.CONTRADICTED
     elif anchor.atom == dep.atom:
         assert ans.label is Label.ENTAILED
+
+
+# sha256 over every answer (case id, query id, draw, label, derived atoms) of
+# each noisy preset (policy seed 7) on the seed-0 default corpus, taken at
+# ae666ed. Each bundle is answered in order with the earlier answers as
+# history; sc-like contributes its five inner draws per query. The report pins
+# see answers only through verdicts; this one sees every draw
+ANSWER_DIGESTS = {
+    "cot-like": "80b3f084f9eeb76cc9a8255844d97eabe16b1bc150bb7d18d00a71f1236fc8d1",
+    "history-like": "11d4fca6f7f9766538eed625a3e9e2b18ec2aef1ecb3539561696f591b8c93bb",
+    "nocot-like": "a0f5fbd2db356555ce9e52b3bf8220c29528d1ef7173ae7b64da051f4b14f8f6",
+    "sc-like": "035636c03ab9b30c36773340128023655620411a8a3d3e701e28053e97d5f070",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANSWER_DIGESTS))
+def test_answers_are_pinned(default_corpus, name):
+    import hashlib
+
+    config = PRESETS[name]
+    answerer = Answerer(config, seed=7)
+    digest = hashlib.sha256()
+    for case in default_corpus:
+        history = []
+        for query in case.queries:
+            if config.kind == "self-consistency":
+                draws = answerer.sample_commitment_candidates(case, query, history, config.k)
+            else:
+                draws = [answerer.answer(case, query, history)]
+            for draw, answer in enumerate(draws):
+                digest.update(json.dumps([case.id, query.id, draw, answer.label.value,
+                                          list(answer.derived_atoms)]).encode() + b"\n")
+            history.append((query, draws[0].label))
+    assert digest.hexdigest() == ANSWER_DIGESTS[name]
+
+
+def test_cumulative_sampling_draws_as_weighted_sampling():
+    labels = tuple(Label)
+    for name, preset in PRESETS.items():
+        for config in (preset, preset.inner):
+            if config is None or config.matrix is None:
+                continue
+            for gold, row in zip(labels, config.matrix.rows):
+                for seed in range(200):
+                    rng, twin = random.Random(seed), random.Random(seed)
+                    assert config.matrix.sample(gold, rng) is twin.choices(
+                        labels, weights=row, k=1)[0], (name, gold, seed)
+                    assert rng.random() == twin.random()  # the same state afterwards
