@@ -11,11 +11,12 @@ draw index), so outputs are reproducible and independent of evaluation order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label
@@ -43,17 +44,22 @@ class ConfusionMatrix:
     """Row-stochastic gold-to-predicted label distribution."""
 
     rows: tuple[tuple[float, float, float], ...]  # rows/cols in LABELS order
+    # each gold label's row as cumulative weights, the table ``sample`` draws from
+    cumulative: dict[Label, list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise ValueError("confusion matrix must be 3x3")
-        for row in self.rows:
+            raise PolicyError(f"matrix must be 3x3, got {[list(r) for r in self.rows]!r}")
+        for i, row in enumerate(self.rows):
             if any(p < 0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:  # refuses NaN
-                raise ValueError(f"row {row} is not a probability distribution")
+                raise PolicyError(f"matrix[{i}] must be a probability distribution, "
+                                  f"got {list(row)!r}")
+        object.__setattr__(self, "cumulative", {
+            gold: list(itertools.accumulate(row)) for gold, row in zip(LABELS, self.rows)})
 
     def sample(self, gold: Label, rng: random.Random) -> Label:
-        row = self.rows[LABELS.index(gold)]
-        return rng.choices(LABELS, weights=row, k=1)[0]
+        # the draw ``weights=row`` makes, without accumulating the row on every call
+        return rng.choices(LABELS, cum_weights=self.cumulative[gold], k=1)[0]
 
 
 @dataclass
@@ -97,6 +103,10 @@ def _rng_for(seed: int, case_id: str, query_id: str, draw: int) -> random.Random
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+# leakage concentrates on underdetermined content
+_ECHO_WEIGHTS = {Label.ENTAILED: 1.0, Label.CONTRADICTED: 1.0, Label.UNKNOWN: 2.0}
+
+
 def _sample_derived(rng: random.Random, case: CaseFile, query: Query,
                     cfg: PolicyConfig) -> tuple[int, ...]:
     """Spurious derived assertions ride along with an answer: mostly noisy
@@ -106,14 +116,17 @@ def _sample_derived(rng: random.Random, case: CaseFile, query: Query,
     polarity; leakage is sloppier than the direct answer."""
     if cfg.derived_rate <= 0.0 or rng.random() >= cfg.derived_rate:
         return ()
-    others = [q for q in case.queries
-              if abs(q.atom) != abs(query.atom) and q.gold_label is not None]
-    # leakage concentrates on underdetermined content
-    weights = [2.0 if q.gold_label is Label.UNKNOWN else 1.0 for q in others]
+    own = abs(query.atom)
+    others, cumulative, total = [], [], 0.0  # the echo pool, cumulatively weighted
+    for q in case.queries:
+        if q.gold_label is not None and abs(q.atom) != own:
+            total += _ECHO_WEIGHTS[q.gold_label]
+            others.append(q)
+            cumulative.append(total)
     picks = []
     for _ in range(rng.randint(1, cfg.derived_max)):
         if others and rng.random() < 0.8:
-            echoed = rng.choices(others, weights=weights, k=1)[0]
+            echoed = rng.choices(others, cum_weights=cumulative, k=1)[0]
             belief = cfg.matrix.sample(echoed.gold_label, rng)
             if belief is Label.UNKNOWN:
                 continue
@@ -123,7 +136,7 @@ def _sample_derived(rng: random.Random, case: CaseFile, query: Query,
             picks.append(atom)
         else:
             var = rng.randint(1, case.formula.num_vars)
-            if var != abs(query.atom):
+            if var != own:
                 picks.append(var if rng.random() < 0.5 else -var)
     return tuple(dict.fromkeys(picks))
 
@@ -264,7 +277,7 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
         return policy_from_dict(data)
     except PolicyError:
         raise
-    except (ValueError, TypeError) as exc:  # no JSON, a matrix that is no distribution, no kind
+    except ValueError as exc:  # no JSON
         raise PolicyError(f"malformed policy file {name_or_config!r}: {exc!r}") from None
 
 
@@ -281,6 +294,8 @@ def policy_from_dict(data: dict) -> PolicyConfig:
     """Missing fields take their defaults; keys that are no field are ignored.
     A value of the wrong JSON type and an error in the inner policy name
     their path, as in ``matrix[2][2]`` or ``inner.k``."""
+    if "kind" not in data:
+        raise PolicyError(f"kind is missing: a policy is one of {', '.join(KINDS)}")
     values = {f.name: data[f.name] for f in fields(PolicyConfig) if f.name in data}
     matrix = values.get("matrix")
     if matrix is not None:

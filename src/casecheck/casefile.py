@@ -234,7 +234,7 @@ def case_from_record(record: dict, index: int = 0,
     fmt = record.get("premises_format")
     if fmt is None:
         fmt = "dimacs" if premises_text.lstrip().startswith(("p cnf", "c", "p")) else "theory"
-    queries = []
+    queries, query_ids = [], set()
     for j, qrec in enumerate(need(record, "queries", path, list)):
         qpath = f"{path}.queries[{j}]"
         typed(qrec, qpath, dict)
@@ -253,8 +253,9 @@ def case_from_record(record: dict, index: int = 0,
                 raise CorpusFormatError(f"{qpath}.atom: expected a literal (int)")
             atom_text, atom_lit = None, atom
         query_id = str(need(qrec, "id", qpath))
-        if any(q.id == query_id for q in queries):
+        if query_id in query_ids:
             raise CorpusFormatError(f"{qpath}.id: duplicate query id {query_id!r}")
+        query_ids.add(query_id)
         queries.append(Query(
             id=query_id,
             atom=atom_lit,

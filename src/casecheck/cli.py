@@ -170,8 +170,10 @@ def _load_run(run_dir: str):
 def cmd_score(args) -> int:
     reports, eval_s = _load_run(args.run)
     baseline_reports, baseline_eval_s = (None, None)
-    if args.baseline:
-        baseline_reports, baseline_eval_s = _load_run(args.baseline)
+    if args.baseline:  # a run scored against itself is read once
+        same = (Path(args.baseline, "reports.jsonl").resolve()
+                == Path(args.run, "reports.jsonl").resolve())
+        baseline_reports, baseline_eval_s = (reports, eval_s) if same else _load_run(args.baseline)
     m = aggregate(reports, baseline=baseline_reports)
     label = f"{reports[0].method}/{reports[0].mode}"
     table = render_table([(label, m)])

@@ -30,7 +30,7 @@ DEFAULT_DOMAIN_WIDTH = 64
 # one about 216,000
 MAX_CONSTRAINT_CLAUSES = 200_000
 # s-expression nesting the reader accepts: generated theories nest at most 4
-# deep, and the reader and term parser recurse once per level
+# deep, and the term parser recurses once per level
 MAX_NESTING = 64
 RELATIONS = ("<=", "<", "=", ">=", ">", "!=")
 
@@ -100,30 +100,27 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _read_sexprs(tokens: list[str]):
-    pos = 0
-
-    def read(depth: int):
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+def _read_sexprs(tokens: list[str]) -> list:
+    """The expressions a token list spells, nested lists of tokens, read
+    without recursion: ``open_lists`` holds the lists around the current one."""
+    exprs: list = []
+    current, open_lists = exprs, []
+    for tok in tokens:
         if tok == "(":
-            if depth == MAX_NESTING:
+            if len(open_lists) == MAX_NESTING:
                 raise TheoryError(f"expression nested deeper than {MAX_NESTING} levels")
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read(depth + 1))
-            if pos >= len(tokens):
-                raise TheoryError("unbalanced parentheses")
-            pos += 1
-            return items
-        if tok == ")":
-            raise TheoryError("unexpected ')'")
-        return tok
-
-    exprs = []
-    while pos < len(tokens):
-        exprs.append(read(0))
+            items: list = []
+            current.append(items)
+            open_lists.append(current)
+            current = items
+        elif tok == ")":
+            if not open_lists:
+                raise TheoryError("unexpected ')'")
+            current = open_lists.pop()
+        else:
+            current.append(tok)
+    if open_lists:
+        raise TheoryError("unbalanced parentheses")
     return exprs
 
 
@@ -353,40 +350,44 @@ class GroundedTheory:
             max_suffix[i] = max_suffix[i + 1] + hi_c
 
         clauses: list[list[int]] = []
-
-        def rec(i: int, b: int, escape: list[int]) -> None:
-            if b >= max_suffix[i]:
-                return
-            co, v = info[i]
-            if b < min_suffix[i] or i == n - 1:
-                if len(clauses) == MAX_CONSTRAINT_CLAUSES:
-                    raise TheoryError(f"order encoding exceeds {MAX_CONSTRAINT_CLAUSES} clauses")
-                if b < min_suffix[i]:
-                    clauses.append(list(escape))
-                elif co > 0:
-                    clauses.append(escape + [self.order_literal(v.name, b // co)])
-                else:
-                    clauses.append(escape + [-self.order_literal(v.name, -(b // -co) - 1)])
-                return
-            if co > 0:
-                for val in range(v.lower, v.upper + 1):
-                    if val > v.lower:
-                        escape.append(self.order_literal(v.name, val - 1))
-                        rec(i + 1, b - co * val, escape)
-                        escape.pop()
-                    else:
-                        rec(i + 1, b - co * val, escape)
-            else:
-                for val in range(v.lower, v.upper + 1):
-                    if val < v.upper:
-                        escape.append(-self.order_literal(v.name, val))
-                        rec(i + 1, b - co * val, escape)
-                        escape.pop()
-                    else:
-                        rec(i + 1, b - co * val, escape)
-
-        rec(0, bound, list(prefix))
+        self._leq_branch((info, min_suffix, max_suffix, clauses), 0, bound, list(prefix))
         return clauses
+
+    def _leq_branch(self, table, i: int, b: int, escape: list[int]) -> None:
+        """Append to ``clauses`` the clauses of terms ``i`` on with ``b`` left
+        for them, after the literals of ``escape``. ``table`` is the state of
+        the one ``_leq_clauses`` call: handed down, not closed over, so no
+        call leaves a reference cycle behind."""
+        info, min_suffix, max_suffix, clauses = table
+        if b >= max_suffix[i]:
+            return
+        co, v = info[i]
+        if b < min_suffix[i] or i == len(info) - 1:
+            if len(clauses) == MAX_CONSTRAINT_CLAUSES:
+                raise TheoryError(f"order encoding exceeds {MAX_CONSTRAINT_CLAUSES} clauses")
+            if b < min_suffix[i]:
+                clauses.append(list(escape))
+            elif co > 0:
+                clauses.append(escape + [self.order_literal(v.name, b // co)])
+            else:
+                clauses.append(escape + [-self.order_literal(v.name, -(b // -co) - 1)])
+            return
+        if co > 0:
+            for val in range(v.lower, v.upper + 1):
+                if val > v.lower:
+                    escape.append(self.order_literal(v.name, val - 1))
+                    self._leq_branch(table, i + 1, b - co * val, escape)
+                    escape.pop()
+                else:
+                    self._leq_branch(table, i + 1, b - co * val, escape)
+        else:
+            for val in range(v.lower, v.upper + 1):
+                if val < v.upper:
+                    escape.append(-self.order_literal(v.name, val))
+                    self._leq_branch(table, i + 1, b - co * val, escape)
+                    escape.pop()
+                else:
+                    self._leq_branch(table, i + 1, b - co * val, escape)
 
     def add_constraint(self, c: LinConstraint, name: str) -> None:
         self._emit(name, [(c, ())])

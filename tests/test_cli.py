@@ -126,6 +126,12 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     ("matrix-int.json", "matrix must be a list of rows, got 5"),
     ("matrix-text.json", "matrix[2][2] must be a number, got 'x'"),
     ("inner-matrix-int.json", "inner.matrix must be a list of rows, got 5"),
+    # these named neither the field nor its path, and a missing kind was a TypeError
+    ("inner-matrix-dist.json",
+     "inner.matrix[2] must be a probability distribution, got [0, 0, 2]"),
+    ("matrix-shape.json", "matrix must be 3x3, got [[1, 0, 0]]"),
+    ("no-kind.json", "kind is missing: a policy is one of oracle, noisy, replay, "
+                     "self-consistency, history"),
     ("list.json", "malformed policy file 'list.json': holds no JSON object, got [1, 2]"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
@@ -158,7 +164,11 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
             ("inner-int", {**sc, "inner": 5}),
             ("matrix-int", {**nocot, "matrix": 5}),
             ("matrix-text", {**nocot, "matrix": [*nocot["matrix"][:2], [0.14, 0.14, "x"]]}),
-            ("inner-matrix-int", {**sc, "inner": {**nocot, "matrix": 5}})]:
+            ("inner-matrix-int", {**sc, "inner": {**nocot, "matrix": 5}}),
+            ("inner-matrix-dist", {**sc, "inner": {**nocot, "matrix": [[1, 0, 0], [0, 1, 0],
+                                                                       [0, 0, 2]]}}),
+            ("matrix-shape", {**nocot, "matrix": [[1, 0, 0]]}),
+            ("no-kind", {key: value for key, value in nocot.items() if key != "kind"})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(policy_file))
     for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
                         ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
@@ -390,6 +400,32 @@ def test_oracle_run_and_score(tmp_path, corpus, capsys):
     assert "SetCons" in printed
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["set_cons_rate"] == 1.0
+
+
+def test_score_reads_a_run_scored_against_itself_once(tmp_path, corpus, monkeypatch):
+    import shutil
+
+    import casecheck.cli
+
+    run_dir = tmp_path / "base"
+    assert main(run_args(corpus, run_dir, policy="nocot-like", method="baseline")) == 0
+    shutil.copytree(run_dir, tmp_path / "copy")
+    load_reports, loads = casecheck.cli.load_reports, []
+
+    def counted(path):
+        loads.append(path)
+        return load_reports(path)
+
+    monkeypatch.setattr(casecheck.cli, "load_reports", counted)
+    outputs = {}
+    for name, baseline in [("same", run_dir / "."), ("copy", tmp_path / "copy")]:
+        out = tmp_path / f"score-{name}"
+        loads.clear()
+        assert main(["score", "--run", str(run_dir), "--baseline", str(baseline),
+                     "--out", str(out)]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("metrics.json", "table.txt")]
+        assert len(loads) == (1 if name == "same" else 2)
+    assert outputs["same"] == outputs["copy"]
 
 
 def test_noisy_baseline_has_failures_and_repair_improves(tmp_path, corpus):

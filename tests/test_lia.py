@@ -61,6 +61,7 @@ def test_parse_definitional_equality():
         ("(declare-int x 0 200)", "width"),
         ("(declare-int x 0 3)(assert (<= 1 2))", "no variables"),
         ("(declare-int x 0 3)(assert (<= x 1)", "unbalanced"),
+        ("(declare-int x 0 3))", "unexpected ')'"),
     ],
 )
 def test_parse_rejections(text, fragment):

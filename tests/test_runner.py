@@ -376,3 +376,28 @@ def test_timeout_reports_are_pinned(tmp_path, default_corpus, method):
     path = tmp_path / "reports.jsonl"
     save_reports(reports, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TIMEOUT_DIGESTS[method]
+
+
+@pytest.mark.parametrize("corpus_name", ["default", "long"])
+def test_loading_and_evaluating_leave_no_cyclic_garbage(tmp_path, default_corpus, long_corpus,
+                                                        corpus_name):
+    # a self-referential closure per s-expression read and per grounded
+    # inequality used to leave 47,392 objects (default corpus) for the
+    # cyclic collector after every load
+    import gc
+
+    from casecheck.casefile import load_corpus, save_corpus
+
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(default_corpus if corpus_name == "default" else long_corpus, path)
+    gc.collect()
+    gc.disable()
+    try:
+        cases = load_corpus(path)
+        assert gc.collect() == 0
+        for method in METHODS:
+            for case in cases:
+                evaluate_bundle(case, config(method, seed=7))
+            assert gc.collect() == 0, method
+    finally:
+        gc.enable()
