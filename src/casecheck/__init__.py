@@ -1,3 +1,31 @@
 """casecheck: consistency engine and evaluation harness for multi-query case files."""
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+# The engine modules are registered in ``sys.modules`` and bound here at once
+# but executed on first attribute access (the lazy-import recipe of the
+# ``importlib`` docs), so each subcommand executes only the modules it uses:
+# ``score`` and ``report`` run no solver, grounding, generator or answerer
+# code. A new engine module joins this list. ``cli`` stays off it:
+# ``python -m casecheck.cli`` must not find it in ``sys.modules`` before
+# running it.
+_LAZY = ("logic", "solver", "lia", "casefile", "commitments", "repair", "answerers",
+         "metrics", "generator", "runner")
+
+
+def _register(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+for _name in _LAZY:
+    globals()[_name] = _register(_name)
+del _name

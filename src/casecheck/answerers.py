@@ -266,9 +266,13 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
     if name_or_config in PRESETS:
         return PRESETS[name_or_config]
     try:
-        text = Path(name_or_config).read_text()
+        text = Path(name_or_config).read_text(encoding="utf-8")
     except OSError:
-        raise PolicyError(f"unknown policy preset or config file: {name_or_config!r}") from None
+        raise PolicyError(f"unknown policy preset or config file: {name_or_config!r} "
+                          f"(presets: {', '.join(sorted(PRESETS))})") from None
+    except UnicodeDecodeError as exc:
+        raise PolicyError(f"malformed policy file {name_or_config!r}: "
+                          f"not UTF-8 text ({exc.reason})") from None
     try:
         data = json.loads(text)
         if type(data) is not dict:
@@ -329,7 +333,11 @@ def load_trace(path: str | Path) -> dict[tuple[str, str], Answer]:
     line."""
     trace = {}
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise PolicyError(f"{path}: trace is not UTF-8 text ({exc.reason})") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

@@ -293,7 +293,11 @@ def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
 def load_corpus(path: str | Path) -> list[CaseFile]:
     cases = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for i, line in enumerate(lines):
             line = line.strip()
             if not line:
                 continue

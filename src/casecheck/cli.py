@@ -25,21 +25,14 @@ import os
 import sys
 from pathlib import Path
 
-from .answerers import PRESETS, PolicyError
-from .casefile import (
-    CaseError,
-    Domain,
-    LabelTimeout,
-    label_case,
-    load_corpus,
-    save_corpus,
-    split_cases,
-)
-from .generator import DEFAULT_DOMAIN_MIX, GeneratorSpec, corpus_composition, generate_corpus
-from .metrics import ReportFormatError, aggregate, domain_breakdown, load_reports, render_table
-from .runner import METHODS, MODES, RunConfig, run as run_bundles, write_run
+# Modules, not names: each is executed on its first use inside a handler (see
+# the package's ``__init__``), so ``score`` and ``report`` execute ``metrics``
+# alone. A name imported from one of them here would execute it at once.
+from . import answerers, casefile, generator, metrics, runner
 
 ENV_CORPUS_DIR = "CASECHECK_CORPUS_DIR"
+# ``casefile.Domain`` values in order, for the ``--mix`` help; the tests check it.
+MIX_ORDER = "relational,temporal,policy,abductive"
 
 
 def _resolve_corpus_path(path: str) -> str:
@@ -70,13 +63,13 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
-def _parse_mix(text: str) -> dict[Domain, int]:
+def _parse_mix(text: str) -> dict[casefile.Domain, int]:
+    domains = list(casefile.Domain)
     parts = [int(x) for x in text.split(",")]
-    if len(parts) != len(Domain) or min(parts) < 0 or sum(parts) == 0:
+    if len(parts) != len(domains) or min(parts) < 0 or sum(parts) == 0:
         raise argparse.ArgumentTypeError(
-            f"mix needs {len(Domain)} counts >= 0 with a positive sum: "
-            f"{','.join(d.value for d in Domain)}")
-    return dict(zip(Domain, parts))
+            f"mix needs {len(domains)} counts >= 0 with a positive sum: {MIX_ORDER}")
+    return dict(zip(domains, parts))
 
 
 def _parse_ratios(text: str) -> tuple[float, ...]:
@@ -89,8 +82,8 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     return ratios
 
 
-def _apportion(total: int) -> dict[Domain, int]:
-    weights = DEFAULT_DOMAIN_MIX
+def _apportion(total: int) -> dict[casefile.Domain, int]:
+    weights = generator.DEFAULT_DOMAIN_MIX
     wsum = sum(weights.values())
     exact = {d: total * w / wsum for d, w in weights.items()}
     counts = {d: int(v) for d, v in exact.items()}
@@ -102,11 +95,11 @@ def _apportion(total: int) -> dict[Domain, int]:
 
 def cmd_generate(args) -> int:
     mix = args.mix or (_apportion(args.cases) if args.cases else None)
-    spec = GeneratorSpec(domain_mix=mix) if mix else GeneratorSpec()
-    cases = generate_corpus(spec, seed=args.seed)
-    split_cases(cases, args.split, seed=args.seed)
-    save_corpus(cases, args.out)
-    rows = corpus_composition(cases)
+    spec = generator.GeneratorSpec(domain_mix=mix) if mix else generator.GeneratorSpec()
+    cases = generator.generate_corpus(spec, seed=args.seed)
+    casefile.split_cases(cases, args.split, seed=args.seed)
+    casefile.save_corpus(cases, args.out)
+    rows = generator.corpus_composition(cases)
     header = f"{'Domain':<12}{'Cases':>7}{'Q/Bundle':>12}{'Queries':>9}"
     print(header)
     for row in rows:
@@ -117,28 +110,30 @@ def cmd_generate(args) -> int:
 
 
 def cmd_label(args) -> int:
-    cases = load_corpus(_resolve_corpus_path(args.corpus))
+    cases = casefile.load_corpus(_resolve_corpus_path(args.corpus))
     timeouts = 0
     for case in cases:
         try:
-            label_case(case)
-        except LabelTimeout:
+            casefile.label_case(case)
+        except casefile.LabelTimeout:
             timeouts += 1
             case.extra["label_timeout"] = True
             for q in case.queries:
                 q.gold_label = None
-    save_corpus(cases, args.out)
+    casefile.save_corpus(cases, args.out)
     labeled = sum(1 for c in cases if all(q.gold_label for q in c.queries))
     print(f"labeled {labeled}/{len(cases)} cases ({timeouts} refused on timeout) -> {args.out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    options = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
-    config = RunConfig(**{**options, "corpus": _resolve_corpus_path(args.corpus)})
-    reports, timings = run_bundles(config)
-    out = write_run(args.out, config, reports, timings)
-    m = aggregate(reports)
+    # the options given; RunConfig supplies every other default
+    fields = {f.name for f in dataclasses.fields(runner.RunConfig)}
+    options = {name: value for name, value in vars(args).items() if name in fields}
+    config = runner.RunConfig(**{**options, "corpus": _resolve_corpus_path(args.corpus)})
+    reports, timings = runner.run(config)
+    out = runner.write_run(args.out, config, reports, timings)
+    m = metrics.aggregate(reports)
     bad = sum(len(r.invariant_failures) for r in reports)
     print(f"{len(reports)} bundles -> {out}")
     print(f"SetCons={m.set_cons_rate:.3f} Acc={m.accuracy:.3f} "
@@ -153,17 +148,17 @@ def cmd_run(args) -> int:
 
 def _load_run(run_dir: str):
     path = Path(run_dir) / "reports.jsonl"
-    reports = load_reports(path)
+    reports = metrics.load_reports(path)
     if not any(q.gold is not None for r in reports for q in r.queries):
-        raise ReportFormatError(f"{path}: no gold-labelled query to score")
+        raise metrics.ReportFormatError(f"{path}: no gold-labelled query to score")
     timings_path = Path(run_dir) / "timings.json"
     eval_s = None
     if timings_path.exists():
         try:
             eval_s = json.loads(timings_path.read_text()).get("total_seconds")
         except (ValueError, AttributeError) as exc:  # no JSON, or no JSON object
-            raise ReportFormatError(f"{timings_path}:{getattr(exc, 'lineno', 1)}: "
-                                    f"not a timings object ({exc!r})") from None
+            raise metrics.ReportFormatError(f"{timings_path}:{getattr(exc, 'lineno', 1)}: "
+                                            f"not a timings object ({exc!r})") from None
     return reports, eval_s
 
 
@@ -174,9 +169,9 @@ def cmd_score(args) -> int:
         same = (Path(args.baseline, "reports.jsonl").resolve()
                 == Path(args.run, "reports.jsonl").resolve())
         baseline_reports, baseline_eval_s = (reports, eval_s) if same else _load_run(args.baseline)
-    m = aggregate(reports, baseline=baseline_reports)
+    m = metrics.aggregate(reports, baseline=baseline_reports)
     label = f"{reports[0].method}/{reports[0].mode}"
-    table = render_table([(label, m)])
+    table = metrics.render_table([(label, m)])
     out_dir = Path(args.out or args.run)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(
@@ -193,12 +188,28 @@ def cmd_score(args) -> int:
 
 def cmd_report(args) -> int:
     reports, _ = _load_run(args.run)
-    m, domains = aggregate(reports), domain_breakdown(reports)  # both before any output
+    m, domains = metrics.aggregate(reports), metrics.domain_breakdown(reports)  # before output
     label = f"{reports[0].method}/{reports[0].mode}"
-    print(render_table([(label, m)], title="overall"), end="")
+    print(metrics.render_table([(label, m)], title="overall"), end="")
     print()
-    print(render_table(domains, title="by domain"), end="")
+    print(metrics.render_table(domains, title="by domain"), end="")
     return 0
+
+
+class _Choices:
+    """The tuple ``metrics.<name>``, read only when argparse checks a value
+    against it or lists it in the help, so that building the parser executes
+    no engine module. Give the option a ``metavar``: without one, argparse
+    lists the choices as it adds the option."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __iter__(self):
+        return iter(getattr(metrics, self.name))
+
+    def __contains__(self, value) -> bool:
+        return value in getattr(metrics, self.name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cases", type=_at_least_one, default=None,
                    help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
     g.add_argument("--mix", type=_parse_mix, default=None,
-                   help=f"per-domain counts: {','.join(d.value for d in Domain)}")
+                   help=f"per-domain counts: {MIX_ORDER}")
     g.add_argument("--split", type=_parse_ratios, default="0.8,0.1,0.1",
                    help="train,dev,test shares, each >= 0, summing to 1")
     g.set_defaults(func=cmd_generate)
@@ -224,16 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--out", required=True)
     l.set_defaults(func=cmd_label)
 
-    r = sub.add_parser("run", help="evaluate a policy over a corpus")
-    # every default but --policy's is RunConfig's
-    r.set_defaults(func=cmd_run, **{f.name: f.default for f in dataclasses.fields(RunConfig)
-                                    if f.default is not dataclasses.MISSING})
+    # an option not given is left out, so every default but --policy's is RunConfig's
+    r = sub.add_parser("run", help="evaluate a policy over a corpus",
+                       argument_default=argparse.SUPPRESS)
+    r.set_defaults(func=cmd_run)
     r.add_argument("--corpus", required=True)
     r.add_argument("--out", required=True, help="run directory")
     r.add_argument("--policy", default="oracle",
-                   help=f"preset ({', '.join(sorted(PRESETS))}) or a config file")
-    r.add_argument("--method", choices=METHODS)
-    r.add_argument("--mode", choices=MODES)
+                   help="preset name or policy config file (default: oracle)")
+    r.add_argument("--method", choices=_Choices("METHODS"), metavar="METHOD",
+                   help="one of %(choices)s")
+    r.add_argument("--mode", choices=_Choices("MODES"), metavar="MODE",
+                   help="one of %(choices)s")
     r.add_argument("--split")
     r.add_argument("--seed", type=int)
     r.add_argument("--r-max", type=_at_least_one)
@@ -260,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CaseError, PolicyError, ReportFormatError, FileNotFoundError) as exc:
+    except (casefile.CaseError, answerers.PolicyError, metrics.ReportFormatError,
+            FileNotFoundError) as exc:
         print(f"casecheck {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,9 +25,14 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .casefile import Label
-
-SAT, UNSAT = "sat", "unsat"  # SolveStatus values, as the reports spell them
+# The vocabulary of the reports, spelled as they spell it so that scoring
+# needs no engine module: ``SolveStatus`` values, ``Label`` values in their
+# order, and the methods and modes a run takes (``RunConfig`` checks them).
+SAT, UNSAT = "sat", "unsat"
+LABEL_NAMES = ("entailed", "contradicted", "unknown")
+UNKNOWN = LABEL_NAMES[2]
+METHODS = ("baseline", "check", "check+repair")
+MODES = ("set", "sequential")
 
 
 class Phase(NamedTuple):
@@ -118,8 +123,11 @@ _CHUNK = 64
 def load_reports(path: str | Path) -> list[BundleReport]:
     """Every field of a report line, nested records included, is required and
     checked against its annotation (see ``_build``)."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ReportFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     reports = []
     for start in range(0, len(numbered), _CHUNK):
         chunk, records = numbered[start:start + _CHUNK], []
@@ -213,9 +221,6 @@ def _build(cls, items: list, locate: bool = True) -> list:
 
 
 # ------------------------------------------------------------------- metrics
-
-LABEL_NAMES = [l.value for l in Label]
-
 
 def _f1(tp: int, fp: int, fn: int) -> float:
     if tp == 0 and fp == 0 and fn == 0:
@@ -312,8 +317,8 @@ def aggregate(reports: Sequence[BundleReport],
         queries=sum(r.n for r in reports),
         accuracy=sum(1 for gold, final in pairs if gold == final) / len(pairs),
         macro_f1=sum(f1s.values()) / len(f1s),
-        unknown_f1=f1s[Label.UNKNOWN.value],
-        unknown_rate=sum(1 for _, f in pairs if f == Label.UNKNOWN.value) / len(pairs),
+        unknown_f1=f1s[UNKNOWN],
+        unknown_rate=sum(1 for _, f in pairs if f == UNKNOWN) / len(pairs),
         set_cons_rate=set_cons_rate(reports),
         auc_prefix_cons=sum(aucs) / len(aucs) if aucs else None,
         revision_cost=revision_cost(reports),

@@ -31,13 +31,10 @@ from pathlib import Path
 from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
 from .casefile import CaseError, CaseFile, Label, Query, load_corpus
 from .commitments import BeliefState, extract_commitment
-from .metrics import (PHASES, SAT, UNSAT, BundleReport, QueryRecord, RepairLogEntry,
-                      save_reports)
+from .metrics import (METHODS, MODES, PHASES, SAT, UNSAT, BundleReport, QueryRecord,
+                      RepairLogEntry, save_reports)
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
 from .solver import DEFAULT_WALL_TIMEOUT, SolveStatus
-
-METHODS = ("baseline", "check", "check+repair")
-MODES = ("set", "sequential")
 
 
 @dataclass

@@ -154,6 +154,10 @@ def test_presets_resolve():
     for name in ("oracle", "nocot-like", "cot-like", "sc-like", "history-like"):
         cfg = resolve_policy(name)
         Answerer(cfg, seed=0)  # constructible
+    # an unknown name lists them, as `run --help` does not
+    with pytest.raises(PolicyError, match=r"'no-such' \(presets: cot-like, history-like, "
+                                          r"nocot-like, oracle, sc-like\)$"):
+        resolve_policy("no-such")
 
 
 def test_presets_round_trip_through_policy_files(tmp_path):

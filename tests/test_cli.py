@@ -91,6 +91,16 @@ def test_run_rejects_budgets_below_one(tmp_path, corpus, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--method", "repair"), ("--mode", "batch")])
+def test_run_rejects_an_unknown_method_or_mode(tmp_path, corpus, capsys, flag, value):
+    out = tmp_path / "bad-run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--corpus", str(corpus), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid choice: '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy, message", [
     ("no-such", "unknown policy preset or config file: 'no-such'"),
     ("missing.json", "unknown policy preset or config file: 'missing.json'"),
@@ -405,18 +415,18 @@ def test_oracle_run_and_score(tmp_path, corpus, capsys):
 def test_score_reads_a_run_scored_against_itself_once(tmp_path, corpus, monkeypatch):
     import shutil
 
-    import casecheck.cli
+    import casecheck.metrics
 
     run_dir = tmp_path / "base"
     assert main(run_args(corpus, run_dir, policy="nocot-like", method="baseline")) == 0
     shutil.copytree(run_dir, tmp_path / "copy")
-    load_reports, loads = casecheck.cli.load_reports, []
+    load_reports, loads = casecheck.metrics.load_reports, []
 
     def counted(path):
         loads.append(path)
         return load_reports(path)
 
-    monkeypatch.setattr(casecheck.cli, "load_reports", counted)
+    monkeypatch.setattr(casecheck.metrics, "load_reports", counted)
     outputs = {}
     for name, baseline in [("same", run_dir / "."), ("copy", tmp_path / "copy")]:
         out = tmp_path / f"score-{name}"
@@ -495,15 +505,90 @@ def test_label_command_round_trip(tmp_path, corpus):
             assert qa["gold_label"] == qb["gold_label"]
 
 
+def fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with warnings as errors on ``argv``."""
+    import casecheck
+
+    env = dict(os.environ, PYTHONPATH=str(Path(casecheck.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def fresh_modules(code: str) -> tuple[set[str], set[str]]:
+    """The ``casecheck`` modules registered and those executed after ``code``
+    in a fresh interpreter. A module registered but not executed yet is no
+    plain ``types.ModuleType``."""
+    out = fresh("-c", f"{code}\nimport json, sys, types\n"
+                "names = [n for n in sys.modules if n.split('.')[0] == 'casecheck']\n"
+                "print(json.dumps([names, [n for n in names "
+                "if type(sys.modules[n]) is types.ModuleType]]), file=sys.stderr)")
+    registered, executed = json.loads(out.stderr.splitlines()[-1])
+    return set(registered), set(executed)
+
+
 def test_cli_import_loads_no_process_pool():
     # only ``run --jobs N`` with N > 1 needs the pool; every other command
     # starts without multiprocessing
-    import casecheck
-
-    src = str(Path(casecheck.__file__).resolve().parent.parent)
-    code = ("import sys, casecheck.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = fresh("-c", "import sys, casecheck.cli; print([m for m in "
+                "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("source", ["policy", "trace", "run", "label", "score"])
+def test_input_that_is_no_utf8_exits_2(tmp_path, corpus, capsys, source):
+    # each ended in a UnicodeDecodeError traceback, exit 1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"kind": "replay", "trace_path": str(bad)}))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "reports.jsonl").write_bytes(bad.read_bytes())
+    out = tmp_path / "out"
+    argv = {"policy": run_args(corpus, out, policy=bad),
+            "trace": run_args(corpus, out, policy=replay),
+            "run": run_args(bad, out),
+            "label": ["label", "--corpus", str(bad), "--out", str(out)],
+            "score": ["score", "--run", str(run_dir), "--out", str(out)]}[source]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"casecheck {argv[0]}: error: ") and err.count("\n") == 1
+    named = run_dir / "reports.jsonl" if source == "score" else bad
+    assert str(named) in err and "not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_mix_help_lists_the_domains_in_order():
+    from casecheck.casefile import Domain
+    from casecheck.cli import MIX_ORDER
+
+    assert MIX_ORDER == ",".join(domain.value for domain in Domain)
+
+
+def test_cli_import_registers_every_engine_module():
+    # perfbench's tracer reads each of them from sys.modules after this import
+    registered, executed = fresh_modules("import casecheck.cli")
+    assert registered == {"casecheck", "casecheck.cli", *(
+        f"casecheck.{m}" for m in ("logic", "solver", "lia", "casefile", "commitments", "repair",
+                                   "answerers", "metrics", "generator", "runner"))}
+    assert executed == {"casecheck", "casecheck.cli"}
+
+
+@pytest.mark.parametrize("command", ["score", "report"])
+def test_scoring_executes_metrics_alone(tmp_path, corpus, command):
+    run_dir = tmp_path / "run"
+    assert main(run_args(corpus, run_dir, policy="oracle", method="baseline")) == 0
+    argv = [command, "--run", str(run_dir)]
+    _, executed = fresh_modules(f"from casecheck.cli import main\nassert main({argv!r}) == 0")
+    assert executed == {"casecheck", "casecheck.cli", "casecheck.metrics"}
+    # through the entry point too, where runpy warns of a casecheck.cli
+    # imported before it runs
+    assert fresh("-m", "casecheck.cli", *argv).stderr == ""
+
+
+def test_generate_executes_no_run_or_scoring_module(tmp_path):
+    argv = ["generate", "--cases", "4", "--out", str(tmp_path / "c.jsonl")]
+    _, executed = fresh_modules(f"from casecheck.cli import main\nassert main({argv!r}) == 0")
+    assert "casecheck.generator" in executed
+    assert not executed & {f"casecheck.{m}" for m in ("runner", "answerers", "commitments",
+                                                      "repair", "metrics")}
