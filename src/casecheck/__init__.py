@@ -5,6 +5,14 @@ import sys
 
 __version__ = "0.1.0"
 
+
+class InputError(ValueError):
+    """Bad input that the CLI refuses with exit 2 and a one-line message: the
+    base of ``casefile.CaseError``, ``answerers.PolicyError`` and
+    ``metrics.ReportFormatError``, so that catching them executes none of
+    those modules."""
+
+
 # The engine modules are registered in ``sys.modules`` and bound here at once
 # but executed on first attribute access (the lazy-import recipe of the
 # ``importlib`` docs), so each subcommand executes only the modules it uses:

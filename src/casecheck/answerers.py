@@ -16,9 +16,11 @@ import json
 import logging
 import random
 import re
+from bisect import bisect
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from . import InputError
 from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label
 
 log = logging.getLogger(__name__)
@@ -27,7 +29,7 @@ LABELS = tuple(Label)
 KINDS = ("oracle", "noisy", "replay", "self-consistency", "history")
 
 
-class PolicyError(ValueError):
+class PolicyError(InputError):
     """A policy name that is no preset, or a config file that is missing or
     does not describe a policy an ``Answerer`` can run."""
 
@@ -58,8 +60,10 @@ class ConfusionMatrix:
             gold: list(itertools.accumulate(row)) for gold, row in zip(LABELS, self.rows)})
 
     def sample(self, gold: Label, rng: random.Random) -> Label:
-        # the draw ``weights=row`` makes, without accumulating the row on every call
-        return rng.choices(LABELS, cum_weights=self.cumulative[gold], k=1)[0]
+        # the draw ``choices(LABELS, weights=row, k=1)`` makes, without
+        # accumulating the row or building a list on every call
+        cum = self.cumulative[gold]
+        return LABELS[bisect(cum, rng.random() * (cum[-1] + 0.0), 0, 2)]
 
 
 @dataclass
@@ -96,11 +100,6 @@ class PolicyConfig:
             raise PolicyError("replay policy needs a trace_path")
         if self.kind == "self-consistency" and self.inner is None:
             raise PolicyError("self-consistency policy needs an inner policy")
-
-
-def _rng_for(seed: int, case_id: str, query_id: str, draw: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{case_id}:{query_id}:{draw}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 # leakage concentrates on underdetermined content
@@ -149,6 +148,14 @@ class Answerer:
         self.seed = seed
         self._trace = load_trace(config.trace_path) if config.kind == "replay" else None
         self._inner = Answerer(config.inner, seed) if config.inner else None
+        self._rng = random.Random()  # reseeded for every draw, cheaper than a new one
+
+    def _rng_for(self, case_id: str, query_id: str, draw: int | str) -> random.Random:
+        """The answerer's generator in the state ``random.Random(s)`` would
+        start in, ``s`` derived from (policy seed, case id, query id, draw)."""
+        digest = hashlib.sha256(f"{self.seed}:{case_id}:{query_id}:{draw}".encode()).digest()
+        self._rng.seed(int.from_bytes(digest[:8], "big"))
+        return self._rng
 
     # history: ordered (query, final label) pairs from earlier steps
     def answer(self, case: CaseFile, query: Query,
@@ -174,7 +181,7 @@ class Answerer:
 
     def _noisy_answer(self, case: CaseFile, query: Query, draw: int) -> Answer:
         cfg = self.config
-        rng = _rng_for(self.seed, case.id, query.id, draw)
+        rng = self._rng_for(case.id, query.id, draw)
         if query.gold_label is None:
             raise CaseError(f"case {case.id}: query {query.id} has no gold label to perturb")
         label = cfg.matrix.sample(query.gold_label, rng)
@@ -186,7 +193,7 @@ class Answerer:
     def _history_answer(self, case: CaseFile, query: Query,
                         history: list[tuple[Query, Label]], draw: int) -> Answer:
         cfg = self.config
-        rng = _rng_for(self.seed, case.id, query.id, f"h{draw}")
+        rng = self._rng_for(case.id, query.id, f"h{draw}")
         dependencies = set(query.depends_on)
         prior = None
         for past_query, past_label in reversed(history):

@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import InputError
 from .lia import GroundedTheory, TheoryError, ground, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
 from .solver import SolveResult, SolveStatus, SolverSession
@@ -46,7 +47,7 @@ class Domain(str, Enum):
     ABDUCTIVE = "abductive"
 
 
-class CaseError(ValueError):
+class CaseError(InputError):
     pass
 
 
@@ -96,7 +97,7 @@ class CaseFile:
         if self.formula is None:
             raise CaseError(f"case {self.id} is not compiled")
         session = SolverSession(self.formula)
-        return session, {v if b else -v for v, b in check_premises(session, self.id).model.items()}
+        return session, set(check_premises(session, self.id).true_literals)
 
 
 def check_premises(session: SolverSession, case_id: str | None) -> SolveResult:
@@ -165,7 +166,7 @@ def literal_gold_label(session: SolverSession, atom: int,
             raise LabelTimeout(f"{check} check timed out")
         if res.status is SolveStatus.UNSAT:
             return label
-        witnesses.update(v if value else -v for v, value in res.model.items())
+        witnesses.update(res.true_literals)
     return Label.UNKNOWN
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 # Modules, not names: each is executed on its first use inside a handler (see
 # the package's ``__init__``), so ``score`` and ``report`` execute ``metrics``
 # alone. A name imported from one of them here would execute it at once.
-from . import answerers, casefile, generator, metrics, runner
+from . import InputError, casefile, generator, metrics, runner
 
 ENV_CORPUS_DIR = "CASECHECK_CORPUS_DIR"
 # ``casefile.Domain`` values in order, for the ``--mix`` help; the tests check it.
@@ -273,8 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (casefile.CaseError, answerers.PolicyError, metrics.ReportFormatError,
-            FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"casecheck {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

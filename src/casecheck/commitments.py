@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 
 from .casefile import Label, Query, check_premises
-from .logic import Formula, evaluate
+from .logic import Formula, refutes, satisfies
 from .solver import DEFAULT_WALL_TIMEOUT, SolveResult, SolveStatus, SolverSession
 
 log = logging.getLogger(__name__)
@@ -81,6 +81,7 @@ class BeliefState:
         self.commitments: list[Commitment] = []
         self.active: list[bool] = []
         self.sat = True  # status of the retained conjunction; premises checked by rebuild_check
+        self.witness: SolveResult | None = None  # rebuild_check checks it before use
 
     # ------------------------------------------------------------- plumbing
 
@@ -176,26 +177,46 @@ class BeliefState:
 
     # ------------------------------------------------------------ validation
 
+    def solve(self, exclude: tuple[int, ...] = ()) -> SolveResult:
+        """Solve the active commitments, but those in ``exclude``. A SAT
+        result becomes the ``witness``."""
+        result = self.session.solve(self.assumptions(exclude))
+        if result.status is SolveStatus.SAT:
+            self.witness = result
+        return result
+
     def rebuild_check(self, case_id: str | None = None) -> bool:
         """Certified satisfiability of the retained conjunction.
 
-        One solve of the active selectors on the incremental session. A SAT
-        model is its own certificate: it must satisfy every premise clause and
-        every literal of every active commitment. Otherwise a fresh session
-        over the premises checks them (``check_premises``) and re-solves under
-        the literals of the failed-assumption commitments, or of every active
-        commitment after a timeout or a failed certificate; that verdict
-        stands."""
-        result = self.session.solve(self.assumptions())
-        model = result.model
-        if (result.status is SolveStatus.SAT and evaluate(self.base_formula, model)
-                and all(model[abs(lit)] == (lit > 0)
-                        for i in self.active_indices for lit in self.commitments[i].literals)):
-            return True
+        One ``solve`` of the active commitments on the bundle's own session,
+        certified from the premises and the commitment literals, never from
+        the session's clauses. SAT: the true literals meet every premise
+        clause and hold every active commitment literal. UNSAT: unit
+        propagation from the literals of the failed-set commitments refutes
+        the premises, and the ``witness`` (the revision probe's last solve,
+        say) meets every premise clause, since unsatisfiable premises would
+        refute anything. Otherwise (a timeout, no checked witness or a failed
+        certificate) a fresh session checks the premises (``check_premises``)
+        and re-solves under the literals of the failed-set commitments, or of
+        every active commitment after a timeout or a failed SAT certificate;
+        that verdict stands."""
+        result = self.solve()
+        premises = self.base_formula.clauses
         basis = self.active_indices
-        if result.status is SolveStatus.UNSAT:
-            basis = sorted(self.commitment_indices(result.failed_assumptions))
+        if result.status is SolveStatus.SAT:
+            true = result.true_literals
+            if satisfies(premises, true) and true.issuperset(self._literals(basis)):
+                return True
+        elif result.status is SolveStatus.UNSAT:
+            failed = self.commitment_indices(result.failed_assumptions)
+            basis = [i for i in basis if i in failed]
+            witness = self.witness
+            if (witness is not None and satisfies(premises, witness.true_literals)
+                    and refutes(premises, self._literals(basis))):
+                return False
         fresh = SolverSession(self.base_formula)
         check_premises(fresh, case_id)
-        literals = [lit for i in basis for lit in self.commitments[i].literals]
-        return fresh.solve(literals).status is SolveStatus.SAT
+        return fresh.solve(self._literals(basis)).status is SolveStatus.SAT
+
+    def _literals(self, indices: list[int]) -> list[int]:
+        return [lit for i in indices for lit in self.commitments[i].literals]

@@ -1,4 +1,5 @@
-"""Propositional core: clauses, CNF formulas, DIMACS io, model counting.
+"""Propositional core: clauses, CNF formulas, DIMACS io, model checks,
+unit-propagation refutations, model counting.
 
 Literals are nonzero ints in DIMACS convention: ``v`` asserts variable ``v``
 true, ``-v`` asserts it false. Variables are numbered from 1.
@@ -7,7 +8,7 @@ true, ``-v`` asserts it false. Variables are numbered from 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 ENUMERATION_VAR_LIMIT = 24
 # a solver session sizes per-variable arrays from the header, so a header
@@ -134,12 +135,42 @@ def emit_dimacs(formula: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def satisfies(clauses: Iterable[Iterable[int]], true: AbstractSet[int]) -> bool:
+    """Whether every clause has a literal in ``true``, the literals an
+    assignment makes true."""
+    return not any(map(true.isdisjoint, clauses))
+
+
 def evaluate(formula: Formula, model: dict[int, bool]) -> bool:
     """Direct evaluation of a total assignment against every clause."""
-    for clause in formula.clauses:
-        if not any(model[abs(l)] == (l > 0) for l in clause):
+    return satisfies(formula.clauses, {v if b else -v for v, b in model.items()})
+
+
+def refutes(clauses: Iterable[Sequence[int]], units: Iterable[int]) -> bool:
+    """Whether unit propagation from the literals ``units`` over ``clauses``
+    reaches a conflict, which shows that no model of the clauses makes every
+    unit true: a reverse-unit-propagation refutation (Goldberg & Novikov,
+    DATE 2003). Propagation runs to a fixpoint over plain literal sets and
+    shares no code with the solver; ``False`` proves nothing."""
+    true = set(units)
+    if any(-lit in true for lit in true):
+        return True
+    pending = list(clauses)
+    while True:
+        kept, grew = [], False
+        for clause in pending:
+            free = [lit for lit in clause if -lit not in true]
+            if not free:
+                return True  # every literal false
+            if true.isdisjoint(free):  # not yet satisfied
+                if len(free) == 1:
+                    true.add(free[0])
+                    grew = True
+                else:
+                    kept.append(clause)
+        if not grew:
             return False
-    return True
+        pending = kept
 
 
 _MASK_CACHE: dict[tuple[int, int], int] = {}

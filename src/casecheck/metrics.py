@@ -25,6 +25,8 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from . import InputError
+
 # The vocabulary of the reports, spelled as they spell it so that scoring
 # needs no engine module: ``SolveStatus`` values, ``Label`` values in their
 # order, and the methods and modes a run takes (``RunConfig`` checks them).
@@ -110,7 +112,7 @@ def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
             fh.write(json.dumps(report, default=vars, sort_keys=True) + "\n")
 
 
-class ReportFormatError(ValueError):
+class ReportFormatError(InputError):
     """A run directory file that is no JSON or holds no bundle report, or
     reports that hold nothing to score; the message names the file, and the
     line and field where there is one."""

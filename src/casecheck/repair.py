@@ -88,7 +88,7 @@ def min_revision_cost(state: BeliefState) -> RevisionCost:
     cores: list[set[int]] = []
     hitting: tuple[int, ...] = ()
     while True:
-        result = state.session.solve(state.assumptions(exclude=hitting))
+        result = state.solve(exclude=hitting)
         if result.status is SolveStatus.SAT:
             return RevisionCost(len(hitting), True, hitting)
         if result.status is SolveStatus.TIMEOUT:

@@ -36,6 +36,10 @@ from .metrics import (METHODS, MODES, PHASES, SAT, UNSAT, BundleReport, QueryRec
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
 from .solver import DEFAULT_WALL_TIMEOUT, SolveStatus
 
+# the report spelling of each label and step status, read once: ``Enum.value``
+# is a Python-level property, and a run reads these per step
+_VALUE = {member: member.value for enum in (Label, SolveStatus) for member in enum}
+
 
 @dataclass
 class RunConfig:
@@ -140,7 +144,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
         # ------------------------------------------------------------- check
         pending, result = state.append_and_check(commitment)
         ledger.take("check_solver_calls")
-        statuses_before.append(result.status.value)
+        statuses_before.append(_VALUE[result.status])
         if result.status is SolveStatus.TIMEOUT:
             if config.method != "baseline":
                 final = Label.UNKNOWN
@@ -182,9 +186,9 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
 
         records.append(QueryRecord(
             query_id=query.id,
-            gold=query.gold_label.value if query.gold_label else None,
-            predicted=predicted.value,
-            final=final.value,
+            gold=_VALUE.get(query.gold_label),
+            predicted=_VALUE[predicted],
+            final=_VALUE[final],
         ))
         history.append((query, final))
 

@@ -10,10 +10,11 @@ search, as a counterexample cache would (Cadar, Dunbar & Engler, OSDI 2008).
 A conflict-free search would return the same model, so no status or model
 depends on the shortcut. The other half: clauses are only ever added, so a
 call assuming the whole failed set of the last UNSAT search is UNSAT with it,
-again without a search. A SAT model is built when first read (once per bundle
-by ``BeliefState.rebuild_check``; per check by gold labelling). Verdicts are
-fully deterministic: branching breaks ties by variable index and there is no
-randomized component.
+again without a search. A SAT result builds its set of true literals when
+first read: once per bundle by ``BeliefState.rebuild_check``, per check by
+gold labelling. A method run builds no ``{var: bool}`` model (``.model``).
+Verdicts are fully deterministic: branching breaks ties by variable index and
+there is no randomized component.
 """
 
 from __future__ import annotations
@@ -56,8 +57,17 @@ class SolveResult:
     _bits: list[int] | None = field(default=None, repr=False)  # SAT: sign bit of vars 1..n
 
     @cached_property
+    def true_literals(self) -> frozenset[int] | None:
+        """The literals the total model of a SAT result makes true, one per
+        variable, built on first read; else None."""
+        if self._bits is None:
+            return None
+        return frozenset(-v if b else v for v, b in enumerate(self._bits, 1))
+
+    @cached_property
     def model(self) -> dict[int, bool] | None:
-        """The total model of a SAT result, built on first read; else None."""
+        """The total model of a SAT result as ``{var: bool}``, built on first
+        read; else None."""
         if self._bits is None:
             return None
         return dict(zip(range(1, len(self._bits) + 1), map((0).__eq__, self._bits)))

@@ -221,14 +221,22 @@ def test_answers_are_pinned(default_corpus, name):
 
 
 def test_cumulative_sampling_draws_as_weighted_sampling():
+    # the inlined draw on an answerer's reseeded generator against
+    # ``choices`` on a new one: the same label, the same state afterwards
+    import hashlib
+
     labels = tuple(Label)
     for name, preset in PRESETS.items():
         for config in (preset, preset.inner):
             if config is None or config.matrix is None:
                 continue
+            answerer = Answerer(config, seed=7)
             for gold, row in zip(labels, config.matrix.rows):
-                for seed in range(200):
-                    rng, twin = random.Random(seed), random.Random(seed)
+                for draw in range(200):
+                    rng = answerer._rng_for("c-1", "q1", draw)
+                    digest = hashlib.sha256(f"7:c-1:q1:{draw}".encode()).digest()
+                    twin = random.Random(int.from_bytes(digest[:8], "big"))
+                    assert rng.getstate() == twin.getstate()
                     assert config.matrix.sample(gold, rng) is twin.choices(
-                        labels, weights=row, k=1)[0], (name, gold, seed)
-                    assert rng.random() == twin.random()  # the same state afterwards
+                        labels, weights=row, k=1)[0], (name, gold, draw)
+                    assert rng.getstate() == twin.getstate()

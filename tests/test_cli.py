@@ -592,3 +592,11 @@ def test_generate_executes_no_run_or_scoring_module(tmp_path):
     assert "casecheck.generator" in executed
     assert not executed & {f"casecheck.{m}" for m in ("runner", "answerers", "commitments",
                                                       "repair", "metrics")}
+
+
+def test_refused_input_executes_only_what_the_command_uses(tmp_path):
+    # naming the errors that exit 2 executed casefile, answerers, lia, logic
+    # and solver whenever a handler raised
+    argv = ["score", "--run", str(tmp_path)]  # no reports.jsonl there
+    _, executed = fresh_modules(f"from casecheck.cli import main\nassert main({argv!r}) == 2")
+    assert executed == {"casecheck", "casecheck.cli", "casecheck.metrics"}

@@ -1,10 +1,12 @@
 import logging
 import random
 
-from casecheck.casefile import Label, Query, load_corpus
+from casecheck import commitments
+from casecheck.casefile import CaseFile, Domain, Label, Query, compile_case, load_corpus
 from casecheck.commitments import BeliefState, Commitment, extract_commitment
 from casecheck.logic import Formula, count_models, evaluate, parse_dimacs
-from casecheck.solver import SolveStatus
+from casecheck.repair import min_revision_cost
+from casecheck.solver import SolverSession, SolveStatus
 from pathlib import Path
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -273,3 +275,76 @@ def test_validation_after_a_timeout_re_solves_every_active_commitment():
     assert state.session.solve(state.assumptions()).status is SolveStatus.TIMEOUT
     assert state.rebuild_check() is False
 
+
+def count_sessions(monkeypatch) -> list:
+    """Every solver session the belief-state module builds from now on."""
+    built = []
+
+    class Counted(SolverSession):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(commitments, "SolverSession", Counted)
+    return built
+
+
+def chained_conflict() -> BeliefState:
+    """Premises 1 -> 2 -> 3 and the active commitments 1 and -3: UNSAT, and
+    refuted by unit propagation from the two commitment literals."""
+    state = BeliefState(parse_dimacs("p cnf 3 2\n-1 2 0\n-2 3 0"))
+    state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
+    idx, result = state.append_and_check(Commitment("q2", Label.CONTRADICTED, (-3,)))
+    assert result.status is SolveStatus.UNSAT
+    state.activate(idx, sat=False)
+    return state
+
+
+def test_validation_certifies_unsat_on_the_bundle_session(monkeypatch):
+    state = chained_conflict()
+    assert min_revision_cost(state).value == 1  # its last solve is SAT: the witness
+    built = count_sessions(monkeypatch)
+    assert state.rebuild_check() is False
+    assert built == []
+
+
+def test_validation_without_a_checked_premise_witness_builds_a_fresh_session(monkeypatch):
+    state = chained_conflict()
+    built = count_sessions(monkeypatch)
+    assert state.witness is None  # no solve of the state's own has been SAT
+    assert state.rebuild_check() is False
+    assert len(built) == 1
+    # a witness that misses a premise the session never saw is no witness
+    min_revision_cost(state)
+    assert -2 in state.witness.true_literals
+    state.base_formula.clauses.append((2,))
+    assert state.rebuild_check() is False
+    assert len(built) == 2
+
+
+def test_validation_refuses_a_corrupted_failed_set(monkeypatch):
+    from casecheck.runner import RunConfig, evaluate_bundle
+
+    case = compile_case(CaseFile(
+        id="rel-1", domain=Domain.RELATIONAL, premises="p cnf 2 1\n1 2 0\n",
+        premises_format="dimacs", queries=[Query("q1", 1, Label.ENTAILED),
+                                           Query("q2", 1, Label.CONTRADICTED)]))
+    config = RunConfig(corpus="", policy="oracle", method="baseline")
+    built = count_sessions(monkeypatch)
+    report = evaluate_bundle(case, config)
+    assert report.statuses_after == ["sat", "unsat"]
+    assert report.invariant_failures == [] and len(built) == 1
+
+    # the session's failed set loses its first selector, and the cached copy
+    # answers the revision probe and the closing solve
+    analyze_final = SolverSession._analyze_final
+
+    def corrupted(self, failed_p):
+        core = analyze_final(self, failed_p)
+        return core - {min(core)} if len(core) > 1 else core
+
+    monkeypatch.setattr(SolverSession, "_analyze_final", corrupted)
+    built.clear()
+    report = evaluate_bundle(case, config)
+    assert report.invariant_failures == ["incremental status disagrees with fresh rebuild"]
+    assert len(built) == 2  # the certificate refused, the fallback re-solved

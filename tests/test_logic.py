@@ -11,6 +11,7 @@ from casecheck.logic import (
     evaluate,
     normalize_clause,
     parse_dimacs,
+    refutes,
     truth_table,
 )
 
@@ -102,3 +103,44 @@ def test_enumeration_guard():
     f = Formula(num_vars=25)
     with pytest.raises(EnumerationGuardError):
         truth_table(f)
+
+
+def random_refutation_input(rng: random.Random, horn: bool) -> tuple[Formula, list[int], Formula]:
+    """Clauses over at most 12 variables, a few units, and the clauses with
+    the units added. A Horn clause has at most one positive literal."""
+    nv = rng.randint(1, 12)
+    f = Formula(num_vars=nv)
+    for _ in range(rng.randint(0, 3 * nv)):
+        lits = [v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv)))]
+        if horn:
+            lits = [lits[0]] + [-abs(l) for l in lits[1:]]
+        f.add_clause(lits)
+    units = [v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, nv + 1), rng.randint(0, min(4, nv)))]
+    constrained = f.copy()
+    for unit in units:
+        constrained.add_clause([unit])
+    return f, units, constrained
+
+
+def test_unit_propagation_refutation_implies_no_model():
+    rng = random.Random(25)
+    refuted = 0
+    for _ in range(500):
+        f, units, constrained = random_refutation_input(rng, horn=False)
+        if refutes(f.clauses, units):
+            assert truth_table(constrained) == 0, (f, units)
+            refuted += 1
+    assert 50 < refuted < 450
+    assert refutes([], [2, 1, -2]) and not refutes([], [1, 2])
+    assert refutes([(1,)], [-1]) and not refutes([(1, 2)], [-1])
+
+
+def test_unit_propagation_decides_horn_clauses():
+    # unit propagation is complete on Horn clauses: when it stops without a
+    # conflict, every variable it left unassigned can be false
+    rng = random.Random(26)
+    for _ in range(500):
+        f, units, constrained = random_refutation_input(rng, horn=True)
+        assert refutes(f.clauses, units) == (truth_table(constrained) == 0), (f, units)
