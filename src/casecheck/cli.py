@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -50,16 +49,6 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _positive_seconds(text: str) -> float:
-    """Wall-clock budgets: the solver reads the clock only every 64 conflicts,
-    so zero or less would act as a 64-conflict budget and infinity as none;
-    argparse refuses them (exit 2)."""
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -155,10 +144,14 @@ def _load_run(run_dir: str):
     eval_s = None
     if timings_path.exists():
         try:
-            eval_s = json.loads(timings_path.read_text()).get("total_seconds")
+            timings = json.loads(timings_path.read_text())
+            eval_s = timings.get("total_seconds")
         except (ValueError, AttributeError) as exc:  # no JSON, or no JSON object
             raise metrics.ReportFormatError(f"{timings_path}:{getattr(exc, 'lineno', 1)}: "
                                             f"not a timings object ({exc!r})") from None
+        if "total_seconds" in timings and type(eval_s) not in (int, float):  # a bool is no number
+            raise metrics.ReportFormatError(
+                f"{timings_path}:1: total_seconds must be a number, got {eval_s!r}")
     return reports, eval_s
 
 
@@ -251,10 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int)
     r.add_argument("--r-max", type=_at_least_one)
     r.add_argument("--call-cap-factor", type=_at_least_one)
-    r.add_argument("--timeout", dest="max_seconds", type=_positive_seconds,
-                   help="wall-clock solver budget per call (seconds, positive and finite)")
     r.add_argument("--max-conflicts", type=_at_least_one,
-                   help="deterministic conflict budget (overrides wall clock in CI)")
+                   help="deterministic conflict budget per solver call")
     r.add_argument("--jobs", type=_at_least_one)
 
     s = sub.add_parser("score", help="compute metrics from a run directory")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .casefile import Label, Query, check_premises
 from .logic import Formula, refutes, satisfies
-from .solver import DEFAULT_WALL_TIMEOUT, SolveResult, SolveStatus, SolverSession
+from .solver import DEFAULT_MAX_CONFLICTS, SolveResult, SolveStatus, SolverSession
 
 log = logging.getLogger(__name__)
 
@@ -72,11 +72,9 @@ class BeliefState:
     any time equals the premises plus every active commitment;
     ``rebuild_check`` certifies its status."""
 
-    def __init__(self, formula: Formula, max_conflicts: int | None = None,
-                 max_seconds: float | None = DEFAULT_WALL_TIMEOUT):
+    def __init__(self, formula: Formula, max_conflicts: int = DEFAULT_MAX_CONFLICTS):
         self.base_formula = formula
-        self.session = SolverSession(formula, max_conflicts=max_conflicts,
-                                     max_seconds=max_seconds)
+        self.session = SolverSession(formula, max_conflicts=max_conflicts)
         self.base_vars = formula.num_vars
         self.commitments: list[Commitment] = []
         self.active: list[bool] = []
@@ -214,6 +212,8 @@ class BeliefState:
             if (witness is not None and satisfies(premises, witness.true_literals)
                     and refutes(premises, self._literals(basis))):
                 return False
+        # the default budget, not the run's: under a tiny run budget the
+        # premise check itself would time out and the run would exit 2
         fresh = SolverSession(self.base_formula)
         check_premises(fresh, case_id)
         return fresh.solve(self._literals(basis)).status is SolveStatus.SAT

@@ -34,7 +34,7 @@ from .commitments import BeliefState, extract_commitment
 from .metrics import (METHODS, MODES, PHASES, SAT, UNSAT, BundleReport, QueryRecord,
                       RepairLogEntry, save_reports)
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
-from .solver import DEFAULT_WALL_TIMEOUT, SolveStatus
+from .solver import DEFAULT_MAX_CONFLICTS, SolveStatus
 
 # the report spelling of each label and step status, read once: ``Enum.value``
 # is a Python-level property, and a run reads these per step
@@ -51,8 +51,7 @@ class RunConfig:
     seed: int = 0
     r_max: int = 2
     call_cap_factor: int = 3       # per-bundle solver-call cap = factor * n
-    max_conflicts: int | None = None
-    max_seconds: float | None = DEFAULT_WALL_TIMEOUT
+    max_conflicts: int = DEFAULT_MAX_CONFLICTS
     jobs: int = 1
 
     def __post_init__(self):
@@ -60,6 +59,8 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if type(self.max_conflicts) is not int or self.max_conflicts < 1:  # None fails at a conflict
+            raise ValueError(f"max_conflicts must be an integer >= 1, got {self.max_conflicts!r}")
         if self.method == "check+repair":
             if self.r_max <= 0 or self.call_cap_factor <= 0:
                 raise ValueError("check+repair requires positive budgets")
@@ -105,8 +106,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
     if answerer is None:
         answerer = Answerer(resolve_policy(config.policy), config.seed)
     policy = answerer.config
-    state = BeliefState(case.formula, max_conflicts=config.max_conflicts,
-                        max_seconds=config.max_seconds)
+    state = BeliefState(case.formula, max_conflicts=config.max_conflicts)
     n = case.bundle_size
     ledger = _Ledger(state.session.stats, config.call_cap_factor * n)
 

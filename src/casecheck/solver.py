@@ -12,14 +12,13 @@ depends on the shortcut. The other half: clauses are only ever added, so a
 call assuming the whole failed set of the last UNSAT search is UNSAT with it,
 again without a search. A SAT result builds its set of true literals when
 first read: once per bundle by ``BeliefState.rebuild_check``, per check by
-gold labelling. A method run builds no ``{var: bool}`` model (``.model``).
-Verdicts are fully deterministic: branching breaks ties by variable index and
-there is no randomized component.
+gold labelling; nothing builds a ``{var: bool}`` model. Verdicts are fully
+deterministic: branching breaks ties by variable index, there is no
+randomized component, and the one budget counts conflicts, not seconds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -32,7 +31,7 @@ TRUE = 1
 FALSE = 0
 UNDEF = -1
 
-DEFAULT_WALL_TIMEOUT = 30.0  # seconds per call unless a conflict budget is set
+DEFAULT_MAX_CONFLICTS = 20_000  # per call; 18-26 s of hard random 3-SAT on a 2-vCPU host
 
 
 class SolveStatus(Enum):
@@ -64,14 +63,6 @@ class SolveResult:
             return None
         return frozenset(-v if b else v for v, b in enumerate(self._bits, 1))
 
-    @cached_property
-    def model(self) -> dict[int, bool] | None:
-        """The total model of a SAT result as ``{var: bool}``, built on first
-        read; else None."""
-        if self._bits is None:
-            return None
-        return dict(zip(range(1, len(self._bits) + 1), map((0).__eq__, self._bits)))
-
 
 class SolverSession:
     """One loaded formula plus incremental solving state.
@@ -85,14 +76,9 @@ class SolverSession:
     hold slots; literals are converted only in the public methods.
     """
 
-    def __init__(
-        self,
-        formula: Formula | None = None,
-        max_conflicts: int | None = None,
-        max_seconds: float | None = DEFAULT_WALL_TIMEOUT,
-    ):
+    def __init__(self, formula: Formula | None = None,
+                 max_conflicts: int = DEFAULT_MAX_CONFLICTS):
         self.max_conflicts = max_conflicts
-        self.max_seconds = max_seconds
         self.stats = SolverStats()
 
         n = self._num_vars = formula.num_vars if formula is not None else 0
@@ -403,8 +389,7 @@ class SolverSession:
         SAT results carry a total model. UNSAT results carry the subset of
         assumptions the refutation used (not necessarily minimal; empty when
         the clause set is UNSAT on its own). Exhausting the session's budget
-        yields TIMEOUT and callers must treat the verdict as unknown. A
-        conflict budget, when set, replaces the wall-clock budget.
+        yields TIMEOUT and callers must treat the verdict as unknown.
         """
         self.stats.solver_calls += 1
         for a in assumptions:
@@ -428,10 +413,6 @@ class SolverSession:
             return SolveResult(SolveStatus.UNSAT)
 
         budget_conflicts = self.max_conflicts
-        deadline = None
-        if budget_conflicts is None and self.max_seconds is not None:
-            deadline = time.monotonic() + self.max_seconds
-
         conflicts_this_call = 0
         restart_idx = 1
         restart_limit = 32 * self._luby(restart_idx)
@@ -447,10 +428,7 @@ class SolverSession:
                 if len(trail_lim) == 0:
                     self._ok = False
                     return SolveResult(SolveStatus.UNSAT)
-                if budget_conflicts is not None and conflicts_this_call >= budget_conflicts:
-                    self._cancel_until(0)
-                    return SolveResult(SolveStatus.TIMEOUT)
-                if deadline is not None and conflicts_this_call % 64 == 0 and time.monotonic() > deadline:
+                if conflicts_this_call >= budget_conflicts:
                     self._cancel_until(0)
                     return SolveResult(SolveStatus.TIMEOUT)
                 learnt, back_level = self._analyze(conflict)

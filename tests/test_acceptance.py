@@ -45,7 +45,7 @@ def corpus(default_corpus):
 
 def _run_method(corpus, method, policy="nocot-like", mode="sequential"):
     config = RunConfig(corpus="", policy=policy, method=method, mode=mode,
-                       seed=POLICY_SEED, max_conflicts=200_000, max_seconds=None)
+                       seed=POLICY_SEED, max_conflicts=200_000)
     return [evaluate_bundle(case, config) for case in corpus]
 
 
@@ -72,7 +72,7 @@ def test_criterion_01_solver_soundness():
         for k in range(0, 5):
             for clauses in itertools.combinations(pool, k):
                 f = Formula(num_vars=3, clauses=list(clauses))
-                verdict = SolverSession(f, max_seconds=None).solve().status
+                verdict = SolverSession(f).solve().status
                 expected = SolveStatus.SAT if truth_table(f) else SolveStatus.UNSAT
                 assert verdict is expected, f"exhaustive mismatch on {clauses}"
                 checked += 1
@@ -87,7 +87,7 @@ def test_criterion_01_solver_soundness():
                 width = rng.randint(1, min(4, nv))
                 lits = rng.sample(range(1, nv + 1), width)
                 f.add_clause([l if rng.random() < 0.5 else -l for l in lits])
-            verdict = SolverSession(f, max_seconds=None).solve().status
+            verdict = SolverSession(f).solve().status
             expected = SolveStatus.SAT if truth_table(f) else SolveStatus.UNSAT
             assert verdict is expected, f"random instance {i} mismatch"
         elapsed = time.perf_counter() - start
@@ -107,7 +107,7 @@ def test_criterion_02_grounding_equisatisfiability():
                 rel = rng.choice(["<=", "<", "=", ">=", ">", "!="])
                 assertions.append((f"c{j}", LinConstraint(terms, rel, rng.randint(-4, 8))))
             theory = Theory(variables, assertions)
-            grounded = SolverSession(ground(theory).formula, max_seconds=None).solve()
+            grounded = SolverSession(ground(theory).formula).solve()
             expected = bool(enumerate_int_solutions(theory, cap=1))
             assert grounded.status is (SolveStatus.SAT if expected else SolveStatus.UNSAT)
 
@@ -158,7 +158,7 @@ def test_criterion_05_core_minimality():
                 f.add_clause([l if rng.random() < 0.5 else -l for l in lits])
             if count_models(f) == 0:
                 continue
-            state = BeliefState(f, max_seconds=None)
+            state = BeliefState(f)
             for i in range(rng.randint(2, 8)):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
                 idx, res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
@@ -187,7 +187,7 @@ def test_criterion_06_revision_cost_exactness(corpus, sweep):
                 f.add_clause([l if rng.random() < 0.5 else -l for l in lits])
             if count_models(f) == 0:
                 continue
-            state = BeliefState(f, max_seconds=None)
+            state = BeliefState(f)
             for i in range(rng.randint(2, 8)):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)
                 idx, res = state.append_and_check(Commitment(f"q{i}", Label.ENTAILED, (lit,)))
@@ -286,7 +286,7 @@ def test_criterion_11_filtered_vote_conservative():
                 f.add_clause([l if rng.random() < 0.5 else -l for l in lits])
             if count_models(f) == 0:
                 continue
-            state = BeliefState(f, max_seconds=None)
+            state = BeliefState(f)
             # a couple of accepted prior commitments
             for i in range(rng.randint(0, 2)):
                 lit = rng.choice([1, -1]) * rng.randint(1, nv)

@@ -9,6 +9,8 @@ from casecheck.repair import min_revision_cost
 from casecheck.solver import SolverSession, SolveStatus
 from pathlib import Path
 
+from test_solver import model_of
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -201,7 +203,7 @@ def test_timeout_degrades_to_unknown():
     for _ in range(70):
         lits = rng.sample(range(1, 15), 3)
         f.add_clause([l if rng.random() < 0.5 else -l for l in lits])
-    state = BeliefState(f, max_conflicts=1, max_seconds=None)
+    state = BeliefState(f, max_conflicts=1)
     hit = None
     for v in range(1, 15):
         idx, res = state.append_and_check(Commitment(f"q{v}", Label.ENTAILED, (v,)))
@@ -225,7 +227,7 @@ def test_validation_rejects_a_model_that_misses_the_retained_conjunction():
     assert state.sat
     # the session still guards +1 while the state now claims -1
     state.commitments[0].literals = (-1,)
-    model = state.session.solve(state.assumptions()).model
+    model = model_of(state.session.solve(state.assumptions()))
     assert not evaluate(rebuild_formula(state), model)
     assert state.rebuild_check() is False
 
@@ -235,7 +237,7 @@ def test_validation_rejects_a_model_that_misses_a_premise():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     # a premise the incremental session never saw contradicts the commitment
     state.base_formula.clauses.append((-1,))
-    model = state.session.solve(state.assumptions()).model
+    model = model_of(state.session.solve(state.assumptions()))
     assert model[1] and not evaluate(state.base_formula, model)
     assert state.rebuild_check() is False
 
@@ -268,7 +270,7 @@ def guarded_pigeonhole(pigeons: int, holes: int) -> Formula:
 
 def test_validation_after_a_timeout_re_solves_every_active_commitment():
     f = guarded_pigeonhole(4, 3)
-    state = BeliefState(f, max_conflicts=1, max_seconds=None)
+    state = BeliefState(f, max_conflicts=1)
     idx, result = state.trial(Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
     assert result.status is SolveStatus.TIMEOUT
     state.activate(idx)  # as if the timed-out trial had verified SAT

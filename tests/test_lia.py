@@ -18,13 +18,14 @@ from casecheck.logic import count_models
 from casecheck.solver import SolveStatus, SolverSession
 
 
-def decode(gt, model: dict[int, bool]) -> dict[str, int]:
-    """Integer values of a grounded theory's variables in a total model: the
-    least k with ``x <= k`` true, or the upper bound when none is."""
+def decode(gt, true_literals: frozenset[int]) -> dict[str, int]:
+    """Integer values of a grounded theory's variables in a total model, given
+    by the literals it makes true: the least k with ``x <= k`` true, or the
+    upper bound when none is."""
     out = {}
     for v in gt.theory.variables:
         out[v.name] = next((k for k in range(v.lower, v.upper)
-                            if model[gt.order_vars[(v.name, k)]]), v.upper)
+                            if gt.order_vars[(v.name, k)] in true_literals), v.upper)
     return out
 
 
@@ -92,7 +93,7 @@ def test_ground_decode_roundtrip():
     gt = ground(theory)
     res = SolverSession(gt.formula).solve()
     assert res.status is SolveStatus.SAT
-    values = decode(gt, res.model)
+    values = decode(gt, res.true_literals)
     assert values["x"] + values["y"] <= 6 and values["y"] > values["x"]
 
 
@@ -203,9 +204,9 @@ def test_reify_matches_integer_semantics():
     session = SolverSession(gt.formula)
     # forcing the literal forces the constraint, and vice versa
     res = session.solve(assumptions=[lit])
-    assert res.status is SolveStatus.SAT and decode(gt, res.model)["x"] >= 3
+    assert res.status is SolveStatus.SAT and decode(gt, res.true_literals)["x"] >= 3
     res = session.solve(assumptions=[-lit])
-    assert res.status is SolveStatus.SAT and decode(gt, res.model)["x"] < 3
+    assert res.status is SolveStatus.SAT and decode(gt, res.true_literals)["x"] < 3
 
 
 def test_oversized_grounding_fails_fast_and_names_its_group():

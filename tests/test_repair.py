@@ -285,7 +285,7 @@ def test_revision_cost_exact_past_twelve_commitments():
 
 def test_revision_cost_inexact_after_a_timeout():
     f = guarded_pigeonhole(4, 3)
-    state = BeliefState(f, max_conflicts=1, max_seconds=None)
+    state = BeliefState(f, max_conflicts=1)
     force(state, Commitment("q1", Label.CONTRADICTED, (-f.num_vars,)))
     rev = min_revision_cost(state)
     assert rev.exact is False and rev.witness is None

@@ -19,7 +19,7 @@ def cases():
 
 def config(method, policy="nocot-like", **kw):
     defaults = dict(corpus="", policy=policy, method=method, mode="sequential",
-                    seed=9, max_conflicts=100_000, max_seconds=None)
+                    seed=9, max_conflicts=100_000)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -248,6 +248,9 @@ def test_invalid_config_rejected():
         RunConfig(corpus="", policy="oracle", mode="parallel")
     with pytest.raises(ValueError):
         RunConfig(corpus="", policy="oracle", method="check+repair", r_max=0)
+    for budget in (None, 0):  # None, the old "no budget", failed only at the first conflict
+        with pytest.raises(ValueError, match="max_conflicts"):
+            RunConfig(corpus="", policy="oracle", max_conflicts=budget)
 
 
 # sha256 of reports.jsonl for each method (policy nocot-like, seed 7) on the

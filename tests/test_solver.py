@@ -5,7 +5,23 @@ from dataclasses import asdict
 import pytest
 
 from casecheck.logic import Formula, LogicError, count_models, evaluate
-from casecheck.solver import SolveStatus, SolverSession
+from casecheck.solver import DEFAULT_MAX_CONFLICTS, SolveStatus, SolverSession
+
+
+def model_of(res) -> dict[int, bool] | None:
+    """The total model of a SAT result as ``{var: bool}``, the form
+    ``logic.evaluate`` reads; None for UNSAT and TIMEOUT."""
+    if res.true_literals is None:
+        return None
+    return {abs(lit): lit > 0 for lit in res.true_literals}
+
+
+def three_sat(rng, num_vars, ratio):
+    """Random 3-SAT: ``int(num_vars * ratio)`` clauses of three distinct variables."""
+    f = Formula(num_vars=num_vars)
+    for _ in range(int(num_vars * ratio)):
+        f.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)])
+    return f
 
 
 def random_formula(rng, max_vars=16, ratio_range=(1.0, 6.0)):
@@ -32,7 +48,7 @@ def test_empty_formula_vacuous_sat():
     s = SolverSession(Formula(num_vars=0))
     res = s.solve()
     assert res.status is SolveStatus.SAT
-    assert res.model == {}
+    assert res.true_literals == frozenset()
 
 
 def test_models_are_total_and_satisfying():
@@ -41,8 +57,8 @@ def test_models_are_total_and_satisfying():
         f = random_formula(rng, max_vars=12)
         res = SolverSession(f).solve()
         if res.status is SolveStatus.SAT:
-            assert set(res.model) == set(range(1, f.num_vars + 1))
-            assert evaluate(f, res.model)
+            model = model_of(res)
+            assert set(model) == set(range(1, f.num_vars + 1)) and evaluate(f, model)
 
 
 def test_agrees_with_enumeration_small():
@@ -145,6 +161,15 @@ def test_conflict_budget_timeout_deterministic():
     # or it times out; run twice for identical outcomes
     s2 = SolverSession(f, max_conflicts=1)
     assert s2.solve().status is res.status
+    # random 3-SAT at the threshold ratio, far past a 2,000-conflict budget:
+    # both sessions stop at the same conflict with the same counters
+    hard = three_sat(random.Random(0), 200, 4.26)
+    runs = []
+    for _ in range(2):
+        s = SolverSession(hard, max_conflicts=2_000)
+        runs.append((s.solve().status, s.stats))
+    assert runs[0] == runs[1] and runs[0][0] is SolveStatus.TIMEOUT
+    assert runs[0][1].conflicts == 2_000
 
 
 def pigeonhole(pigeons: int, holes: int) -> Formula:
@@ -162,15 +187,9 @@ def pigeonhole(pigeons: int, holes: int) -> Formula:
 def test_luby_restarts():
     terms = [SolverSession._luby(i) for i in range(1, 16)]
     assert terms == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
-    s = SolverSession(pigeonhole(6, 5), max_seconds=None)
+    s = SolverSession(pigeonhole(6, 5))
     assert s.solve().status is SolveStatus.UNSAT
     assert s.stats.restarts > 0
-
-
-def test_conflict_budget_replaces_wall_clock():
-    # a zero-second wall budget would time out at the first clock check
-    s = SolverSession(pigeonhole(6, 5), max_conflicts=10**6, max_seconds=0.0)
-    assert s.solve().status is SolveStatus.UNSAT
 
 
 def test_determinism_statistics():
@@ -180,7 +199,7 @@ def test_determinism_statistics():
     for _ in range(2):
         s = SolverSession(f)
         res = s.solve()
-        runs.append((res.status, res.model, asdict(s.stats)))
+        runs.append((res.status, res.true_literals, asdict(s.stats)))
     assert runs[0] == runs[1]
 
 
@@ -203,7 +222,7 @@ def test_reused_models_agree_with_enumeration(monkeypatch):
     solves = 0
     for _ in range(150):
         f = random_formula(rng, max_vars=7, ratio_range=(0.5, 2.5))
-        s = SolverSession(f, max_seconds=None)
+        s = SolverSession(f)
         clauses = list(f.clauses)
         fresh: list[int] = []
         for _ in range(16):
@@ -235,8 +254,8 @@ def test_reused_models_agree_with_enumeration(monkeypatch):
                 expected = SolveStatus.SAT if count_models(g) else SolveStatus.UNSAT
                 assert res.status is expected
                 if res.status is SolveStatus.SAT:
-                    assert set(res.model) == set(range(1, s.num_vars + 1))
-                    assert evaluate(g, res.model)
+                    model = model_of(res)
+                    assert set(model) == set(range(1, s.num_vars + 1)) and evaluate(g, model)
                 else:
                     assert res.failed_assumptions <= set(assumptions)
                     core = Formula(s.num_vars, clauses + [(a,) for a in res.failed_assumptions])
@@ -252,13 +271,13 @@ def test_reused_model_costs_no_search():
     first = s.solve()
     assert first.status is SolveStatus.SAT
     sel = s.add_variable()
-    lit = 1 if first.model[1] else -1  # agrees with the model just found
+    lit = 1 if 1 in first.true_literals else -1  # agrees with the model just found
     s.add_clause([-sel, lit])
     before = asdict(s.stats)
     res = s.solve([sel])
     after = asdict(s.stats)
     assert res.status is SolveStatus.SAT
-    assert res.model == {**first.model, sel: True}
+    assert res.true_literals == first.true_literals | {sel}
     assert after == {**before, "solver_calls": before["solver_calls"] + 1}
     # a clause the model violates, then an assumption it violates: both search
     s.add_clause([-lit])
@@ -290,7 +309,7 @@ def test_cached_cores_agree_with_enumeration(monkeypatch):
     hits = 0
     for _ in range(150):
         f = random_formula(rng, max_vars=6, ratio_range=(0.5, 2.0))
-        s = SolverSession(f, max_conflicts=rng.choice((1, 2, None)), max_seconds=None)
+        s = SolverSession(f, max_conflicts=rng.choice((1, 2, DEFAULT_MAX_CONFLICTS)))
         clauses = list(f.clauses)
         selectors: list[int] = []
         asked: list[list[int]] = [[]]
@@ -322,15 +341,15 @@ def test_cached_cores_agree_with_enumeration(monkeypatch):
                 if refuted:
                     assert res.status is SolveStatus.UNSAT and not res.failed_assumptions
                 if res.status is SolveStatus.TIMEOUT:
-                    assert res.model is None
+                    assert res.true_literals is None
                     continue
                 g = Formula(s.num_vars, clauses + [(a,) for a in assumptions])
                 expected = SolveStatus.SAT if count_models(g) else SolveStatus.UNSAT
                 assert res.status is expected
                 if res.status is SolveStatus.SAT:
-                    assert evaluate(g, res.model)
+                    assert evaluate(g, model_of(res))
                     continue
-                assert res.model is None
+                assert res.true_literals is None
                 assert res.failed_assumptions <= set(assumptions)
                 core = Formula(s.num_vars, clauses + [(a,) for a in res.failed_assumptions])
                 assert count_models(core) == 0
@@ -341,12 +360,12 @@ def test_cached_cores_agree_with_enumeration(monkeypatch):
 
 def test_models_are_built_when_read():
     # results kept across later solves and read only at the end still give
-    # the model of their own call; a second read returns the same object
+    # the true literals of their own call; a second read returns the same object
     rng = random.Random(43)
     kept = []
     for _ in range(60):
         f = random_formula(rng, max_vars=7, ratio_range=(0.5, 3.0))
-        s = SolverSession(f, max_seconds=None)
+        s = SolverSession(f)
         clauses = list(f.clauses)
         for _ in range(6):
             sel = s.add_variable()
@@ -362,13 +381,14 @@ def test_models_are_built_when_read():
     assert sum(res.status is SolveStatus.SAT for res, _ in kept) > 150
     for res, g in kept:
         if res.status is SolveStatus.SAT:
-            model = res.model
-            assert model is res.model
+            true = res.true_literals
+            assert true is res.true_literals
+            model = model_of(res)
             assert set(model) == set(range(1, g.num_vars + 1)) and evaluate(g, model)
         else:
-            assert res.model is None
+            assert res.true_literals is None
     timed_out = SolverSession(pigeonhole(5, 4), max_conflicts=1).solve()
-    assert timed_out.status is SolveStatus.TIMEOUT and timed_out.model is None
+    assert timed_out.status is SolveStatus.TIMEOUT and timed_out.true_literals is None
 
 
 def test_rejects_unknown_assumption_variable():
@@ -441,19 +461,13 @@ def _trajectory() -> list:
 
     def call(s, assumptions=()):
         res = s.solve(assumptions)
-        model = None if res.model is None else sorted(v if b else -v for v, b in res.model.items())
+        model = None if res.true_literals is None else sorted(res.true_literals)
         out.append([res.status.value, model, sorted(res.failed_assumptions), asdict(s.stats)])
-
-    def three_sat(rng, num_vars, ratio):
-        f = Formula(num_vars=num_vars)
-        for _ in range(int(num_vars * ratio)):
-            f.add_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)])
-        return f
 
     rng = random.Random(2024)
     for _ in range(40):  # random SAT and UNSAT formulas, with and without assumptions
         f = three_sat(rng, rng.randint(10, 40), rng.uniform(3.0, 5.5))
-        s = SolverSession(f, max_seconds=None)
+        s = SolverSession(f)
         call(s)
         for _ in range(3):
             k = rng.randint(1, min(5, f.num_vars))
@@ -465,13 +479,13 @@ def _trajectory() -> list:
         f = Formula(num_vars=6)
         for c in clauses:
             f.add_clause(c)
-        s = SolverSession(f, max_seconds=None)
+        s = SolverSession(f)
         call(s)
         call(s, [-6, 5])
 
     # selector-guarded groups grown between solves
     f = three_sat(random.Random(7), 20, 2.5)
-    s = SolverSession(f, max_seconds=None)
+    s = SolverSession(f)
     sel_rng = random.Random(8)
     selectors = []
     for _ in range(8):
@@ -486,18 +500,18 @@ def _trajectory() -> list:
     call(s, selectors)
 
     # a one-conflict budget times out, then the same session finishes
-    s = SolverSession(pigeonhole(5, 4), max_conflicts=1, max_seconds=None)
+    s = SolverSession(pigeonhole(5, 4), max_conflicts=1)
     call(s)
-    s.max_conflicts = None
+    s.max_conflicts = DEFAULT_MAX_CONFLICTS
     call(s)
     # enough conflicts to restart
-    s = SolverSession(pigeonhole(6, 5), max_seconds=None)
+    s = SolverSession(pigeonhole(6, 5))
     call(s)
 
     case = case_from_record({
         "id": "pin-0001", "domain": "temporal", "premises": PIN_THEORY, "premises_format": "theory",
         "queries": [{"id": f"q{i}", "atom": text} for i, text in enumerate(PIN_QUERIES, 1)]})
-    s = SolverSession(case.formula, max_seconds=None)
+    s = SolverSession(case.formula)
     call(s)
     atoms = [q.atom for q in case.queries]
     for atom in atoms:
