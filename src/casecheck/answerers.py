@@ -13,17 +13,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import logging
 import random
 import re
 from bisect import bisect
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import InputError
 from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label
-
-log = logging.getLogger(__name__)
 
 LABELS = tuple(Label)
 KINDS = ("oracle", "noisy", "replay", "self-consistency", "history")
@@ -34,30 +31,28 @@ class PolicyError(InputError):
     does not describe a policy an ``Answerer`` can run."""
 
 
-@dataclass
-class Answer:
+class Answer(NamedTuple):
     label: Label
     derived_atoms: tuple[int, ...] = ()
     calls: int = 1  # answerer forward passes consumed
 
 
-@dataclass(frozen=True)
 class ConfusionMatrix:
     """Row-stochastic gold-to-predicted label distribution."""
 
-    rows: tuple[tuple[float, float, float], ...]  # rows/cols in LABELS order
-    # each gold label's row as cumulative weights, the table ``sample`` draws from
-    cumulative: dict[Label, list[float]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "cumulative")
 
-    def __post_init__(self):
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise PolicyError(f"matrix must be 3x3, got {[list(r) for r in self.rows]!r}")
-        for i, row in enumerate(self.rows):
+    def __init__(self, rows: tuple[tuple[float, float, float], ...]):  # rows/cols in LABELS order
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise PolicyError(f"matrix must be 3x3, got {[list(r) for r in rows]!r}")
+        for i, row in enumerate(rows):
             if any(p < 0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:  # refuses NaN
                 raise PolicyError(f"matrix[{i}] must be a probability distribution, "
                                   f"got {list(row)!r}")
-        object.__setattr__(self, "cumulative", {
-            gold: list(itertools.accumulate(row)) for gold, row in zip(LABELS, self.rows)})
+        self.rows = rows
+        # each gold label's row as cumulative weights, the table ``sample`` draws from
+        self.cumulative = {gold: list(itertools.accumulate(row))
+                           for gold, row in zip(LABELS, rows)}
 
     def sample(self, gold: Label, rng: random.Random) -> Label:
         # the draw ``choices(LABELS, weights=row, k=1)`` makes, without
@@ -66,39 +61,46 @@ class ConfusionMatrix:
         return LABELS[bisect(cum, rng.random() * (cum[-1] + 0.0), 0, 2)]
 
 
-@dataclass
 class PolicyConfig:
     """One answer policy; a value no ``Answerer`` can run raises PolicyError."""
 
-    kind: str  # one of KINDS
-    matrix: ConfusionMatrix | None = None  # label noise, needed by noisy and history
-    derived_rate: float = 0.0      # chance a non-Unknown answer carries derived atoms
-    derived_max: int = 2
-    echo_flip: float = 0.0          # chance a leaked echo has the wrong polarity
-    k: int = 1                      # samples for self-consistency
-    inner: "PolicyConfig | None" = None
-    history_bias: float = 0.0       # chance of agreeing with the latest shared-atom answer
-    logic_filter: bool = False      # filter SC samples through the belief state
-    trace_path: str | None = None
+    # the fields in order, which are the keys of a policy file
+    FIELDS = ("kind", "matrix", "derived_rate", "derived_max", "echo_flip", "k", "inner",
+              "history_bias", "logic_filter", "trace_path")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise PolicyError(f"unknown policy kind {self.kind!r}")
-        for name, value in vars(self).items():  # type() is exact, so booleans are no numbers
+    def __init__(self, kind: str,  # one of KINDS
+                 matrix: ConfusionMatrix | None = None,  # label noise, needed by noisy and history
+                 derived_rate: float = 0.0,  # chance a non-Unknown answer carries derived atoms
+                 derived_max: int = 2,
+                 echo_flip: float = 0.0,  # chance a leaked echo has the wrong polarity
+                 k: int = 1,  # samples for self-consistency
+                 inner: PolicyConfig | None = None,
+                 history_bias: float = 0.0,  # chance of agreeing with the latest shared-atom answer
+                 logic_filter: bool = False,  # filter SC samples through the belief state
+                 trace_path: str | None = None):
+        self.kind, self.matrix, self.inner, self.k = kind, matrix, inner, k
+        self.derived_rate, self.derived_max, self.echo_flip = derived_rate, derived_max, echo_flip
+        self.history_bias, self.logic_filter = history_bias, logic_filter
+        self.trace_path = trace_path
+        if kind not in KINDS:
+            raise PolicyError(f"unknown policy kind {kind!r}")
+        for name in self.FIELDS:  # type() is exact, so booleans are no numbers
+            value = getattr(self, name)
             if name in ("k", "derived_max") and not (type(value) is int and value >= 1):
                 raise PolicyError(f"{name} must be an integer >= 1, got {value!r}")
             if name in ("derived_rate", "echo_flip", "history_bias") and not (
                     type(value) in (int, float) and 0 <= value <= 1):
                 raise PolicyError(f"{name} must be a number in [0, 1], got {value!r}")
-        if type(self.logic_filter) is not bool:
-            raise PolicyError(f"logic_filter must be true or false, got {self.logic_filter!r}")
-        if self.trace_path is not None and type(self.trace_path) is not str:
-            raise PolicyError(f"trace_path must be a string, got {self.trace_path!r}")
-        if self.kind in ("noisy", "history") and self.matrix is None:
-            raise PolicyError(f"{self.kind} policy needs a matrix")
-        if self.kind == "replay" and not self.trace_path:
+        if type(logic_filter) is not bool:
+            raise PolicyError(f"logic_filter must be true or false, got {logic_filter!r}")
+        if trace_path is not None and type(trace_path) is not str:
+            raise PolicyError(f"trace_path must be a string, got {trace_path!r}")
+        if kind in ("noisy", "history") and matrix is None:
+            raise PolicyError(f"{kind} policy needs a matrix")
+        if kind == "replay" and not trace_path:
             raise PolicyError("replay policy needs a trace_path")
-        if self.kind == "self-consistency" and self.inner is None:
+        if kind == "self-consistency" and inner is None:
             raise PolicyError("self-consistency policy needs an inner policy")
 
 
@@ -169,7 +171,9 @@ class Answerer:
         if cfg.kind == "replay":
             recorded = self._trace.get((case.id, query.id))
             if recorded is None:
-                log.warning("replay miss for %s/%s, answering Unknown", case.id, query.id)
+                import logging  # only where a warning is logged: off the start-up path
+                logging.getLogger(__name__).warning(
+                    "replay miss for %s/%s, answering Unknown", case.id, query.id)
                 return Answer(Label.UNKNOWN)
             return Answer(recorded.label, recorded.derived_atoms)
         if cfg.kind == "noisy":
@@ -293,7 +297,7 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
 
 
 def policy_to_dict(config: PolicyConfig) -> dict:
-    data = {f.name: getattr(config, f.name) for f in fields(PolicyConfig)}
+    data = {name: getattr(config, name) for name in PolicyConfig.FIELDS}
     if config.matrix is not None:
         data["matrix"] = [list(row) for row in config.matrix.rows]
     if config.inner is not None:
@@ -307,7 +311,7 @@ def policy_from_dict(data: dict) -> PolicyConfig:
     their path, as in ``matrix[2][2]`` or ``inner.k``."""
     if "kind" not in data:
         raise PolicyError(f"kind is missing: a policy is one of {', '.join(KINDS)}")
-    values = {f.name: data[f.name] for f in fields(PolicyConfig) if f.name in data}
+    values = {name: data[name] for name in PolicyConfig.FIELDS if name in data}
     matrix = values.get("matrix")
     if matrix is not None:
         if type(matrix) is not list or not all(type(row) is list for row in matrix):
@@ -324,7 +328,7 @@ def policy_from_dict(data: dict) -> PolicyConfig:
         try:
             values["inner"] = policy_from_dict(inner)
         except PolicyError as exc:  # "inner.k must be ...", "inner: unknown policy kind ..."
-            names_field = re.match(r"\w*", str(exc))[0] in {f.name for f in fields(PolicyConfig)}
+            names_field = re.match(r"\w*", str(exc))[0] in PolicyConfig.FIELDS
             raise PolicyError(f"inner{'.' if names_field else ': '}{exc}") from None
     return PolicyConfig(**values)
 

@@ -11,7 +11,6 @@ other producers round-trip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -64,27 +63,32 @@ _CASE_FIELDS = {"id", "domain", "split", "premises", "premises_format", "queries
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
-@dataclass
 class Query:
-    id: str
-    atom: int  # literal in the compiled formula
-    gold_label: Label | None = None
-    text: str | None = None
-    depends_on: list[str] = field(default_factory=list)
-    atom_text: str | None = None  # source constraint text for theory cases
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("id", "atom", "gold_label", "text", "depends_on", "atom_text", "extra")
+
+    def __init__(self, id: str, atom: int,  # literal in the compiled formula
+                 gold_label: Label | None = None, text: str | None = None,
+                 depends_on: list[str] | None = None,
+                 atom_text: str | None = None,  # source constraint text for theory cases
+                 extra: dict | None = None):
+        self.id, self.atom, self.gold_label, self.text = id, atom, gold_label, text
+        self.depends_on = [] if depends_on is None else depends_on
+        self.atom_text = atom_text
+        self.extra = {} if extra is None else extra
 
 
-@dataclass
 class CaseFile:
-    id: str
-    domain: Domain
-    premises: str
-    premises_format: str  # "dimacs" | "theory"
-    queries: list[Query]
-    split: str | None = None
-    formula: Formula | None = None
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("id", "domain", "premises", "premises_format", "queries", "split", "formula",
+                 "extra")
+
+    def __init__(self, id: str, domain: Domain, premises: str,
+                 premises_format: str,  # "dimacs" | "theory"
+                 queries: list[Query], split: str | None = None,
+                 formula: Formula | None = None, extra: dict | None = None):
+        self.id, self.domain, self.premises = id, domain, premises
+        self.premises_format, self.queries = premises_format, queries
+        self.split, self.formula = split, formula
+        self.extra = {} if extra is None else extra
 
     @property
     def bundle_size(self) -> int:

@@ -18,7 +18,6 @@ with a one-line message, like argparse.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -117,8 +116,7 @@ def cmd_label(args) -> int:
 
 def cmd_run(args) -> int:
     # the options given; RunConfig supplies every other default
-    fields = {f.name for f in dataclasses.fields(runner.RunConfig)}
-    options = {name: value for name, value in vars(args).items() if name in fields}
+    options = {name: value for name, value in vars(args).items() if name in runner.RunConfig.FIELDS}
     config = runner.RunConfig(**{**options, "corpus": _resolve_corpus_path(args.corpus)})
     reports, timings = runner.run(config)
     out = runner.write_run(args.out, config, reports, timings)

@@ -10,18 +10,14 @@ selectors localize conflicts to specific commitments.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .casefile import Label, Query, check_premises
 from .logic import Formula, refutes, satisfies
 from .solver import DEFAULT_MAX_CONFLICTS, SolveResult, SolveStatus, SolverSession
 
-log = logging.getLogger(__name__)
 
-
-@dataclass
-class Commitment:
+class Commitment(NamedTuple):
     query_id: str
     label: Label
     literals: tuple[int, ...]  # queried atom first, derived atoms after; empty for Unknown
@@ -43,8 +39,9 @@ def extract_commitment(query: Query, label: Label,
         kept = []
         for atom in derived:
             if atom == 0 or abs(atom) > vocabulary_size:
-                log.warning("query %s: derived atom %d outside vocabulary, dropped",
-                            query.id, atom)
+                import logging  # only where a warning is logged: off the start-up path
+                logging.getLogger(__name__).warning(
+                    "query %s: derived atom %d outside vocabulary, dropped", query.id, atom)
             else:
                 kept.append(atom)
         derived = kept
@@ -59,8 +56,7 @@ def extract_commitment(query: Query, label: Label,
     return Commitment(query.id, label, literals)
 
 
-@dataclass
-class UnsatCore:
+class UnsatCore(NamedTuple):
     commitment_indices: tuple[int, ...]  # positions in the belief state, ascending
     minimal: bool
 
@@ -124,8 +120,10 @@ class BeliefState:
         elif result.status is SolveStatus.TIMEOUT:
             # fresh entry: the original selector still guards the old literals
             self.abstain(commitment.query_id)
-            log.warning("query %s: satisfiability check timed out, label degraded to Unknown",
-                        commitment.query_id)
+            import logging
+            logging.getLogger(__name__).warning(
+                "query %s: satisfiability check timed out, label degraded to Unknown",
+                commitment.query_id)
         return idx, result
 
     def abstain(self, query_id: str) -> int:

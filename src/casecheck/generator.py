@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 
 from .casefile import (OPPOSITE_LABEL, CaseFile, Domain, Label, case_from_record,
                        compile_premises, literal_gold_label)
@@ -45,11 +44,13 @@ class GenerationError(RuntimeError):
     pass
 
 
-@dataclass
 class GeneratorSpec:
-    domain_mix: dict[Domain, int] = field(default_factory=lambda: dict(DEFAULT_DOMAIN_MIX))
-    bundle_min: int = 5
-    bundle_max: int = 8
+    __slots__ = ("domain_mix", "bundle_min", "bundle_max")
+
+    def __init__(self, domain_mix: dict[Domain, int] | None = None,
+                 bundle_min: int = 5, bundle_max: int = 8):
+        self.domain_mix = dict(DEFAULT_DOMAIN_MIX) if domain_mix is None else domain_mix
+        self.bundle_min, self.bundle_max = bundle_min, bundle_max
 
 
 def _subseed(*parts) -> int:

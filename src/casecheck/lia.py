@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from .logic import Formula
 
@@ -41,45 +40,44 @@ class TheoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class IntVar:
-    name: str
-    lower: int
-    upper: int
+    __slots__ = ("name", "lower", "upper")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise TheoryError(f"{self.name}: empty domain [{self.lower},{self.upper}]")
+    def __init__(self, name: str, lower: int, upper: int):
+        if lower > upper:
+            raise TheoryError(f"{name}: empty domain [{lower},{upper}]")
+        self.name, self.lower, self.upper = name, lower, upper
 
     @property
     def width(self) -> int:
         return self.upper - self.lower + 1
 
 
-@dataclass(frozen=True)
 class LinConstraint:
     """sum(coef * var) REL constant over declared integer variables."""
 
-    terms: tuple[tuple[int, str], ...]
-    relation: str
-    constant: int
+    __slots__ = ("terms", "relation", "constant")
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise TheoryError(f"unknown relation {self.relation!r}")
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[int, str], ...], relation: str, constant: int):
+        if relation not in RELATIONS:
+            raise TheoryError(f"unknown relation {relation!r}")
+        if not terms:
             raise TheoryError("constraint has no variable terms")
-        if any(c == 0 for c, _ in self.terms):
+        if any(c == 0 for c, _ in terms):
             raise TheoryError("zero coefficient in constraint")
+        self.terms, self.relation, self.constant = terms, relation, constant
 
     def negated(self) -> "LinConstraint":
         return LinConstraint(self.terms, _NEGATED[self.relation], self.constant)
 
 
-@dataclass
 class Theory:
-    variables: list[IntVar] = field(default_factory=list)
-    assertions: list[tuple[str, LinConstraint]] = field(default_factory=list)
+    __slots__ = ("variables", "assertions")
+
+    def __init__(self, variables: list[IntVar] | None = None,
+                 assertions: list[tuple[str, LinConstraint]] | None = None):
+        self.variables = [] if variables is None else variables
+        self.assertions = [] if assertions is None else assertions
 
     @property
     def var_map(self) -> dict[str, IntVar]:
@@ -271,17 +269,20 @@ def parse_theory(text: str, max_width: int = DEFAULT_DOMAIN_WIDTH) -> Theory:
 # --------------------------------------------------------------------- ground
 
 
-@dataclass
 class GroundedTheory:
     """Order-encoded CNF for a theory, with the atom map needed to translate
     cores back to named constraints and to encode further atoms later."""
 
-    theory: Theory
-    formula: Formula
-    order_vars: dict[tuple[str, int], int]  # (var name, k) -> prop var for x <= k
-    var_map: dict[str, IntVar]  # the theory's variables by name, built once
-    # atom text -> its constraint; shared by copies, which have the same variables
-    atoms: dict[str, LinConstraint] = field(default_factory=dict, repr=False)
+    __slots__ = ("theory", "formula", "order_vars", "var_map", "atoms")
+
+    def __init__(self, theory: Theory, formula: Formula,
+                 order_vars: dict[tuple[str, int], int],  # (var name, k) -> prop var for x <= k
+                 var_map: dict[str, IntVar],  # the theory's variables by name, built once
+                 # atom text -> its constraint; shared by copies, which have the same variables
+                 atoms: dict[str, LinConstraint] | None = None):
+        self.theory, self.formula = theory, formula
+        self.order_vars, self.var_map = order_vars, var_map
+        self.atoms = {} if atoms is None else atoms
 
     def copy(self) -> "GroundedTheory":
         """The same grounding over a copy of the formula, so atoms reified on

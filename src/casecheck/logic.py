@@ -7,7 +7,6 @@ true, ``-v`` asserts it false. Variables are numbered from 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Sequence
 
 ENUMERATION_VAR_LIMIT = 24
@@ -46,12 +45,14 @@ def normalize_clause(lits: Iterable[int]) -> tuple[int, ...] | None:
     return tuple(seen)
 
 
-@dataclass
 class Formula:
     """A CNF formula: a variable count and a list of normalized clauses."""
 
-    num_vars: int = 0
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
+    __slots__ = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int = 0, clauses: list[tuple[int, ...]] | None = None):
+        self.num_vars = num_vars
+        self.clauses = [] if clauses is None else clauses
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Normalize and append a clause; returns False if it was a tautology."""

@@ -3,8 +3,8 @@
 A BundleReport is the complete, serializable record of one bundle run:
 per-query labels (gold, as answered, and final after any interventions),
 per-step satisfiability statuses before and after interventions, the repair
-log, and call counts. Its dataclasses are the only definition of
-``reports.jsonl``: ``save_reports`` writes their fields, ``load_reports``
+log, and call counts. Its annotated record classes are the only definition
+of ``reports.jsonl``: ``save_reports`` writes their fields, ``load_reports``
 checks each line against their annotations. Every metric reads only
 serialized fields, so scoring a report file reproduces in-process results
 bit for bit. Wall-clock timings are kept out of the canonical records (they
@@ -14,13 +14,11 @@ byte-identical report and metric files.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import operator
 import types
 import typing
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -54,15 +52,18 @@ PHASES = (
 )
 
 
-@dataclass
+# The report records. Each ``__init__`` takes the annotated fields in their
+# order, which is how ``_build`` passes them.
 class QueryRecord:
     query_id: str
     gold: str | None
     predicted: str
     final: str
 
+    def __init__(self, query_id, gold, predicted, final):
+        self.query_id, self.gold, self.predicted, self.final = query_id, gold, predicted, final
 
-@dataclass
+
 class RepairLogEntry:
     query_id: str
     core_query_ids: list[str]
@@ -72,8 +73,13 @@ class RepairLogEntry:
     outcome: str
     solver_calls: int
 
+    def __init__(self, query_id, core_query_ids, core_minimal, tried, accepted, outcome,
+                 solver_calls):
+        self.query_id, self.core_query_ids = query_id, core_query_ids
+        self.core_minimal, self.tried, self.accepted = core_minimal, tried, accepted
+        self.outcome, self.solver_calls = outcome, solver_calls
 
-@dataclass
+
 class BundleReport:
     case_id: str
     domain: str
@@ -84,11 +90,23 @@ class BundleReport:
     statuses_after: list[str]
     final_sat: bool
     bundle_status: str  # consistent | repaired | inconsistent
-    repair_log: list[RepairLogEntry] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
-    min_revision: int = 0
-    min_revision_exact: bool = True
-    invariant_failures: list[str] = field(default_factory=list)
+    repair_log: list[RepairLogEntry]
+    counts: dict[str, int]
+    min_revision: int
+    min_revision_exact: bool
+    invariant_failures: list[str]
+
+    def __init__(self, case_id, domain, mode, method, queries, statuses_before, statuses_after,
+                 final_sat, bundle_status, repair_log=None, counts=None, min_revision=0,
+                 min_revision_exact=True, invariant_failures=None):
+        self.case_id, self.domain, self.mode, self.method = case_id, domain, mode, method
+        self.queries, self.statuses_before = queries, statuses_before
+        self.statuses_after, self.final_sat = statuses_after, final_sat
+        self.bundle_status = bundle_status
+        self.repair_log = [] if repair_log is None else repair_log
+        self.counts = {} if counts is None else counts
+        self.min_revision, self.min_revision_exact = min_revision, min_revision_exact
+        self.invariant_failures = [] if invariant_failures is None else invariant_failures
 
     @property
     def n(self) -> int:
@@ -108,8 +126,12 @@ def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for report in sorted(reports, key=lambda r: r.case_id):
-            # vars gives each dataclass's fields, as dataclasses.asdict does without its copies
+            # vars gives each record's fields
             fh.write(json.dumps(report, default=vars, sort_keys=True) + "\n")
+
+
+# the record classes of a report line
+_RECORDS = (QueryRecord, RepairLogEntry, BundleReport)
 
 
 class ReportFormatError(InputError):
@@ -158,9 +180,9 @@ _WORDS = {str: ("a string", "strings"), int: ("an integer >= 0", "integers >= 0"
 @functools.cache
 def _schema(cls) -> list[tuple]:
     """(name, JSON types, entry type, wording) of each field of the report
-    dataclass ``cls``, read off its annotations once per class. The entry
-    type, a JSON type or a report dataclass, is that of a list's entries or
-    an object's values."""
+    record class ``cls``, read off its annotations once per class. The entry
+    type, a JSON type or a record class, is that of a list's entries or an
+    object's values."""
     out = []
     for name, hint in typing.get_type_hints(cls).items():
         options = typing.get_args(hint) if type(hint) is types.UnionType else (hint,)
@@ -168,7 +190,7 @@ def _schema(cls) -> list[tuple]:
         entry = typing.get_args(hint)[-1] if typing.get_origin(hint) in (list, dict) else None
         wording = " or ".join(_WORDS[kind][0] for kind in kinds)
         if entry:
-            wording += " of " + _WORDS[dict if dataclasses.is_dataclass(entry) else entry][1]
+            wording += " of " + _WORDS[dict if entry in _RECORDS else entry][1]
         out.append((name, frozenset(kinds), entry, wording))
     return out
 
@@ -207,7 +229,7 @@ def _build(cls, items: list, locate: bool = True) -> list:
         values, fits = column, set(map(type, column)) <= kinds
         if fits and entry:
             values = list(chain.from_iterable(map(dict.values, column) if dict in kinds else column))
-            if dataclasses.is_dataclass(entry):
+            if entry in _RECORDS:
                 try:
                     records = iter(_build(entry, values))
                 except _Unfit as exc:
@@ -267,7 +289,6 @@ def revision_cost(reports: Sequence[BundleReport]) -> float:
     return sum(r.min_revision for r in reports) / len(reports)
 
 
-@dataclass
 class MetricsReport:
     bundles: int
     queries: int
@@ -282,6 +303,16 @@ class MetricsReport:
     solver_calls: int
     answerer_calls: int
     overhead_calls: float | None
+
+    def __init__(self, bundles, queries, accuracy, macro_f1, unknown_f1, unknown_rate,
+                 set_cons_rate, auc_prefix_cons, revision_cost, contradiction_density,
+                 solver_calls, answerer_calls, overhead_calls):
+        self.bundles, self.queries, self.accuracy = bundles, queries, accuracy
+        self.macro_f1, self.unknown_f1, self.unknown_rate = macro_f1, unknown_f1, unknown_rate
+        self.set_cons_rate, self.auc_prefix_cons = set_cons_rate, auc_prefix_cons
+        self.revision_cost = revision_cost
+        self.contradiction_density, self.solver_calls = contradiction_density, solver_calls
+        self.answerer_calls, self.overhead_calls = answerer_calls, overhead_calls
 
     def validate(self) -> None:
         for name in ("accuracy", "macro_f1", "unknown_f1", "unknown_rate", "set_cons_rate"):

@@ -16,8 +16,7 @@ one whose retraction solves SAT is a minimum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .casefile import Label, majority_label
 from .commitments import BeliefState, Commitment
@@ -73,8 +72,7 @@ def logic_filtered_vote(samples: Sequence[Commitment], state: BeliefState) -> La
 # --------------------------------------------------------- minimum revision
 
 
-@dataclass
-class RevisionCost:
+class RevisionCost(NamedTuple):
     value: int   # a lower bound when not exact
     exact: bool  # False only when a solver budget ran out
     witness: tuple[int, ...] | None

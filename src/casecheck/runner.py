@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, asdict
 from itertools import repeat
 from pathlib import Path
 
@@ -41,32 +40,37 @@ from .solver import DEFAULT_MAX_CONFLICTS, SolveStatus
 _VALUE = {member: member.value for enum in (Label, SolveStatus) for member in enum}
 
 
-@dataclass
 class RunConfig:
-    corpus: str
-    policy: str | PolicyConfig
-    method: str = "check+repair"
-    mode: str = "sequential"
-    split: str | None = None
-    seed: int = 0
-    r_max: int = 2
-    call_cap_factor: int = 3       # per-bundle solver-call cap = factor * n
-    max_conflicts: int = DEFAULT_MAX_CONFLICTS
-    jobs: int = 1
+    # the fields in order: ``to_dict`` writes them and ``cli`` passes the options among them
+    FIELDS = ("corpus", "policy", "method", "mode", "split", "seed", "r_max", "call_cap_factor",
+              "max_conflicts", "jobs")
+    __slots__ = FIELDS
 
-    def __post_init__(self):
-        if self.method not in METHODS:
+    def __init__(self, corpus: str, policy: str | PolicyConfig, method: str = "check+repair",
+                 mode: str = "sequential", split: str | None = None, seed: int = 0,
+                 r_max: int = 2,
+                 call_cap_factor: int = 3,  # per-bundle solver-call cap = factor * n
+                 max_conflicts: int = DEFAULT_MAX_CONFLICTS, jobs: int = 1):
+        self.corpus, self.policy, self.method, self.mode = corpus, policy, method, mode
+        self.split, self.seed, self.r_max = split, seed, r_max
+        self.call_cap_factor = call_cap_factor
+        self.max_conflicts, self.jobs = max_conflicts, jobs
+        if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.mode not in MODES:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if type(self.max_conflicts) is not int or self.max_conflicts < 1:  # None fails at a conflict
-            raise ValueError(f"max_conflicts must be an integer >= 1, got {self.max_conflicts!r}")
-        if self.method == "check+repair":
-            if self.r_max <= 0 or self.call_cap_factor <= 0:
-                raise ValueError("check+repair requires positive budgets")
+        positive = ("max_conflicts", "jobs")  # the repair budgets matter to check+repair alone
+        if method == "check+repair":
+            positive += ("r_max", "call_cap_factor")
+        for name in ("seed", "r_max", "call_cap_factor", "max_conflicts", "jobs"):
+            value = getattr(self, name)
+            if type(value) is not int:  # type() is exact: a bool is refused, and so is None
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name in positive and value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in self.FIELDS}
         if isinstance(self.policy, PolicyConfig):
             data["policy"] = policy_to_dict(self.policy)
         return data

@@ -19,7 +19,6 @@ randomized component, and the one budget counts conflicts, not seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappush, heappop
@@ -40,20 +39,15 @@ class SolveStatus(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass
 class SolverStats:
-    solver_calls: int = 0
-    decisions: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    restarts: int = 0
+    def __init__(self):
+        self.solver_calls = self.decisions = self.conflicts = self.propagations = self.restarts = 0
 
 
-@dataclass
 class SolveResult:
-    status: SolveStatus
-    failed_assumptions: frozenset[int] = frozenset()
-    _bits: list[int] | None = field(default=None, repr=False)  # SAT: sign bit of vars 1..n
+    def __init__(self, status: SolveStatus, failed_assumptions: frozenset[int] = frozenset(),
+                 _bits: list[int] | None = None):  # SAT: sign bit of vars 1..n
+        self.status, self.failed_assumptions, self._bits = status, failed_assumptions, _bits
 
     @cached_property
     def true_literals(self) -> frozenset[int] | None:

@@ -562,6 +562,41 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+# Standard-library modules no CLI child needs to start: dataclasses imports
+# inspect, ast, dis and tokenize, and logging is imported where a warning is
+# logged.
+LEAN = ("dataclasses", "inspect", "logging")
+
+
+def fresh_main(argv: list[str]) -> tuple[list[str], str]:
+    """The modules of ``LEAN`` a fresh interpreter holds after ``main(argv)``
+    exits 0, and what it wrote to stderr."""
+    out = fresh("-c", "import json, sys\nfrom casecheck.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                f"print(json.dumps([m for m in {LEAN!r} if m in sys.modules]), file=sys.stderr)")
+    *err, loaded = out.stderr.splitlines()
+    return json.loads(loaded), "\n".join(err)
+
+
+def test_cli_children_start_without_dataclasses_inspect_or_logging(tmp_path):
+    corpus, run_dir = str(tmp_path / "c.jsonl"), str(tmp_path / "run")
+    for argv in (["generate", "--cases", "4", "--out", corpus],
+                 ["run", "--corpus", corpus, "--out", run_dir, "--policy", "nocot-like"],
+                 ["score", "--run", run_dir],
+                 ["report", "--run", run_dir]):
+        assert fresh_main(argv) == ([], ""), argv[0]
+
+
+def test_a_timed_out_check_still_logs_its_warning(tmp_path):
+    corpus = str(tmp_path / "seed4.jsonl")
+    assert main(["generate", "--cases", "40", "--seed", "4", "--out", corpus]) == 0
+    loaded, err = fresh_main(["run", "--corpus", corpus, "--out", str(tmp_path / "run"),
+                              "--policy", "nocot-like", "--method", "check+repair",
+                              "--max-conflicts", "1", "--r-max", "6"])
+    assert loaded == ["logging"]
+    assert "satisfiability check timed out, label degraded to Unknown" in err
+
+
 @pytest.mark.parametrize("source", ["policy", "trace", "run", "label", "score"])
 def test_input_that_is_no_utf8_exits_2(tmp_path, corpus, capsys, source):
     # each ended in a UnicodeDecodeError traceback, exit 1

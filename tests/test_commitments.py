@@ -226,7 +226,7 @@ def test_validation_rejects_a_model_that_misses_the_retained_conjunction():
     state.append_and_check(Commitment("q1", Label.ENTAILED, (1,)))
     assert state.sat
     # the session still guards +1 while the state now claims -1
-    state.commitments[0].literals = (-1,)
+    state.commitments[0] = state.commitments[0]._replace(literals=(-1,))
     model = model_of(state.session.solve(state.assumptions()))
     assert not evaluate(rebuild_formula(state), model)
     assert state.rebuild_check() is False

@@ -193,7 +193,8 @@ def test_scheduling_fixture_premises_parse_to_five_assertions():
 def test_constraint_text_roundtrip():
     var_map = {"x": IntVar("x", 0, 5), "y": IntVar("y", 0, 5)}
     c = parse_constraint("(<= (+ x (* -2 y)) 3)", var_map)
-    assert parse_constraint(format_constraint(c), var_map) == c
+    again = parse_constraint(format_constraint(c), var_map)
+    assert (again.terms, again.relation, again.constant) == (c.terms, c.relation, c.constant)
 
 
 def test_reify_matches_integer_semantics():

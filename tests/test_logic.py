@@ -70,8 +70,8 @@ def test_group_comments_are_ignored():
     # corpora written by earlier versions tag premise clauses with group comments
     plain = "p cnf 3 3\n1 0\n2 0\n-1 3 0\n"
     tagged = "c group facts 0 2\nc group rules 2 3\n" + plain
-    assert parse_dimacs(tagged) == parse_dimacs(plain)
-    assert parse_dimacs(tagged).clauses == [(1,), (2,), (-1, 3)]
+    for f in (parse_dimacs(tagged), parse_dimacs(plain)):
+        assert (f.num_vars, f.clauses) == (3, [(1,), (2,), (-1, 3)])
 
 
 def test_header_counts_tautological_clauses():

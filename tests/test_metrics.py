@@ -1,10 +1,14 @@
+import inspect
 import json
+import typing
 
 import pytest
 
 from casecheck.metrics import (
     BundleReport,
+    MetricsReport,
     QueryRecord,
+    RepairLogEntry,
     ReportFormatError,
     aggregate,
     auc_prefix_cons,
@@ -114,11 +118,22 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
     assert [r.case_id for r in loaded] == ["a", "b"]  # canonical order
     m1 = aggregate(sorted(reports, key=lambda r: r.case_id))
     m2 = aggregate(loaded)
-    assert m1 == m2
+    assert vars(m1) == vars(m2)
     # re-serialization is byte-identical
     path2 = tmp_path / "again.jsonl"
     save_reports(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("cls", [QueryRecord, RepairLogEntry, BundleReport, MetricsReport])
+def test_records_take_their_annotated_fields_in_order(cls):
+    # load_reports builds records positionally, in annotation order, so a
+    # parameter out of that order, or stored under another field, would
+    # silently swap two fields
+    names = list(typing.get_type_hints(cls))
+    assert list(inspect.signature(cls).parameters) == names
+    values = list(range(len(names)))
+    assert vars(cls(*values)) == dict(zip(names, values))
 
 
 def test_a_bad_report_line_is_named_by_line_and_path(tmp_path):

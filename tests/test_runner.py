@@ -8,6 +8,12 @@ from casecheck.generator import GeneratorSpec, generate_corpus
 from casecheck.metrics import UNSAT, aggregate, load_reports, save_reports
 from casecheck.runner import METHODS, RunConfig, evaluate_bundle, run, write_run
 
+
+def report_lines(reports) -> list[str]:
+    """Reports by value: each as the line ``save_reports`` writes for it."""
+    return [json.dumps(r, default=vars, sort_keys=True) for r in reports]
+
+
 GEN_MIX = GeneratorSpec(domain_mix={Domain.RELATIONAL: 8, Domain.TEMPORAL: 6,
                                  Domain.POLICY: 5, Domain.ABDUCTIVE: 6})
 
@@ -153,7 +159,7 @@ def test_parallel_jobs_match_sequential(tmp_path, cases):
         for mode in ("sequential", "set"):
             r1, t1 = run(config(method, corpus=str(corpus), mode=mode))
             r2, t2 = run(config(method, corpus=str(corpus), mode=mode, jobs=2))
-            assert r1 == r2, (method, mode)
+            assert report_lines(r1) == report_lines(r2), (method, mode)
             assert list(t1) == list(t2) == sorted(c.id for c in cases)
 
 
@@ -184,7 +190,8 @@ def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, d
     cfg = config("check+repair", policy=str(policy), corpus=str(corpus))
     reports, timings = run(cfg)
     assert loads == {"trace": 1, "policy": 1}
-    assert reports == [evaluate_bundle(c, cfg) for c in sorted(cases, key=lambda c: c.id)]
+    assert report_lines(reports) == report_lines(evaluate_bundle(c, cfg)
+                                                 for c in sorted(cases, key=lambda c: c.id))
     out = write_run(tmp_path / "run", cfg, reports, timings)
     assert json.loads((out / "manifest.json").read_text())["config"]["policy"] == str(policy)
 
@@ -251,6 +258,13 @@ def test_invalid_config_rejected():
     for budget in (None, 0):  # None, the old "no budget", failed only at the first conflict
         with pytest.raises(ValueError, match="max_conflicts"):
             RunConfig(corpus="", policy="oracle", max_conflicts=budget)
+    # each ran serially, failed deep in the pool or reached the manifest as given
+    for name, value in [("jobs", 0), ("jobs", -3), ("jobs", True), ("jobs", 2.5), ("seed", "7"),
+                        ("seed", True), ("r_max", 1.5), ("call_cap_factor", True)]:
+        with pytest.raises(ValueError, match=name):
+            RunConfig(corpus="", policy="oracle", **{name: value})
+    # the repair budgets are read by check+repair alone
+    assert RunConfig(corpus="", policy="oracle", method="check", r_max=0).r_max == 0
 
 
 # sha256 of reports.jsonl for each method (policy nocot-like, seed 7) on the

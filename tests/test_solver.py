@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -14,6 +13,11 @@ def model_of(res) -> dict[int, bool] | None:
     if res.true_literals is None:
         return None
     return {abs(lit): lit > 0 for lit in res.true_literals}
+
+
+def stats_of(session) -> dict[str, int]:
+    """A copy of the session's counters: they keep counting after it is taken."""
+    return dict(vars(session.stats))
 
 
 def three_sat(rng, num_vars, ratio):
@@ -167,9 +171,9 @@ def test_conflict_budget_timeout_deterministic():
     runs = []
     for _ in range(2):
         s = SolverSession(hard, max_conflicts=2_000)
-        runs.append((s.solve().status, s.stats))
+        runs.append((s.solve().status, stats_of(s)))
     assert runs[0] == runs[1] and runs[0][0] is SolveStatus.TIMEOUT
-    assert runs[0][1].conflicts == 2_000
+    assert runs[0][1]["conflicts"] == 2_000
 
 
 def pigeonhole(pigeons: int, holes: int) -> Formula:
@@ -199,7 +203,7 @@ def test_determinism_statistics():
     for _ in range(2):
         s = SolverSession(f)
         res = s.solve()
-        runs.append((res.status, res.true_literals, asdict(s.stats)))
+        runs.append((res.status, res.true_literals, stats_of(s)))
     assert runs[0] == runs[1]
 
 
@@ -273,9 +277,9 @@ def test_reused_model_costs_no_search():
     sel = s.add_variable()
     lit = 1 if 1 in first.true_literals else -1  # agrees with the model just found
     s.add_clause([-sel, lit])
-    before = asdict(s.stats)
+    before = stats_of(s)
     res = s.solve([sel])
-    after = asdict(s.stats)
+    after = stats_of(s)
     assert res.status is SolveStatus.SAT
     assert res.true_literals == first.true_literals | {sel}
     assert after == {**before, "solver_calls": before["solver_calls"] + 1}
@@ -462,7 +466,7 @@ def _trajectory() -> list:
     def call(s, assumptions=()):
         res = s.solve(assumptions)
         model = None if res.true_literals is None else sorted(res.true_literals)
-        out.append([res.status.value, model, sorted(res.failed_assumptions), asdict(s.stats)])
+        out.append([res.status.value, model, sorted(res.failed_assumptions), stats_of(s)])
 
     rng = random.Random(2024)
     for _ in range(40):  # random SAT and UNSAT formulas, with and without assumptions
