@@ -16,11 +16,11 @@ class InputError(ValueError):
 # The engine modules are registered in ``sys.modules`` and bound here at once
 # but executed on first attribute access (the lazy-import recipe of the
 # ``importlib`` docs), so each subcommand executes only the modules it uses:
-# ``score`` and ``report`` run no solver, grounding, generator or answerer
-# code. A new engine module joins this list. ``cli`` stays off it:
+# ``score`` and ``report`` execute ``metrics`` and its checker, ``schema``,
+# alone. A new engine module joins this list. ``cli`` stays off it:
 # ``python -m casecheck.cli`` must not find it in ``sys.modules`` before
 # running it.
-_LAZY = ("logic", "solver", "lia", "casefile", "commitments", "repair", "answerers",
+_LAZY = ("schema", "logic", "solver", "lia", "casefile", "commitments", "repair", "answerers",
          "metrics", "generator", "runner")
 
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
-import re
 from bisect import bisect
 from pathlib import Path
 from typing import NamedTuple
 
-from . import InputError
+from . import InputError, schema
 from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label
 
 LABELS = tuple(Label)
@@ -44,11 +42,10 @@ class ConfusionMatrix:
 
     def __init__(self, rows: tuple[tuple[float, float, float], ...]):  # rows/cols in LABELS order
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise PolicyError(f"matrix must be 3x3, got {[list(r) for r in rows]!r}")
+            raise schema.must("matrix", "3x3", [list(r) for r in rows])
         for i, row in enumerate(rows):
             if any(p < 0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:  # refuses NaN
-                raise PolicyError(f"matrix[{i}] must be a probability distribution, "
-                                  f"got {list(row)!r}")
+                raise schema.must(f"matrix[{i}]", "a probability distribution", list(row))
         self.rows = rows
         # each gold label's row as cumulative weights, the table ``sample`` draws from
         self.cumulative = {gold: list(itertools.accumulate(row))
@@ -62,46 +59,44 @@ class ConfusionMatrix:
 
 
 class PolicyConfig:
-    """One answer policy; a value no ``Answerer`` can run raises PolicyError."""
+    """One answer policy, as a policy file holds it (see ``schema``): a missing
+    field takes its default, a key that is no field is ignored."""
 
-    # the fields in order, which are the keys of a policy file
-    FIELDS = ("kind", "matrix", "derived_rate", "derived_max", "echo_flip", "k", "inner",
-              "history_bias", "logic_filter", "trace_path")
-    __slots__ = FIELDS
+    UNKNOWN_KEYS = "ignored"
+    kind: str  # one of KINDS
+    matrix: list[list[float]] | None  # label noise, needed by noisy and history
+    derived_rate: float  # chance a non-Unknown answer carries derived atoms
+    derived_max: int
+    echo_flip: float  # chance a leaked echo has the wrong polarity
+    k: int  # samples for self-consistency
+    inner: PolicyConfig | None
+    history_bias: float  # chance of agreeing with the latest shared-atom answer
+    logic_filter: bool  # filter SC samples through the belief state
+    trace_path: str | None
 
-    def __init__(self, kind: str,  # one of KINDS
-                 matrix: ConfusionMatrix | None = None,  # label noise, needed by noisy and history
-                 derived_rate: float = 0.0,  # chance a non-Unknown answer carries derived atoms
-                 derived_max: int = 2,
-                 echo_flip: float = 0.0,  # chance a leaked echo has the wrong polarity
-                 k: int = 1,  # samples for self-consistency
-                 inner: PolicyConfig | None = None,
-                 history_bias: float = 0.0,  # chance of agreeing with the latest shared-atom answer
-                 logic_filter: bool = False,  # filter SC samples through the belief state
-                 trace_path: str | None = None):
+    def __init__(self, kind, matrix=None, derived_rate=0.0, derived_max=2, echo_flip=0.0, k=1,
+                 inner=None, history_bias=0.0, logic_filter=False, trace_path=None):
+        if kind not in KINDS:
+            raise schema.must("kind", "one of " + ", ".join(KINDS), kind)
+        for name, value in (("derived_max", derived_max), ("k", k)):
+            if value < 1:
+                raise schema.must(name, "an integer >= 1", value)
+        for name, value in (("derived_rate", derived_rate), ("echo_flip", echo_flip),
+                            ("history_bias", history_bias)):
+            if not 0 <= value <= 1:  # refuses NaN
+                raise schema.must(name, "a number in [0, 1]", value)
+        if kind in ("noisy", "history") and matrix is None:
+            raise schema.must("matrix", f"set for a {kind} policy", matrix)
+        if kind == "replay" and not trace_path:
+            raise schema.must("trace_path", "set for a replay policy", trace_path)
+        if kind == "self-consistency" and inner is None:
+            raise schema.must("inner", "set for a self-consistency policy", inner)
+        if matrix is not None and not isinstance(matrix, ConfusionMatrix):  # a policy file's rows
+            matrix = ConfusionMatrix(matrix)
         self.kind, self.matrix, self.inner, self.k = kind, matrix, inner, k
         self.derived_rate, self.derived_max, self.echo_flip = derived_rate, derived_max, echo_flip
         self.history_bias, self.logic_filter = history_bias, logic_filter
         self.trace_path = trace_path
-        if kind not in KINDS:
-            raise PolicyError(f"unknown policy kind {kind!r}")
-        for name in self.FIELDS:  # type() is exact, so booleans are no numbers
-            value = getattr(self, name)
-            if name in ("k", "derived_max") and not (type(value) is int and value >= 1):
-                raise PolicyError(f"{name} must be an integer >= 1, got {value!r}")
-            if name in ("derived_rate", "echo_flip", "history_bias") and not (
-                    type(value) in (int, float) and 0 <= value <= 1):
-                raise PolicyError(f"{name} must be a number in [0, 1], got {value!r}")
-        if type(logic_filter) is not bool:
-            raise PolicyError(f"logic_filter must be true or false, got {logic_filter!r}")
-        if trace_path is not None and type(trace_path) is not str:
-            raise PolicyError(f"trace_path must be a string, got {trace_path!r}")
-        if kind in ("noisy", "history") and matrix is None:
-            raise PolicyError(f"{kind} policy needs a matrix")
-        if kind == "replay" and not trace_path:
-            raise PolicyError("replay policy needs a trace_path")
-        if kind == "self-consistency" and inner is None:
-            raise PolicyError("self-consistency policy needs an inner policy")
 
 
 # leakage concentrates on underdetermined content
@@ -277,27 +272,20 @@ def resolve_policy(name_or_config: str | PolicyConfig) -> PolicyConfig:
     if name_or_config in PRESETS:
         return PRESETS[name_or_config]
     try:
-        text = Path(name_or_config).read_text(encoding="utf-8")
+        data = schema.read_json(name_or_config)
     except OSError:
         raise PolicyError(f"unknown policy preset or config file: {name_or_config!r} "
                           f"(presets: {', '.join(sorted(PRESETS))})") from None
-    except UnicodeDecodeError as exc:
+    except schema.Unfit as exc:
+        raise PolicyError(f"malformed policy file {name_or_config!r}{exc.problem}") from None
+    if type(data) is not dict:
         raise PolicyError(f"malformed policy file {name_or_config!r}: "
-                          f"not UTF-8 text ({exc.reason})") from None
-    try:
-        data = json.loads(text)
-        if type(data) is not dict:
-            raise PolicyError(f"malformed policy file {name_or_config!r}: "
-                              f"holds no JSON object, got {data!r}")
-        return policy_from_dict(data)
-    except PolicyError:
-        raise
-    except ValueError as exc:  # no JSON
-        raise PolicyError(f"malformed policy file {name_or_config!r}: {exc!r}") from None
+                          f"a policy must be an object, got {data!r}")
+    return policy_from_dict(data)
 
 
 def policy_to_dict(config: PolicyConfig) -> dict:
-    data = {name: getattr(config, name) for name in PolicyConfig.FIELDS}
+    data = schema.dump(config)
     if config.matrix is not None:
         data["matrix"] = [list(row) for row in config.matrix.rows]
     if config.inner is not None:
@@ -306,70 +294,38 @@ def policy_to_dict(config: PolicyConfig) -> dict:
 
 
 def policy_from_dict(data: dict) -> PolicyConfig:
-    """Missing fields take their defaults; keys that are no field are ignored.
-    A value of the wrong JSON type and an error in the inner policy name
-    their path, as in ``matrix[2][2]`` or ``inner.k``."""
-    if "kind" not in data:
-        raise PolicyError(f"kind is missing: a policy is one of {', '.join(KINDS)}")
-    values = {name: data[name] for name in PolicyConfig.FIELDS if name in data}
-    matrix = values.get("matrix")
-    if matrix is not None:
-        if type(matrix) is not list or not all(type(row) is list for row in matrix):
-            raise PolicyError(f"matrix must be a list of rows, got {matrix!r}")
-        for i, row in enumerate(matrix):
-            for j, p in enumerate(row):
-                if type(p) not in (int, float):
-                    raise PolicyError(f"matrix[{i}][{j}] must be a number, got {p!r}")
-        values["matrix"] = ConfusionMatrix(tuple(tuple(row) for row in matrix))
-    inner = values.get("inner")
-    if inner is not None:
-        if type(inner) is not dict:
-            raise PolicyError(f"inner must be a JSON object, got {inner!r}")
-        try:
-            values["inner"] = policy_from_dict(inner)
-        except PolicyError as exc:  # "inner.k must be ...", "inner: unknown policy kind ..."
-            names_field = re.match(r"\w*", str(exc))[0] in PolicyConfig.FIELDS
-            raise PolicyError(f"inner{'.' if names_field else ': '}{exc}") from None
-    return PolicyConfig(**values)
+    """The policy a policy file's object describes; a value that does not fit
+    raises PolicyError naming its path, as ``matrix[2]`` or ``inner.k``."""
+    try:
+        return schema.build(PolicyConfig, [data])[0]
+    except schema.Unfit as exc:
+        raise PolicyError(f"{exc.path or 'a policy'}{exc.problem}") from None
+    except RecursionError:  # inner policies nested past the interpreter's limit
+        raise PolicyError("inner: nested too deeply to read") from None
 
 
 # -------------------------------------------------------------- replay traces
 
 
+class TraceRecord:
+    """One recorded answer, a line of a replay trace (see ``schema``); other keys are ignored."""
+
+    UNKNOWN_KEYS = "ignored"
+    case_id: str
+    query_id: str
+    label: str
+    derived_atoms: list[int]
+
+    def __init__(self, case_id, query_id, label, derived_atoms=()):
+        self.case_id, self.query_id = case_id, query_id
+        self.label, self.derived_atoms = schema.member(Label, "label", label), tuple(derived_atoms)
+
+
 def load_trace(path: str | Path) -> dict[tuple[str, str], Answer]:
-    """Line-delimited records: case_id, query_id, label, optional
-    derived_atoms (a list of integers); other fields are ignored. A line
-    that is no JSON object with the three keys, or whose label or derived
-    atoms are not of that form, raises PolicyError naming the path and
-    line."""
-    trace = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise PolicyError(f"{path}: trace is not UTF-8 text ({exc.reason})") from None
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except ValueError:
-                raise PolicyError(f"{where}: trace line is not JSON") from None
-            if not isinstance(record, dict):
-                raise PolicyError(f"{where}: trace record is not an object")
-            for key in ("case_id", "query_id", "label"):
-                if key not in record:
-                    raise PolicyError(f"{where}: trace record missing {key!r}")
-            try:
-                label = Label(record["label"])
-            except ValueError:
-                raise PolicyError(f"{where}: unknown label {record['label']!r}") from None
-            derived = record.get("derived_atoms", [])
-            if not isinstance(derived, list) or not all(
-                    isinstance(a, int) and not isinstance(a, bool) for a in derived):
-                raise PolicyError(f"{where}: derived_atoms must be a list of integers, "
-                                  f"got {derived!r}")
-            trace[(record["case_id"], record["query_id"])] = Answer(label, tuple(derived))
-    return trace
+    """The answers of a replay trace by (case id, query id); a bad line raises
+    PolicyError naming the trace, the line and the field."""
+    try:
+        records = schema.read_lines(TraceRecord, path)[1]
+    except schema.Unfit as exc:
+        raise PolicyError(exc.at(path, "a trace record")) from None
+    return {(r.case_id, r.query_id): Answer(r.label, r.derived_atoms) for r in records}

@@ -4,8 +4,9 @@ derivation by entailment checking, and case-level splits.
 Corpus files are line-delimited JSON, one case per line. Propositional cases
 carry DIMACS premises and integer query atoms; temporal cases carry theory
 text and constraint-text atoms that are reified to fresh literals when the
-case is compiled. Unknown record fields are preserved verbatim so files from
-other producers round-trip.
+case is compiled. ``Query`` and ``CaseFile`` declare a record once, for the
+checker every JSON input shares (``schema``); keys that are no field are
+kept verbatim, so files from other producers round-trip.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import InputError
+from . import InputError, schema
 from .lia import GroundedTheory, TheoryError, ground, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
+from .schema import member, must
 from .solver import SolveResult, SolveStatus, SolverSession
 
 
@@ -58,37 +60,58 @@ class LabelTimeout(CaseError):
     """A gold-label solver check exceeded its budget; the label is refused."""
 
 
-_QUERY_FIELDS = {"id", "atom", "gold_label", "text", "depends_on"}
-_CASE_FIELDS = {"id", "domain", "split", "premises", "premises_format", "queries"}
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
-
-
 class Query:
-    __slots__ = ("id", "atom", "gold_label", "text", "depends_on", "atom_text", "extra")
+    """One query of a case. Its ``atom`` is a literal of DIMACS premises, or
+    constraint text of theory premises, kept as ``atom_text`` until reified."""
 
-    def __init__(self, id: str, atom: int,  # literal in the compiled formula
-                 gold_label: Label | None = None, text: str | None = None,
-                 depends_on: list[str] | None = None,
-                 atom_text: str | None = None,  # source constraint text for theory cases
-                 extra: dict | None = None):
-        self.id, self.atom, self.gold_label, self.text = id, atom, gold_label, text
+    UNKNOWN_KEYS = "kept"
+    id: str
+    atom: int | str
+    gold_label: str | None
+    text: str | None
+    depends_on: list[str]
+    __slots__ = ("id", "atom", "gold_label", "text", "depends_on", "extra", "atom_text")
+
+    def __init__(self, id, atom, gold_label=None, text=None, depends_on=None, extra=None):
+        self.id, self.text = id, text
+        self.atom, self.atom_text = (0, atom) if type(atom) is str else (atom, None)
+        self.gold_label = None if gold_label is None else member(Label, "gold_label", gold_label)
         self.depends_on = [] if depends_on is None else depends_on
-        self.atom_text = atom_text
         self.extra = {} if extra is None else extra
 
 
 class CaseFile:
-    __slots__ = ("id", "domain", "premises", "premises_format", "queries", "split", "formula",
-                 "extra")
+    """One case, premises and queries; a missing ``premises_format`` is read off the premises."""
 
-    def __init__(self, id: str, domain: Domain, premises: str,
-                 premises_format: str,  # "dimacs" | "theory"
-                 queries: list[Query], split: str | None = None,
-                 formula: Formula | None = None, extra: dict | None = None):
-        self.id, self.domain, self.premises = id, domain, premises
-        self.premises_format, self.queries = premises_format, queries
-        self.split, self.formula = split, formula
-        self.extra = {} if extra is None else extra
+    UNKNOWN_KEYS = "kept"
+    id: str
+    domain: str
+    premises: str
+    queries: list[Query]
+    premises_format: str | None
+    split: str | None
+    __slots__ = ("id", "domain", "premises", "queries", "premises_format", "split", "extra",
+                 "formula")
+
+    def __init__(self, id, domain, premises, queries, premises_format=None, split=None,
+                 extra=None):
+        self.id, self.domain = id, member(Domain, "domain", domain)
+        if premises_format is None:
+            premises_format = ("dimacs" if premises.lstrip().startswith(("p cnf", "c", "p"))
+                               else "theory")
+        elif premises_format not in ("dimacs", "theory"):
+            raise must("premises_format", "one of dimacs, theory", premises_format)
+        dimacs, ids = premises_format == "dimacs", set()
+        for j, q in enumerate(queries):
+            if q.id in ids:
+                raise must(f"queries[{j}].id", "unique in its case", q.id)
+            ids.add(q.id)
+            if (not q.atom_text) != dimacs:
+                raise must(f"queries[{j}].atom", "a literal (an integer) for DIMACS premises"
+                           if dimacs else "constraint text for theory premises",
+                           q.atom if q.atom_text is None else q.atom_text)
+        self.premises, self.premises_format, self.queries = premises, premises_format, queries
+        self.split, self.formula, self.extra = split, None, {} if extra is None else extra
 
     @property
     def bundle_size(self) -> int:
@@ -120,9 +143,7 @@ def compile_premises(premises: str, premises_format: str) -> Formula | GroundedT
     to its grounding before any query atom is reified."""
     if premises_format == "dimacs":
         return parse_dimacs(premises)
-    if premises_format == "theory":
-        return ground(parse_theory(premises))
-    raise CorpusFormatError(f"unknown premises_format {premises_format!r}")
+    return ground(parse_theory(premises))
 
 
 def compile_case(case: CaseFile, premises: Formula | GroundedTheory | None = None) -> CaseFile:
@@ -138,13 +159,11 @@ def compile_case(case: CaseFile, premises: Formula | GroundedTheory | None = Non
     if case.premises_format == "dimacs":
         case.formula = premises
         for q in case.queries:
-            if not isinstance(q.atom, int) or q.atom == 0 or abs(q.atom) > case.formula.num_vars:
+            if q.atom == 0 or abs(q.atom) > case.formula.num_vars:
                 raise CorpusFormatError(f"query {q.id}: atom {q.atom!r} outside premise vocabulary")
     else:
         grounded = premises.copy()
         for q in case.queries:
-            if not q.atom_text:
-                raise CorpusFormatError(f"query {q.id}: missing constraint atom")
             q.atom = grounded.reify(grounded.constraint(q.atom_text), f"query:{q.id}")
         case.formula = grounded.formula
     return case
@@ -186,105 +205,30 @@ def label_case(case: CaseFile) -> None:
 
 
 def case_to_record(case: CaseFile) -> dict:
-    queries = []
-    for q in case.queries:
-        rec = {
-            "id": q.id,
-            "atom": q.atom_text if case.premises_format == "theory" else q.atom,
-            "gold_label": q.gold_label.value if q.gold_label else None,
-            "text": q.text,
-            "depends_on": list(q.depends_on),
-        }
-        rec.update(q.extra)
-        queries.append(rec)
-    record = {
-        "id": case.id,
-        "domain": case.domain.value,
-        "split": case.split,
-        "premises": case.premises,
-        "premises_format": case.premises_format,
-        "queries": queries,
-    }
-    record.update(case.extra)
-    return record
+    theory = case.premises_format == "theory"
+    queries = [{**schema.dump(q), "atom": q.atom_text if theory else q.atom,
+                "gold_label": q.gold_label and q.gold_label.value} for q in case.queries]
+    return {**schema.dump(case), "domain": case.domain.value, "queries": queries}
 
 
 def case_from_record(record: dict, index: int = 0,
                      premises: Formula | GroundedTheory | None = None) -> CaseFile:
     """The compiled case a corpus record describes; ``premises``, when given,
-    are the record's premises already compiled by ``compile_premises``.
-    Malformed records raise CorpusFormatError naming ``cases[index]`` and
-    the field."""
-    path = f"cases[{index}]"
-
-    def need(d: dict, key: str, where: str, kind: type | None = None):
-        if key not in d:
-            raise CorpusFormatError(f"{where}.{key}: missing required field")
-        return typed(d[key], f"{where}.{key}", kind) if kind else d[key]
-
-    def typed(value, where: str, kind: type):
-        if not isinstance(value, kind):
-            raise CorpusFormatError(f"{where}: expected {_KIND_NAMES[kind]}, "
-                                    f"got {type(value).__name__}")
-        return value
-
-    typed(record, path, dict)
-    case_id = need(record, "id", path)
-    domain_raw = need(record, "domain", path)
+    are its premises compiled by ``compile_premises``. A bad record raises
+    CorpusFormatError naming ``cases[index]`` and the field."""
     try:
-        domain = Domain(domain_raw)
-    except ValueError:
-        raise CorpusFormatError(f"{path}.domain: unknown domain {domain_raw!r}")
-    premises_text = need(record, "premises", path, str)
-    fmt = record.get("premises_format")
-    if fmt is None:
-        fmt = "dimacs" if premises_text.lstrip().startswith(("p cnf", "c", "p")) else "theory"
-    queries, query_ids = [], set()
-    for j, qrec in enumerate(need(record, "queries", path, list)):
-        qpath = f"{path}.queries[{j}]"
-        typed(qrec, qpath, dict)
-        gold_raw = qrec.get("gold_label")
-        try:
-            gold = Label(gold_raw) if gold_raw is not None else None
-        except ValueError:
-            raise CorpusFormatError(f"{qpath}.gold_label: unknown label {gold_raw!r}")
-        atom = need(qrec, "atom", qpath)
-        if fmt == "theory":
-            if not isinstance(atom, str):
-                raise CorpusFormatError(f"{qpath}.atom: theory cases need constraint text")
-            atom_text, atom_lit = atom, 0
-        else:
-            if type(atom) is not int:  # a JSON boolean is no literal
-                raise CorpusFormatError(f"{qpath}.atom: expected a literal (int)")
-            atom_text, atom_lit = None, atom
-        query_id = str(need(qrec, "id", qpath))
-        if query_id in query_ids:
-            raise CorpusFormatError(f"{qpath}.id: duplicate query id {query_id!r}")
-        query_ids.add(query_id)
-        queries.append(Query(
-            id=query_id,
-            atom=atom_lit,
-            gold_label=gold,
-            text=qrec.get("text"),
-            depends_on=[str(d) for d in typed(qrec.get("depends_on", []),
-                                              f"{qpath}.depends_on", list)],
-            atom_text=atom_text,
-            extra={k: v for k, v in qrec.items() if k not in _QUERY_FIELDS},
-        ))
-    case = CaseFile(
-        id=str(case_id),
-        domain=domain,
-        premises=premises_text,
-        premises_format=fmt,
-        queries=queries,
-        split=record.get("split"),
-        extra={k: v for k, v in record.items() if k not in _CASE_FIELDS},
-    )
+        [case] = schema.build(CaseFile, [record])
+    except schema.Unfit as exc:
+        raise CorpusFormatError(str(exc.under(f"cases[{index}]"))) from None
+    return _compiled(case, index, premises)
+
+
+def _compiled(case: CaseFile, index: int,
+              premises: Formula | GroundedTheory | None = None) -> CaseFile:
     try:
-        compile_case(case, premises)
+        return compile_case(case, premises)
     except (CorpusFormatError, TheoryError, LogicError) as exc:
-        raise CorpusFormatError(f"{path} (case {case.id}): {exc}") from exc
-    return case
+        raise CorpusFormatError(f"cases[{index}] (case {case.id}): {exc}") from exc
 
 
 def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
@@ -296,22 +240,13 @@ def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[CaseFile]:
-    cases = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"cases[{i}]: invalid JSON ({exc})")
-            cases.append(case_from_record(record, index=i))
-    return cases
+    """The compiled cases of a corpus file, line ``i + 1`` being ``cases[i]``."""
+    try:
+        linenos, cases = schema.read_lines(CaseFile, path)
+    except schema.Unfit as exc:
+        raise CorpusFormatError(str(exc.under(f"cases[{exc.line - 1}]")) if exc.line
+                                else f"{path}{exc.problem}") from None
+    return [_compiled(case, lineno - 1) for lineno, case in zip(linenos, cases)]
 
 
 # --------------------------------------------------------------------- splits

@@ -3,18 +3,13 @@ sweeps, and score reports.
 
 Exit codes separate engine problems from measured phenomena and bad input:
 a run exits 1 only when an internal invariant check failed, never because the
-evaluated policy produced contradictions (those are the data). Bad arguments,
-a policy that is no preset and no runnable policy file or replay trace
-(``PolicyError``, which names the field by its path or the trace line), a
-missing input file such as a run directory's ``reports.jsonl``, a run
-directory file that is no JSON or no report, or reports with nothing to score
-(``ReportFormatError``, which names the file, line and field path), and a
-corpus that fails to load, has unusable premises, has no case or no
-gold-labelled query in the selected split, or lacks a gold label a policy
-needs (``CaseError``, which names the case and query, split or corpus) exit 2
-with a one-line message, like argparse.
+evaluated policy produced contradictions (those are the data). Bad input
+exits 2 with a one-line message, like argparse: a bad argument, a missing
+file, an input the one JSON checker (``schema``) refuses, named by its place
+(``cases[i]``, ``file:line`` or the policy file) and the field's path, a
+corpus with unusable premises, nothing to score or a query without the gold
+label its policy needs, and reports with nothing to score.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -138,19 +133,8 @@ def _load_run(run_dir: str):
     reports = metrics.load_reports(path)
     if not any(q.gold is not None for r in reports for q in r.queries):
         raise metrics.ReportFormatError(f"{path}: no gold-labelled query to score")
-    timings_path = Path(run_dir) / "timings.json"
-    eval_s = None
-    if timings_path.exists():
-        try:
-            timings = json.loads(timings_path.read_text())
-            eval_s = timings.get("total_seconds")
-        except (ValueError, AttributeError) as exc:  # no JSON, or no JSON object
-            raise metrics.ReportFormatError(f"{timings_path}:{getattr(exc, 'lineno', 1)}: "
-                                            f"not a timings object ({exc!r})") from None
-        if "total_seconds" in timings and type(eval_s) not in (int, float):  # a bool is no number
-            raise metrics.ReportFormatError(
-                f"{timings_path}:1: total_seconds must be a number, got {eval_s!r}")
-    return reports, eval_s
+    timings = Path(run_dir) / "timings.json"
+    return reports, metrics.load_timings(timings).total_seconds if timings.exists() else None
 
 
 def cmd_score(args) -> int:

@@ -3,27 +3,23 @@
 A BundleReport is the complete, serializable record of one bundle run:
 per-query labels (gold, as answered, and final after any interventions),
 per-step satisfiability statuses before and after interventions, the repair
-log, and call counts. Its annotated record classes are the only definition
-of ``reports.jsonl``: ``save_reports`` writes their fields, ``load_reports``
-checks each line against their annotations. Every metric reads only
-serialized fields, so scoring a report file reproduces in-process results
-bit for bit. Wall-clock timings are kept out of the canonical records (they
-live in a sidecar) so that repeated runs of one configuration produce
-byte-identical report and metric files.
+log, and call counts. Its annotated record classes declare ``reports.jsonl``
+once: ``save_reports`` writes their fields, and ``load_reports`` checks each
+line against them with the checker every JSON input shares (``schema``).
+Every metric reads only serialized fields, so scoring a report file
+reproduces in-process results bit for bit. Wall-clock timings are kept out of
+the canonical records (they live in a sidecar) so that repeated runs of one
+configuration produce byte-identical report and metric files.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
-import types
-import typing
-from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from . import InputError
+from . import InputError, schema
+from .schema import Count
 
 # The vocabulary of the reports, spelled as they spell it so that scoring
 # needs no engine module: ``SolveStatus`` values, ``Label`` values in their
@@ -52,8 +48,7 @@ PHASES = (
 )
 
 
-# The report records. Each ``__init__`` takes the annotated fields in their
-# order, which is how ``_build`` passes them.
+# The report records (see ``schema``): every field is required, no other key.
 class QueryRecord:
     query_id: str
     gold: str | None
@@ -71,7 +66,7 @@ class RepairLogEntry:
     tried: list[dict]
     accepted: dict | None
     outcome: str
-    solver_calls: int
+    solver_calls: Count
 
     def __init__(self, query_id, core_query_ids, core_minimal, tried, accepted, outcome,
                  solver_calls):
@@ -91,22 +86,20 @@ class BundleReport:
     final_sat: bool
     bundle_status: str  # consistent | repaired | inconsistent
     repair_log: list[RepairLogEntry]
-    counts: dict[str, int]
-    min_revision: int
+    counts: dict[str, Count]
+    min_revision: Count
     min_revision_exact: bool
     invariant_failures: list[str]
 
     def __init__(self, case_id, domain, mode, method, queries, statuses_before, statuses_after,
-                 final_sat, bundle_status, repair_log=None, counts=None, min_revision=0,
-                 min_revision_exact=True, invariant_failures=None):
+                 final_sat, bundle_status, repair_log, counts, min_revision, min_revision_exact,
+                 invariant_failures):
         self.case_id, self.domain, self.mode, self.method = case_id, domain, mode, method
         self.queries, self.statuses_before = queries, statuses_before
         self.statuses_after, self.final_sat = statuses_after, final_sat
-        self.bundle_status = bundle_status
-        self.repair_log = [] if repair_log is None else repair_log
-        self.counts = {} if counts is None else counts
+        self.bundle_status, self.repair_log, self.counts = bundle_status, repair_log, counts
         self.min_revision, self.min_revision_exact = min_revision, min_revision_exact
-        self.invariant_failures = [] if invariant_failures is None else invariant_failures
+        self.invariant_failures = invariant_failures
 
     @property
     def n(self) -> int:
@@ -130,118 +123,34 @@ def save_reports(reports: Sequence[BundleReport], path: str | Path) -> None:
             fh.write(json.dumps(report, default=vars, sort_keys=True) + "\n")
 
 
-# the record classes of a report line
-_RECORDS = (QueryRecord, RepairLogEntry, BundleReport)
-
-
 class ReportFormatError(InputError):
     """A run directory file that is no JSON or holds no bundle report, or
     reports that hold nothing to score; the message names the file, and the
     line and field where there is one."""
 
 
-# Report lines built together, a chunk at a time while their JSON is fresh.
-_CHUNK = 64
-
-
 def load_reports(path: str | Path) -> list[BundleReport]:
-    """Every field of a report line, nested records included, is required and
-    checked against its annotation (see ``_build``)."""
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise ReportFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    reports = []
-    for start in range(0, len(numbered), _CHUNK):
-        chunk, records = numbered[start:start + _CHUNK], []
-        for lineno, line in chunk:
-            try:
-                records.append(json.loads(line))
-            except ValueError as exc:
-                raise ReportFormatError(f"{path}:{lineno}: not JSON ({exc})") from None
-        try:
-            reports += _build(BundleReport, records)
-        except _Unfit as exc:
-            index, where, problem = exc.args
-            raise ReportFormatError(f"{path}:{chunk[index][0]}: "
-                                    f"{where or 'a report'}{problem}") from None
-    return reports
+        return schema.read_lines(BundleReport, path)[1]
+    except schema.Unfit as exc:
+        raise ReportFormatError(exc.at(path, "a report")) from None
 
 
-# ------------------------------------------------------------ report schema
+class Timings:
+    """``timings.json``, a run's wall-clock sidecar: scoring reads the total."""
 
-# Each JSON type in words, alone and as the entries of a list or an object.
-_WORDS = {str: ("a string", "strings"), int: ("an integer >= 0", "integers >= 0"),
-          bool: ("true or false", "booleans"), dict: ("an object", "objects"),
-          list: ("a list", "lists"), type(None): ("null", "nulls")}
+    UNKNOWN_KEYS = "ignored"
+    total_seconds: float
 
-
-@functools.cache
-def _schema(cls) -> list[tuple]:
-    """(name, JSON types, entry type, wording) of each field of the report
-    record class ``cls``, read off its annotations once per class. The entry
-    type, a JSON type or a record class, is that of a list's entries or an
-    object's values."""
-    out = []
-    for name, hint in typing.get_type_hints(cls).items():
-        options = typing.get_args(hint) if type(hint) is types.UnionType else (hint,)
-        kinds = [typing.get_origin(option) or option for option in options]
-        entry = typing.get_args(hint)[-1] if typing.get_origin(hint) in (list, dict) else None
-        wording = " or ".join(_WORDS[kind][0] for kind in kinds)
-        if entry:
-            wording += " of " + _WORDS[dict if entry in _RECORDS else entry][1]
-        out.append((name, frozenset(kinds), entry, wording))
-    return out
+    def __init__(self, total_seconds=None):
+        self.total_seconds = total_seconds
 
 
-class _Unfit(Exception):
-    """args: the index of the item, the path of the bad value in it (empty for
-    the item itself) and the problem, as (0, "queries[1].gold", " must be ...")."""
-
-
-def _build(cls, items: list, locate: bool = True) -> list:
-    """One ``cls`` per JSON object in ``items``. A value whose JSON type is not
-    its field's annotation, a missing field and a key that is no field raise
-    ``_Unfit`` for the first such item. Every integer in a report is a count,
-    so none may be negative. Each check runs over one field of all items at
-    once; only after a failure are the items checked one by one."""
-    if locate and len(items) > 1:
-        try:
-            return _build(cls, items, locate=False)
-        except _Unfit:
-            for i, item in enumerate(items):
-                try:
-                    _build(cls, [item])
-                except _Unfit as exc:
-                    raise _Unfit(i, *exc.args[1:]) from None
-    fields = _schema(cls)
-    if not set(map(type, items)) <= {dict}:
-        raise _Unfit(0, "", f" must be an object, got {items[0]!r}")
-    if max(map(len, items), default=0) > len(fields):
-        raise _Unfit(0, min(items[0].keys() - {f[0] for f in fields}, default=""), ": unknown field")
-    columns = []
-    for name, kinds, entry, wording in fields:
-        try:
-            column = list(map(operator.itemgetter(name), items))
-        except KeyError:
-            raise _Unfit(0, name, ": missing required field") from None
-        values, fits = column, set(map(type, column)) <= kinds
-        if fits and entry:
-            values = list(chain.from_iterable(map(dict.values, column) if dict in kinds else column))
-            if entry in _RECORDS:
-                try:
-                    records = iter(_build(entry, values))
-                except _Unfit as exc:
-                    j, path, problem = exc.args
-                    raise _Unfit(0, f"{name}[{j}]{'.' if path else ''}{path}", problem) from None
-                columns.append([list(islice(records, len(value))) for value in column])
-                continue
-            fits = set(map(type, values)) <= {entry}
-        if not fits or int in kinds | {entry} and min(values, default=0) < 0:
-            raise _Unfit(0, name, f" must be {wording}, got {column[0]!r}")
-        columns.append(column)
-    return list(map(cls, *columns))
+def load_timings(path: str | Path) -> Timings:
+    try:
+        return schema.build(Timings, [schema.read_json(path)])[0]
+    except schema.Unfit as exc:
+        raise ReportFormatError(exc.at(path, "timings")) from None
 
 
 # ------------------------------------------------------------------- metrics

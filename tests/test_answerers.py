@@ -133,8 +133,9 @@ def test_replay_roundtrip_and_miss(tmp_path, case):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"label": "maybe"}, "unknown label 'maybe'"),  # used to raise ValueError at the answer
-    ({"label": ["entailed"]}, "unknown label ['entailed']"),
+    # used to raise ValueError at the answer
+    ({"label": "maybe"}, "label must be one of entailed, contradicted, unknown, got 'maybe'"),
+    ({"label": ["entailed"]}, "label must be a string, got ['entailed']"),
     ({"derived_atoms": ["x"]}, "derived_atoms must be a list of integers, got ['x']"),
     ({"derived_atoms": 3}, "derived_atoms must be a list of integers, got 3"),
     ({"derived_atoms": [1, True]}, "derived_atoms must be a list of integers, got [1, True]"),

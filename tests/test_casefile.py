@@ -214,13 +214,26 @@ _GOOD = {"id": "r-0001", "domain": "relational", "premises": "p cnf 2 1\n1 2 0\n
 
 
 @pytest.mark.parametrize("record, message", [
-    (["r-0001"], r"cases\[5\]: expected an object, got list"),
-    ({**_GOOD, "premises": 5}, r"cases\[5\]\.premises: expected a string, got int"),
-    ({**_GOOD, "queries": {"a": 1}}, r"cases\[5\]\.queries: expected a list, got dict"),
-    ({**_GOOD, "queries": ["q1"]}, r"cases\[5\]\.queries\[0\]: expected an object, got str"),
+    (["r-0001"], r"cases\[5\] must be an object, got \['r-0001'\]"),
+    ({**_GOOD, "premises": 5}, r"cases\[5\]\.premises must be a string, got 5"),
+    ({**_GOOD, "queries": {"a": 1}},
+     r"cases\[5\]\.queries must be a list of objects, got \{'a': 1\}"),
+    ({**_GOOD, "queries": ["q1"]}, r"cases\[5\]\.queries\[0\] must be an object, got 'q1'"),
     ({**_GOOD, "queries": [{"id": "q1", "atom": 1, "depends_on": 3}]},
-     r"cases\[5\]\.queries\[0\]\.depends_on: expected a list, got int"),
-], ids=["record", "premises", "queries", "query", "depends_on"])
+     r"cases\[5\]\.queries\[0\]\.depends_on must be a list of strings, got 3"),
+    # an id in depends_on used to be turned into text, as query ids were
+    ({**_GOOD, "queries": [{"id": "q1", "atom": 1, "depends_on": [1]}]},
+     r"cases\[5\]\.queries\[0\]\.depends_on must be a list of strings, got \[1\]"),
+    # these failed only when the case compiled, naming no field
+    ({**_GOOD, "queries": [{"id": "q1", "atom": "(<= x 3)"}]},
+     r"cases\[5\]\.queries\[0\]\.atom must be a literal \(an integer\) for DIMACS premises, "
+     r"got '\(<= x 3\)'"),
+    ({**_GOOD, "premises": "(declare-int x 0 9)", "premises_format": "theory"},
+     r"cases\[5\]\.queries\[0\]\.atom must be constraint text for theory premises, got 1"),
+    ({**_GOOD, "premises_format": "cnf"},
+     r"cases\[5\]\.premises_format must be one of dimacs, theory, got 'cnf'"),
+], ids=["record", "premises", "queries", "query", "depends_on", "depends-on-id", "dimacs-atom",
+        "theory-atom", "format"])
 def test_records_of_the_wrong_type_name_their_field(record, message):
     # each used to end in a raw AttributeError or TypeError
     case_from_record(_GOOD, index=5)
@@ -230,15 +243,30 @@ def test_records_of_the_wrong_type_name_their_field(record, message):
 
 @pytest.mark.parametrize("queries, message", [
     ([{"id": "q1", "atom": 1}, {"id": "q1", "atom": 2}],
-     r"cases\[5\]\.queries\[1\]\.id: duplicate query id 'q1'"),
+     r"cases\[5\]\.queries\[1\]\.id must be unique in its case, got 'q1'"),
+    # an integer id used to be turned into text, and so collide with '1'
     ([{"id": "q1", "atom": 1}, {"id": 1, "atom": 2}, {"id": "1", "atom": -2}],
-     r"cases\[5\]\.queries\[2\]\.id: duplicate query id '1'"),
-    ([{"id": "q1", "atom": True}], r"cases\[5\]\.queries\[0\]\.atom: expected a literal \(int\)"),
+     r"cases\[5\]\.queries\[1\]\.id must be a string, got 1"),
+    ([{"id": "q1", "atom": True}],
+     r"cases\[5\]\.queries\[0\]\.atom must be an integer or a string, got True"),
 ], ids=["same-id", "same-id-as-text", "bool-atom"])
 def test_queries_a_report_could_not_tell_apart_are_refused(queries, message):
     # each used to load: one id for two queries, or True as the literal 1
     with pytest.raises(CorpusFormatError, match=f"^{message}$"):
         case_from_record({**_GOOD, "queries": queries}, index=5)
+
+
+def test_record_classes_take_their_fields_first():
+    # the checker passes a record's fields positionally, in annotation order,
+    # then the keys it keeps
+    import inspect
+    import typing
+
+    from casecheck.answerers import PolicyConfig, TraceRecord
+
+    for cls in (Query, CaseFile, PolicyConfig, TraceRecord):
+        fields = list(typing.get_type_hints(cls)) + (["extra"] if cls.UNKNOWN_KEYS == "kept" else [])
+        assert list(inspect.signature(cls).parameters)[:len(fields)] == fields
 
 
 def test_compile_errors_name_their_case(tmp_path):

@@ -106,43 +106,30 @@ def test_run_rejects_an_unknown_method_or_mode(tmp_path, corpus, capsys, flag, v
     ("missing.json", "unknown policy preset or config file: 'missing.json'"),
     ("bad.json", "malformed policy file 'bad.json': "),
     ("list.json", "malformed policy file 'list.json': "),
-    ("kind.json", "unknown policy kind 'bogus'"),  # used to fail at the first answer
-    ("replay.json", "replay policy needs a trace_path"),
-    ("no-query.json", "no-query.jsonl:1: trace record missing 'query_id'"),
-    ("not-json.json", "not-json.jsonl:2: trace line is not JSON"),
-    ("scalar.json", "scalar.jsonl:1: trace record is not an object"),
-    ("maybe.json", "maybe.jsonl:1: unknown label 'maybe'"),
+    ("kind.json", "kind must be one of oracle, noisy, replay, self-consistency, history, "
+                  "got 'bogus'"),  # used to fail at the first answer
+    ("replay.json", "trace_path must be set for a replay policy, got None"),
+    ("not-json.json", "not-json.jsonl:2: not JSON ("),
+    ("maybe.json", "maybe.jsonl:1: label must be one of entailed, contradicted, unknown, "
+                   "got 'maybe'"),
     # each of these parsed and then ended in a traceback, exit 1
     ("k0.json", "k must be an integer >= 1, got 0"),
-    ("k-text.json", "k must be an integer >= 1, got '3'"),
-    ("no-matrix.json", "noisy policy needs a matrix"),
+    ("no-matrix.json", "matrix must be set for a noisy policy, got None"),
     ("derived-max.json", "derived_max must be an integer >= 1, got 0"),
-    ("bias-text.json", "history_bias must be a number in [0, 1], got 'x'"),
-    ("rate-text.json", "derived_rate must be a number in [0, 1], got 'x'"),
-    ("trace-int.json", "trace_path must be a string, got 5"),
-    ("history-no-matrix.json", "history policy needs a matrix"),
+    ("history-no-matrix.json", "matrix must be set for a history policy, got None"),
     # each of these was accepted, with a value no policy means
-    ("k-bool.json", "k must be an integer >= 1, got True"),
-    ("max-float.json", "derived_max must be an integer >= 1, got 2.0"),
-    ("flip-bool.json", "echo_flip must be a number in [0, 1], got True"),
     ("rate-nan.json", "derived_rate must be a number in [0, 1], got nan"),
     ("bias-above-1.json", "history_bias must be a number in [0, 1], got 1.5"),
     ("filter-text.json", "logic_filter must be true or false, got 'yes'"),
     # an error in a nested policy used to leave out where it was
     ("inner-k0.json", "inner.k must be an integer >= 1, got 0"),
-    ("inner-kind.json", "inner: unknown policy kind 'bogus'"),
+    ("inner-kind.json", "inner.kind must be one of oracle, noisy, replay, self-consistency, "
+                        "history, got 'bogus'"),
     # these named neither the field nor its path
-    ("inner-int.json", "inner must be a JSON object, got 5"),
-    ("matrix-int.json", "matrix must be a list of rows, got 5"),
-    ("matrix-text.json", "matrix[2][2] must be a number, got 'x'"),
-    ("inner-matrix-int.json", "inner.matrix must be a list of rows, got 5"),
-    # these named neither the field nor its path, and a missing kind was a TypeError
     ("inner-matrix-dist.json",
      "inner.matrix[2] must be a probability distribution, got [0, 0, 2]"),
     ("matrix-shape.json", "matrix must be 3x3, got [[1, 0, 0]]"),
-    ("no-kind.json", "kind is missing: a policy is one of oracle, noisy, replay, "
-                     "self-consistency, history"),
-    ("list.json", "malformed policy file 'list.json': holds no JSON object, got [1, 2]"),
+    ("list.json", "malformed policy file 'list.json': a policy must be an object, got [1, 2]"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1
@@ -151,39 +138,23 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "kind.json").write_text('{"kind": "bogus"}')
     (tmp_path / "replay.json").write_text('{"kind": "replay"}')
-    nocot = policy_to_dict(PRESETS["nocot-like"])
-    sc = {"kind": "self-consistency", "inner": nocot}
-    history = policy_to_dict(PRESETS["history-like"])
+    sc = {"kind": "self-consistency", "inner": NOCOT}
     for name, policy_file in [
             ("k0", {**sc, "k": 0}),
-            ("k-text", {**sc, "k": "3"}),
             ("no-matrix", {"kind": "noisy", "derived_rate": 0.5}),
-            ("derived-max", {**nocot, "derived_max": 0, "derived_rate": 1.0}),
-            ("bias-text", {**history, "history_bias": "x"}),
-            ("rate-text", {**nocot, "derived_rate": "x"}),
-            ("trace-int", {"kind": "replay", "trace_path": 5}),
-            ("k-bool", {**sc, "k": True}),
-            ("max-float", {**nocot, "derived_max": 2.0}),
-            ("flip-bool", {**nocot, "echo_flip": True}),
-            ("rate-nan", {**nocot, "derived_rate": float("nan")}),
-            ("bias-above-1", {**history, "history_bias": 1.5}),
+            ("derived-max", {**NOCOT, "derived_max": 0, "derived_rate": 1.0}),
+            ("rate-nan", {**NOCOT, "derived_rate": float("nan")}),
+            ("bias-above-1", {**HISTORY, "history_bias": 1.5}),
             ("filter-text", {**sc, "k": 3, "logic_filter": "yes"}),
-            ("history-no-matrix", {**history, "matrix": None}),
-            ("inner-k0", {**sc, "inner": {**nocot, "k": 0}}),
+            ("history-no-matrix", {**HISTORY, "matrix": None}),
+            ("inner-k0", {**sc, "inner": {**NOCOT, "k": 0}}),
             ("inner-kind", {**sc, "inner": {"kind": "bogus"}}),
-            ("inner-int", {**sc, "inner": 5}),
-            ("matrix-int", {**nocot, "matrix": 5}),
-            ("matrix-text", {**nocot, "matrix": [*nocot["matrix"][:2], [0.14, 0.14, "x"]]}),
-            ("inner-matrix-int", {**sc, "inner": {**nocot, "matrix": 5}}),
-            ("inner-matrix-dist", {**sc, "inner": {**nocot, "matrix": [[1, 0, 0], [0, 1, 0],
+            ("inner-matrix-dist", {**sc, "inner": {**NOCOT, "matrix": [[1, 0, 0], [0, 1, 0],
                                                                        [0, 0, 2]]}}),
-            ("matrix-shape", {**nocot, "matrix": [[1, 0, 0]]}),
-            ("no-kind", {key: value for key, value in nocot.items() if key != "kind"})]:
+            ("matrix-shape", {**NOCOT, "matrix": [[1, 0, 0]]})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(policy_file))
-    for name, trace in [("no-query", '{"case_id": "rel-0001", "label": "entailed"}\n'),
-                        ("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
+    for name, trace in [("not-json", '{"case_id": "rel-0001", "query_id": "q1", '
                                      '"label": "entailed"}\n{not json\n'),
-                        ("scalar", '"case_id query_id label"\n'),
                         ("maybe", '{"case_id": "rel-0001", "query_id": "q1", "label": "maybe"}\n')]:
         (tmp_path / f"{name}.jsonl").write_text(trace)
         (tmp_path / f"{name}.json").write_text(
@@ -192,6 +163,83 @@ def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, po
     assert main(["run", "--corpus", str(corpus), "--out", str(out), "--policy", policy]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"casecheck run: error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+NOCOT = policy_to_dict(PRESETS["nocot-like"])
+HISTORY = policy_to_dict(PRESETS["history-like"])
+SELF_CONSISTENCY = {"kind": "self-consistency", "inner": NOCOT}
+
+
+def _put(**fields):
+    return lambda record: {**record, **fields}
+
+
+def _drop(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def _in_query(**fields):
+    return lambda record: {**record, "queries": [{**record["queries"][0], **fields}]}
+
+
+# Rows of each input and kind of problem, a value of the wrong JSON type or a
+# missing field, in the wording reports.jsonl and timings.json already used;
+# their own rows are in test_report_fields_of_the_wrong_type_exit_2 and
+# test_corrupt_run_directory_exits_2_naming_file_and_line. Each edits a good
+# record of its input: the first corpus record, the nocot-like policy file,
+# or a one-line replay trace.
+@pytest.mark.parametrize("source, edit, message", [
+    ("corpus", _in_query(id=1), "cases[0].queries[0].id must be a string, got 1"),
+    ("corpus", _in_query(text=5), "cases[0].queries[0].text must be a string or null, got 5"),
+    ("corpus", _put(split=5), "cases[0].split must be a string or null, got 5"),
+    ("corpus", _put(premises_format=5),
+     "cases[0].premises_format must be a string or null, got 5"),
+    ("corpus", _drop("queries"), "cases[0].queries: missing required field"),
+    ("policy", _put(k="3"), "k must be an integer, got '3'"),
+    ("policy", _put(k=True), "k must be an integer, got True"),
+    ("policy", _put(derived_max=2.0), "derived_max must be an integer, got 2.0"),
+    ("policy", _put(echo_flip=True), "echo_flip must be a number, got True"),
+    ("policy", _put(history_bias="x"), "history_bias must be a number, got 'x'"),
+    ("policy", _put(derived_rate="x"), "derived_rate must be a number, got 'x'"),
+    ("policy", _put(trace_path=5), "trace_path must be a string or null, got 5"),
+    ("policy", _put(matrix=5), "matrix must be a list of lists of numbers or null, got 5"),
+    ("policy", _put(matrix=[*NOCOT["matrix"][:2], [0.14, 0.14, "x"]]),
+     "matrix[2] must be a list of numbers, got [0.14, 0.14, 'x']"),
+    ("policy", _put(**{**SELF_CONSISTENCY, "inner": 5}), "inner must be an object or null, got 5"),
+    ("policy", _put(**{**SELF_CONSISTENCY, "inner": {**NOCOT, "matrix": 5}}),
+     "inner.matrix must be a list of lists of numbers or null, got 5"),
+    ("policy", _drop("kind"), "kind: missing required field"),
+    ("trace", _drop("query_id"), "{file}:1: query_id: missing required field"),
+    ("trace", lambda _: "case_id query_id label",
+     "{file}:1: a trace record must be an object, got 'case_id query_id label'"),
+    ("trace", _put(case_id=7), "{file}:1: case_id must be a string, got 7"),
+    ("trace", _put(query_id=1), "{file}:1: query_id must be a string, got 1"),
+], ids=["corpus-query-id", "corpus-text", "corpus-split", "corpus-format", "corpus-missing",
+        "policy-k-text", "policy-k-bool", "policy-max-float", "policy-flip-bool",
+        "policy-bias-text", "policy-rate-text", "policy-trace-int", "policy-matrix-int",
+        "policy-matrix-text", "policy-inner-int", "policy-inner-matrix-int", "policy-missing",
+        "trace-missing", "trace-not-object", "trace-case-id", "trace-query-id"])
+def test_each_input_names_a_bad_field_in_one_wording(tmp_path, corpus, capsys, source, edit,
+                                                     message):
+    out = tmp_path / "out"
+    if source == "corpus":
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(edit(json.loads(Path(corpus).read_text().splitlines()[0])))
+                        + "\n")
+        argv = run_args(path, out)
+    else:
+        policy = tmp_path / "policy.json"
+        path = tmp_path / "trace.jsonl"
+        if source == "policy":
+            policy.write_text(json.dumps(edit(NOCOT)))
+        else:
+            path.write_text(json.dumps(edit({"case_id": "rel-0001", "query_id": "q1",
+                                             "label": "entailed"})) + "\n")
+            policy.write_text(json.dumps({"kind": "replay", "trace_path": str(path)}))
+        argv = run_args(corpus, out, policy=policy)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"casecheck run: error: {message.format(file=path)}\n"
     assert not out.exists()
 
 
@@ -363,6 +411,54 @@ def test_report_fields_of_the_wrong_type_exit_2(tmp_path, corpus, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"casecheck {command}: error: {path}:2: ")
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["corpus", "reports", "policy", "trace", "timings"])
+def test_input_nested_too_deeply_exits_2(tmp_path, corpus, capsys, source):
+    # each ended in a RecursionError traceback, exit 1
+    deep = "[" * 200000 + "\n"
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    if source in ("reports", "timings"):
+        assert main(run_args(corpus, run_dir, policy="oracle", method="baseline")) == 0
+        path = run_dir / ("reports.jsonl" if source == "reports" else "timings.json")
+        argv, where = ["score", "--run", str(run_dir), "--out", str(out)], f"{path}:1"
+    elif source == "corpus":
+        path = tmp_path / "deep.jsonl"
+        argv, where = run_args(path, out), "cases[0]"
+    elif source == "policy":
+        path = tmp_path / "deep.json"
+        argv, where = run_args(corpus, out, policy=path), f"malformed policy file '{path}'"
+    else:
+        path = tmp_path / "deep.jsonl"
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps({"kind": "replay", "trace_path": str(path)}))
+        argv, where = run_args(corpus, out, policy=replay), f"{path}:1"
+    path.write_text(deep)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"casecheck {argv[0]}: error: "
+                                       f"{where}: nested too deeply to read\n")
+    assert not out.exists()
+
+
+def test_integer_ids_are_refused_not_missed(tmp_path, capsys):
+    # a corpus coerced integer ids to text and a replay trace kept them as
+    # integers, so this run logged a replay miss for 7/1, answered Unknown
+    # and exited 0
+    corpus, trace = tmp_path / "corpus.jsonl", tmp_path / "trace.jsonl"
+    corpus.write_text(json.dumps({"id": 7, "domain": "relational",
+                                  "premises": "p cnf 2 1\n1 2 0\n",
+                                  "queries": [{"id": 1, "atom": 1, "gold_label": "unknown"}]})
+                      + "\n")
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"kind": "replay", "trace_path": str(trace)}))
+    # the trace loads first; with text ids it loads, and the corpus is refused
+    for ids, message in [((7, 1), f"{trace}:1: case_id must be a string, got 7"),
+                         (("7", "1"), "cases[0].id must be a string, got 7")]:
+        trace.write_text(json.dumps({"case_id": ids[0], "query_id": ids[1],
+                                     "label": "entailed"}) + "\n")
+        assert main(run_args(corpus, tmp_path / "out", policy=replay)) == 2
+        assert capsys.readouterr().err == f"casecheck run: error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "label"])
@@ -632,8 +728,8 @@ def test_cli_import_registers_every_engine_module():
     # perfbench's tracer reads each of them from sys.modules after this import
     registered, executed = fresh_modules("import casecheck.cli")
     assert registered == {"casecheck", "casecheck.cli", *(
-        f"casecheck.{m}" for m in ("logic", "solver", "lia", "casefile", "commitments", "repair",
-                                   "answerers", "metrics", "generator", "runner"))}
+        f"casecheck.{m}" for m in ("schema", "logic", "solver", "lia", "casefile", "commitments",
+                                   "repair", "answerers", "metrics", "generator", "runner"))}
     assert executed == {"casecheck", "casecheck.cli"}
 
 
@@ -643,7 +739,7 @@ def test_scoring_executes_metrics_alone(tmp_path, corpus, command):
     assert main(run_args(corpus, run_dir, policy="oracle", method="baseline")) == 0
     argv = [command, "--run", str(run_dir)]
     _, executed = fresh_modules(f"from casecheck.cli import main\nassert main({argv!r}) == 0")
-    assert executed == {"casecheck", "casecheck.cli", "casecheck.metrics"}
+    assert executed == {"casecheck", "casecheck.cli", "casecheck.metrics", "casecheck.schema"}
     # through the entry point too, where runpy warns of a casecheck.cli
     # imported before it runs
     assert fresh("-m", "casecheck.cli", *argv).stderr == ""
@@ -662,4 +758,4 @@ def test_refused_input_executes_only_what_the_command_uses(tmp_path):
     # and solver whenever a handler raised
     argv = ["score", "--run", str(tmp_path)]  # no reports.jsonl there
     _, executed = fresh_modules(f"from casecheck.cli import main\nassert main({argv!r}) == 2")
-    assert executed == {"casecheck", "casecheck.cli", "casecheck.metrics"}
+    assert executed == {"casecheck", "casecheck.cli", "casecheck.metrics", "casecheck.schema"}

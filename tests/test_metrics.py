@@ -10,6 +10,7 @@ from casecheck.metrics import (
     QueryRecord,
     RepairLogEntry,
     ReportFormatError,
+    Timings,
     aggregate,
     auc_prefix_cons,
     contradiction_density,
@@ -34,8 +35,11 @@ def report(case_id="c1", statuses=("sat", "sat"), labels=None, mode="sequential"
         statuses_after=list(statuses),
         final_sat=final_sat,
         bundle_status="consistent" if final_sat else "inconsistent",
+        repair_log=[],
         counts=counts or {"check_solver_calls": len(statuses), "answerer_calls": len(statuses)},
         min_revision=min_rev,
+        min_revision_exact=True,
+        invariant_failures=[],
     )
 
 
@@ -125,9 +129,10 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("cls", [QueryRecord, RepairLogEntry, BundleReport, MetricsReport])
+@pytest.mark.parametrize("cls", [QueryRecord, RepairLogEntry, BundleReport, MetricsReport,
+                                 Timings])
 def test_records_take_their_annotated_fields_in_order(cls):
-    # load_reports builds records positionally, in annotation order, so a
+    # the checker builds records positionally, in annotation order, so a
     # parameter out of that order, or stored under another field, would
     # silently swap two fields
     names = list(typing.get_type_hints(cls))
@@ -164,6 +169,15 @@ def test_a_bad_report_line_is_named_by_line_and_path(tmp_path):
     path.write_text(good[0] + "\n[1, 2]\n")
     with pytest.raises(ReportFormatError, match=r":2: a report must be an object, got \[1, 2\]$"):
         load_reports(path)
+
+
+def test_a_report_with_empty_counts_loads(tmp_path):
+    # every count, and there are none, is an integer >= 0
+    path = tmp_path / "reports.jsonl"
+    empty = report()
+    empty.counts = {}
+    save_reports([empty], path)
+    assert load_reports(path)[0].counts == {}
 
 
 def test_set_cons_consistency_with_terminal_flags():
