@@ -211,22 +211,19 @@ def case_to_record(case: CaseFile) -> dict:
     return {**schema.dump(case), "domain": case.domain.value, "queries": queries}
 
 
-def case_from_record(record: dict, index: int = 0,
-                     premises: Formula | GroundedTheory | None = None) -> CaseFile:
-    """The compiled case a corpus record describes; ``premises``, when given,
-    are its premises compiled by ``compile_premises``. A bad record raises
+def case_from_record(record: dict, index: int = 0) -> CaseFile:
+    """The compiled case a corpus record describes. A bad record raises
     CorpusFormatError naming ``cases[index]`` and the field."""
     try:
         [case] = schema.build(CaseFile, [record])
     except schema.Unfit as exc:
         raise CorpusFormatError(str(exc.under(f"cases[{index}]"))) from None
-    return _compiled(case, index, premises)
+    return _compiled(case, index)
 
 
-def _compiled(case: CaseFile, index: int,
-              premises: Formula | GroundedTheory | None = None) -> CaseFile:
+def _compiled(case: CaseFile, index: int) -> CaseFile:
     try:
-        return compile_case(case, premises)
+        return compile_case(case)
     except (CorpusFormatError, TheoryError, LogicError) as exc:
         raise CorpusFormatError(f"cases[{index}] (case {case.id}): {exc}") from exc
 

@@ -9,10 +9,12 @@ labels each candidate once with the solver and files its complement under
 the opposite label (both under Unknown when the atom is contingent), and
 ``_draw_bundle`` draws a 5-8 query bundle containing every label class, with
 an Unknown share targeted at roughly 18% corpus-wide. Each attempt compiles
-its drafted premises once, with the corpus loader's ``compile_premises``; the
-probe case whose session labels the pools, the complements of theory atoms
-and the final case are all built on that one result by the loader's
-``case_from_record``, and every gold label is re-checked against the solver.
+its premises once: a CNF recipe drafts the ``Formula`` itself and a theory
+recipe grounds its text with the loader's ``compile_premises``. The probe
+case whose session labels the pools and the final case are built as
+``CaseFile``s on that one result by the loader's ``compile_case``; they were
+never JSON, so they skip the JSON checker but keep ``CaseFile``'s value
+rules, and every gold label is re-checked against the solver.
 The pool labelling and the re-check each keep their own witness set (see
 ``literal_gold_label``), seeded with the premise model of the session they
 use, so a check that an earlier model of the same pass already answers costs
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .casefile import (OPPOSITE_LABEL, CaseFile, Domain, Label, case_from_record,
+from .casefile import (OPPOSITE_LABEL, CaseFile, Domain, Label, Query, compile_case,
                        compile_premises, literal_gold_label)
 from .lia import format_constraint
 from .logic import Formula, emit_dimacs
@@ -90,8 +92,8 @@ def _label_pools(session: SolverSession, premise_model: set[int],
 
 
 def _draw_bundle(rng: random.Random, pools: dict[Label, list[tuple]],
-                 counts: dict[Label, int], pair: list[tuple[tuple, Label]]) -> list[dict]:
-    """Query records for one bundle: the dependency pair, then each class
+                 counts: dict[Label, int], pair: list[tuple[tuple, Label]]) -> list[Query]:
+    """The queries of one bundle: the dependency pair, then each class
     filled from its pool, with entailed/contradicted shortfalls spilling into
     Unknown (thin backbones), in shuffled order."""
     picks = list(pair)
@@ -113,14 +115,13 @@ def _draw_bundle(rng: random.Random, pools: dict[Label, list[tuple]],
 
     order = list(range(len(picks)))
     rng.shuffle(order)
-    records = []
+    queries = []
     for pos, idx in enumerate(order):
         (atom, text), label = picks[idx]
-        records.append({"id": f"q{pos + 1}", "atom": atom, "text": text,
-                        "gold_label": label.value, "depends_on": []})
+        queries.append(Query(f"q{pos + 1}", atom, label, text))
     first, second = sorted(order.index(i) for i in (0, 1))
-    records[second]["depends_on"] = [records[first]["id"]]
-    return records
+    queries[second].depends_on = [queries[first].id]
+    return queries
 
 
 def _self_check(case: CaseFile, session: SolverSession, premise_model: set[int]) -> CaseFile:
@@ -161,7 +162,7 @@ def _planted_clauses(rng: random.Random, num_vars: int, n_clauses: int,
     return clauses
 
 
-def _cnf_premises(rng: random.Random, domain: Domain) -> str:
+def _cnf_premises(rng: random.Random, domain: Domain) -> Formula:
     """Planted-model CNF with a chain-forced backbone: facts plus implication
     chains pin a known set of variables, texture clauses stay satisfiable."""
     num_vars = rng.randint(11, 14)
@@ -200,7 +201,7 @@ def _cnf_premises(rng: random.Random, domain: Domain) -> str:
     f = Formula(num_vars=num_vars)
     for c in clauses:
         f.add_clause(c)
-    return emit_dimacs(f)
+    return f
 
 
 _TEXT_TEMPLATES = {
@@ -218,11 +219,13 @@ def _query_text(domain: Domain, atom: int) -> str:
 def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
                        spec: GeneratorSpec) -> CaseFile:
     rng = random.Random(seed)
-    record = {"id": case_id, "domain": domain.value, "premises": _cnf_premises(rng, domain),
-              "premises_format": "dimacs"}
-    premises = compile_premises(record["premises"], "dimacs")
-    probe = case_from_record({**record, "queries": []}, premises=premises)
-    session, premise_model = probe.new_session()
+    premises = _cnf_premises(rng, domain)
+    text = emit_dimacs(premises)
+
+    def case(queries: list[Query]) -> CaseFile:
+        return compile_case(CaseFile(case_id, domain, text, queries, "dimacs"), premises)
+
+    session, premise_model = case([]).new_session()
 
     def query(lit: int) -> tuple[int, str]:
         return lit, _query_text(domain, lit)
@@ -240,9 +243,7 @@ def _generate_cnf_case(domain: Domain, seed: int, case_id: str,
     else:
         e = rng.choice(pools[Label.ENTAILED])
         pair = [(e, Label.ENTAILED), (query(-e[0]), Label.CONTRADICTED)]
-    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)},
-                            premises=premises)
-    return _self_check(case, session, premise_model)
+    return _self_check(case(_draw_bundle(rng, pools, counts, pair)), session, premise_model)
 
 
 # --------------------------------------------------------- temporal premises
@@ -266,9 +267,11 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
     lines.append(f"(assert (! (<= end_{names[-1]} {horizon}) :named horizon))")
     if rng.random() < 0.4:
         lines.append(f"(assert (! (>= start_A {rng.randint(1, 2)}) :named window_a))")
-    record = {"id": case_id, "domain": Domain.TEMPORAL.value, "premises": "\n".join(lines) + "\n",
-              "premises_format": "theory"}
-    premises = compile_premises(record["premises"], "theory")
+    text = "\n".join(lines) + "\n"
+    premises = compile_premises(text, "theory")
+
+    def case(queries: list[Query]) -> CaseFile:
+        return compile_case(CaseFile(case_id, Domain.TEMPORAL, text, queries, "theory"), premises)
 
     def complement(atom_text: str) -> str:
         return format_constraint(premises.constraint(atom_text).negated())
@@ -288,9 +291,7 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
     no_overlap = ("(>= start_B end_A)", "Is the shared room free of overlaps?")
     candidates.update((overlap, no_overlap))
 
-    probe = case_from_record({**record, "queries": [{"id": f"c{i}", "atom": a, "text": t}
-                                                    for i, (a, t) in enumerate(candidates.items())]},
-                             premises=premises)
+    probe = case([Query(f"c{i}", a, text=t) for i, (a, t) in enumerate(candidates.items())])
     pools = _label_pools(*probe.new_session(),
                          [(q.atom, (q.atom_text, q.text), (complement(q.atom_text), f"[negated] {q.text}"))
                           for q in probe.queries])
@@ -312,9 +313,8 @@ def _generate_temporal_case(seed: int, case_id: str, spec: GeneratorSpec) -> Cas
                      for a, t in pools[Label.ENTAILED] if complement(a) in pool_text), None)
         if pair is None:
             raise GenerationError("no dependency pair available")
-    case = case_from_record({**record, "queries": _draw_bundle(rng, pools, counts, pair)},
-                            premises=premises)
-    return _self_check(case, *case.new_session())
+    final = case(_draw_bundle(rng, pools, counts, pair))
+    return _self_check(final, *final.new_session())
 
 
 # ----------------------------------------------------------------- top level

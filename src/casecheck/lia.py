@@ -21,13 +21,9 @@ from __future__ import annotations
 import itertools
 import re
 
-from .logic import Formula
+from .logic import MAX_CLAUSES, Formula
 
 DEFAULT_DOMAIN_WIDTH = 64
-# clauses one linear inequality may ground to: a 3-term sum at width 64 needs
-# at most 4,093 (about one per value pair of its first two terms), a 4-term
-# one about 216,000
-MAX_CONSTRAINT_CLAUSES = 200_000
 # s-expression nesting the reader accepts: generated theories nest at most 4
 # deep, and the term parser recurses once per level
 MAX_NESTING = 64
@@ -305,34 +301,27 @@ class GroundedTheory:
     def order_literal(self, name: str, k: int) -> int:
         return self.order_vars[(name, k)]
 
-    def clauses_for(self, c: LinConstraint, prefix: tuple[int, ...] = ()) -> list[list[int]]:
-        """CNF clauses asserting ``c`` whenever all prefix literals are false."""
+    def _add_clauses(self, c: LinConstraint, prefix: tuple[int, ...] = ()) -> None:
+        """Append to the formula the CNF clauses asserting ``c`` whenever all
+        prefix literals are false."""
         for _, name in c.terms:
             if name not in self.var_map:
                 raise TheoryError(f"constraint references undeclared variable {name!r}")
         rel, k = c.relation, c.constant
-        if rel == "<=":
-            return self._leq_clauses(c.terms, k, prefix)
-        if rel == "<":
-            return self._leq_clauses(c.terms, k - 1, prefix)
-        if rel == ">=":
-            return self._leq_clauses(_negate_terms(c.terms), -k, prefix)
-        if rel == ">":
-            return self._leq_clauses(_negate_terms(c.terms), -k - 1, prefix)
-        if rel == "=":
-            return self._leq_clauses(c.terms, k, prefix) + self._leq_clauses(
-                _negate_terms(c.terms), -k, prefix
-            )
+        # a strict relation is the non-strict one with its bound one tighter
+        if rel in ("<=", "<", "="):
+            self._leq_clauses(c.terms, k - (rel == "<"), prefix)
+        if rel in (">=", ">", "="):
+            self._leq_clauses(_negate_terms(c.terms), -k - (rel == ">"), prefix)
         if rel == "!=":
             # one side selector: d -> (e <= k-1), not d -> (e >= k+1)
             d = self._new_prop()
-            out = self._leq_clauses(c.terms, k - 1, prefix + (-d,))
-            out += self._leq_clauses(_negate_terms(c.terms), -k - 1, prefix + (d,))
-            return out
-        raise TheoryError(f"unknown relation {rel!r}")
+            self._leq_clauses(c.terms, k - 1, prefix + (-d,))
+            self._leq_clauses(_negate_terms(c.terms), -k - 1, prefix + (d,))
 
-    def _leq_clauses(self, terms, bound: int, prefix: tuple[int, ...]) -> list[list[int]]:
-        """Order-encoded CNF for ``sum(co * x) <= bound`` after ``prefix``.
+    def _leq_clauses(self, terms, bound: int, prefix: tuple[int, ...]) -> None:
+        """Append the order-encoded CNF for ``sum(co * x) <= bound`` after
+        ``prefix``; past ``MAX_CLAUSES`` in the whole formula, refuse.
 
         Every term but the last is branched on value by value; each branch
         extends the escape literals that rule its value out. The last term's
@@ -350,9 +339,8 @@ class GroundedTheory:
             min_suffix[i] = min_suffix[i + 1] + lo_c
             max_suffix[i] = max_suffix[i + 1] + hi_c
 
-        clauses: list[list[int]] = []
-        self._leq_branch((info, min_suffix, max_suffix, clauses), 0, bound, list(prefix))
-        return clauses
+        table = (info, min_suffix, max_suffix, self.formula.clauses)
+        self._leq_branch(table, 0, bound, list(prefix))
 
     def _leq_branch(self, table, i: int, b: int, escape: list[int]) -> None:
         """Append to ``clauses`` the clauses of terms ``i`` on with ``b`` left
@@ -364,14 +352,14 @@ class GroundedTheory:
             return
         co, v = info[i]
         if b < min_suffix[i] or i == len(info) - 1:
-            if len(clauses) == MAX_CONSTRAINT_CLAUSES:
-                raise TheoryError(f"order encoding exceeds {MAX_CONSTRAINT_CLAUSES} clauses")
+            if len(clauses) >= MAX_CLAUSES:
+                raise TheoryError(f"order encoding exceeds {MAX_CLAUSES} clauses")
             if b < min_suffix[i]:
-                clauses.append(list(escape))
+                clauses.append(tuple(escape))
             elif co > 0:
-                clauses.append(escape + [self.order_literal(v.name, b // co)])
+                clauses.append((*escape, self.order_literal(v.name, b // co)))
             else:
-                clauses.append(escape + [-self.order_literal(v.name, -(b // -co) - 1)])
+                clauses.append((*escape, -self.order_literal(v.name, -(b // -co) - 1)))
             return
         if co > 0:
             for val in range(v.lower, v.upper + 1):
@@ -404,7 +392,7 @@ class GroundedTheory:
         are prefixed with ``name``."""
         try:
             for c, prefix in parts:
-                self.formula.clauses.extend(map(tuple, self.clauses_for(c, prefix)))
+                self._add_clauses(c, prefix)
         except TheoryError as e:
             raise TheoryError(f"{name}: {e}") from None
 
@@ -429,6 +417,8 @@ def ground(theory: Theory, max_width: int = DEFAULT_DOMAIN_WIDTH) -> GroundedThe
     for v in theory.variables:
         for k in range(v.lower, v.upper - 1):
             formula.clauses.append((-order_vars[(v.name, k)], order_vars[(v.name, k + 1)]))
+    if len(formula.clauses) > MAX_CLAUSES:
+        raise TheoryError(f"order encoding exceeds {MAX_CLAUSES} clauses")
     for name, constraint in theory.assertions:
         gt.add_constraint(constraint, name)
     return gt

@@ -13,6 +13,11 @@ ENUMERATION_VAR_LIMIT = 24
 # a solver session sizes per-variable arrays from the header, so a header
 # declaring hundreds of millions of variables would exhaust memory there
 MAX_DIMACS_VARS = 200_000
+# clauses one case formula may hold, its premises and reified query atoms
+# together: a DIMACS header may declare no more, and grounding stops there. A
+# 3-term sum at width 64 grounds to at most 4,093, a 4-term one to about
+# 216,000; generated cases hold about 150 at most
+MAX_CLAUSES = 200_000
 
 TAUTOLOGY = None  # marker returned by normalize_clause
 
@@ -98,6 +103,9 @@ def parse_dimacs(text: str) -> Formula:
             if num_vars > MAX_DIMACS_VARS:
                 raise DimacsError(f"header declares {num_vars} variables, "
                                   f"more than {MAX_DIMACS_VARS}", lineno)
+            if num_clauses > MAX_CLAUSES:
+                raise DimacsError(f"header declares {num_clauses} clauses, "
+                                  f"more than {MAX_CLAUSES}", lineno)
             continue
         if num_vars is None:
             raise DimacsError("clause before problem header", lineno)

@@ -33,6 +33,7 @@ from .commitments import BeliefState, extract_commitment
 from .metrics import (METHODS, MODES, PHASES, SAT, UNSAT, BundleReport, QueryRecord,
                       RepairLogEntry, save_reports)
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
+from .schema import must
 from .solver import DEFAULT_MAX_CONFLICTS, SolveStatus
 
 # the report spelling of each label and step status, read once: ``Enum.value``
@@ -55,19 +56,18 @@ class RunConfig:
         self.split, self.seed, self.r_max = split, seed, r_max
         self.call_cap_factor = call_cap_factor
         self.max_conflicts, self.jobs = max_conflicts, jobs
-        if method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        for name, allowed in (("method", METHODS), ("mode", MODES)):
+            if getattr(self, name) not in allowed:
+                raise must(name, "one of " + ", ".join(allowed), getattr(self, name))
         positive = ("max_conflicts", "jobs")  # the repair budgets matter to check+repair alone
         if method == "check+repair":
             positive += ("r_max", "call_cap_factor")
         for name in ("seed", "r_max", "call_cap_factor", "max_conflicts", "jobs"):
             value = getattr(self, name)
             if type(value) is not int:  # type() is exact: a bool is refused, and so is None
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise must(name, "an integer", value)
             if name in positive and value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                raise must(name, "an integer >= 1", value)
 
     def to_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.FIELDS}

@@ -316,6 +316,13 @@ def test_oversized_dimacs_header_fails_at_load_with_its_case_named(tmp_path):
                                                 r"header declares 300000000 variables, "
                                                 r"more than 200000$"):
         load_corpus(corpus)
+    # the case formula's clause budget: a header may declare no more, so a
+    # body with that many clauses is refused before it is read
+    corpus.write_text(json.dumps(dict(good, premises="p cnf 2 200001\n1 2 0\n")) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"^cases\[0\] \(case r-0001\): line 1: "
+                                                r"header declares 200001 clauses, "
+                                                r"more than 200000$"):
+        load_corpus(corpus)
 
 
 def test_scheduling_fixture_loads_with_capacity_query():

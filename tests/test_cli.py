@@ -101,35 +101,58 @@ def test_run_rejects_an_unknown_method_or_mode(tmp_path, corpus, capsys, flag, v
     assert not out.exists()
 
 
+def _row(policy, message, name):
+    # ``name`` is the id the row was first collected under, fixed so that a
+    # change of wording renames no row
+    return pytest.param(policy, message, id=f"{policy}-{name}")
+
+
 @pytest.mark.parametrize("policy, message", [
-    ("no-such", "unknown policy preset or config file: 'no-such'"),
-    ("missing.json", "unknown policy preset or config file: 'missing.json'"),
-    ("bad.json", "malformed policy file 'bad.json': "),
-    ("list.json", "malformed policy file 'list.json': "),
-    ("kind.json", "kind must be one of oracle, noisy, replay, self-consistency, history, "
-                  "got 'bogus'"),  # used to fail at the first answer
-    ("replay.json", "trace_path must be set for a replay policy, got None"),
-    ("not-json.json", "not-json.jsonl:2: not JSON ("),
-    ("maybe.json", "maybe.jsonl:1: label must be one of entailed, contradicted, unknown, "
-                   "got 'maybe'"),
+    _row("no-such", "unknown policy preset or config file: 'no-such'",
+         "unknown policy preset or config file: 'no-such'"),
+    _row("missing.json", "unknown policy preset or config file: 'missing.json'",
+         "unknown policy preset or config file: 'missing.json'"),
+    _row("bad.json", "malformed policy file 'bad.json': ", "malformed policy file 'bad.json': "),
+    _row("list.json", "malformed policy file 'list.json': ",
+         "malformed policy file 'list.json': "),
+    _row("kind.json", "kind must be one of oracle, noisy, replay, self-consistency, history, "
+                      "got 'bogus'",  # used to fail at the first answer
+         "kind must be one of oracle, noisy, replay, self-consistency, history, got 'bogus'"),
+    _row("replay.json", "trace_path must be set for a replay policy, got None",
+         "trace_path must be set for a replay policy, got None"),
+    _row("not-json.json", "not-json.jsonl:2: not JSON (", "not-json.jsonl:2: not JSON ("),
+    _row("maybe.json", "maybe.jsonl:1: label must be one of entailed, contradicted, unknown, "
+                       "got 'maybe'",
+         "maybe.jsonl:1: label must be one of entailed, contradicted, unknown, got 'maybe'"),
     # each of these parsed and then ended in a traceback, exit 1
-    ("k0.json", "k must be an integer >= 1, got 0"),
-    ("no-matrix.json", "matrix must be set for a noisy policy, got None"),
-    ("derived-max.json", "derived_max must be an integer >= 1, got 0"),
-    ("history-no-matrix.json", "matrix must be set for a history policy, got None"),
+    _row("k0.json", "k must be an integer >= 1, got 0", "k must be an integer >= 1, got 0"),
+    _row("no-matrix.json", "matrix must be set for a noisy policy, got None",
+         "matrix must be set for a noisy policy, got None"),
+    _row("derived-max.json", "derived_max must be an integer >= 1, got 0",
+         "derived_max must be an integer >= 1, got 0"),
+    _row("history-no-matrix.json", "matrix must be set for a history policy, got None",
+         "matrix must be set for a history policy, got None"),
     # each of these was accepted, with a value no policy means
-    ("rate-nan.json", "derived_rate must be a number in [0, 1], got nan"),
-    ("bias-above-1.json", "history_bias must be a number in [0, 1], got 1.5"),
-    ("filter-text.json", "logic_filter must be true or false, got 'yes'"),
+    _row("rate-nan.json", "derived_rate must be a number in [0, 1], got nan",
+         "derived_rate must be a number in [0, 1], got nan"),
+    _row("bias-above-1.json", "history_bias must be a number in [0, 1], got 1.5",
+         "history_bias must be a number in [0, 1], got 1.5"),
+    _row("filter-text.json", "logic_filter must be true or false, got 'yes'",
+         "logic_filter must be true or false, got 'yes'"),
     # an error in a nested policy used to leave out where it was
-    ("inner-k0.json", "inner.k must be an integer >= 1, got 0"),
-    ("inner-kind.json", "inner.kind must be one of oracle, noisy, replay, self-consistency, "
-                        "history, got 'bogus'"),
+    _row("inner-k0.json", "inner.k must be an integer >= 1, got 0",
+         "inner.k must be an integer >= 1, got 0"),
+    _row("inner-kind.json", "inner.kind must be one of oracle, noisy, replay, self-consistency, "
+                            "history, got 'bogus'",
+         "inner.kind must be one of oracle, noisy, replay, self-consistency, history, got 'bogus'"),
     # these named neither the field nor its path
-    ("inner-matrix-dist.json",
-     "inner.matrix[2] must be a probability distribution, got [0, 0, 2]"),
-    ("matrix-shape.json", "matrix must be 3x3, got [[1, 0, 0]]"),
-    ("list.json", "malformed policy file 'list.json': a policy must be an object, got [1, 2]"),
+    _row("inner-matrix-dist.json",
+         "inner.matrix[2] must be a probability distribution, got [0, 0, 2]",
+         "inner.matrix[2] must be a probability distribution, got [0, 0, 2]"),
+    _row("matrix-shape.json", "matrix must be 3x3, got [[1, 0, 0]]",
+         "matrix must be 3x3, got [[1, 0, 0]]"),
+    _row("list.json", "malformed policy file 'list.json': a policy must be an object, got [1, 2]",
+         "malformed policy file 'list.json': a policy must be an object, got [1, 2]"),
 ])
 def test_run_rejects_unusable_policies(tmp_path, corpus, capsys, monkeypatch, policy, message):
     # each used to end in a traceback, exit 1

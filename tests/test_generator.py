@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from casecheck import casefile, generator
+from casecheck import casefile, generator, schema
 from casecheck.casefile import (Domain, Label, case_from_record, case_to_record,
                                 literal_gold_label, save_corpus)
 from casecheck.cli import _apportion
@@ -170,10 +170,12 @@ def test_long_bundle_corpus_is_pinned(tmp_path):
     GeneratorSpec(bundle_min=14, bundle_max=16, domain_mix={d: 4 for d in Domain}),
 ], ids=["default-40", "long-16"])
 def test_generated_cases_compile_as_the_loader_compiles_them(spec, seed):
-    # generation builds its cases on premises compiled once per attempt; the
-    # formula and atoms must be those the loader builds from the saved record
+    # generation builds its cases on premises compiled once per attempt and
+    # without the JSON checker; the saved record must read back to the same
+    # record, formula and atoms
     for case in generate_corpus(spec, seed=seed):
         loaded = case_from_record(case_to_record(case))
+        assert case_to_record(loaded) == case_to_record(case), case.id
         assert loaded.formula.num_vars == case.formula.num_vars, case.id
         assert loaded.formula.clauses == case.formula.clauses, case.id
         assert [q.atom for q in loaded.queries] == [q.atom for q in case.queries], case.id
@@ -195,8 +197,12 @@ def test_each_generation_attempt_compiles_its_premises_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for name in ("_generate_cnf_case", "_generate_temporal_case"):
         monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
+    # the checker of JSON input; generated cases were never JSON
+    monkeypatch.setattr(schema, "build", counting("build", schema.build))
     # seed 3 retries five of the 30 CNF draws
     cases = generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), seed=3)
     assert calls["_generate_cnf_case"] + calls["_generate_temporal_case"] == len(cases) + 5
-    assert calls["parse_dimacs"] == calls["_generate_cnf_case"]
+    # a CNF draft is built as a formula, never written out and parsed back
+    assert calls["parse_dimacs"] == 0
+    assert calls["build"] == 0
     assert calls["parse_theory"] == calls["ground"] == calls["_generate_temporal_case"]

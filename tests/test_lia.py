@@ -229,3 +229,37 @@ def test_oversized_grounding_fails_fast_and_names_its_group():
     # a 3-term sum at the same width stays well under the limit: 248 ladder
     # clauses plus one clause per value pair of a and b that leaves c a bound
     assert len(ground(parse_theory(decl + "(assert (<= (+ a b c) 80))")).formula.clauses) == 4_173
+
+
+def test_one_clause_budget_covers_the_whole_case(tmp_path, capsys, monkeypatch):
+    import json
+    import re
+
+    from casecheck import lia
+    from casecheck.cli import main
+    from casecheck.logic import MAX_CLAUSES
+
+    # each 3-term sum grounds to at most 4,093 clauses, under the budget on
+    # its own; the 400 of them would ground to 1,397,281 in all
+    decl = "".join(f"(declare-int v{i} 0 63)" for i in range(4))
+    sums = "".join(f"(assert (<= (+ v0 v1 v2) {60 + i % 64}))" for i in range(400))
+    corpus = tmp_path / "wide.jsonl"
+    corpus.write_text(json.dumps({"id": "wide-0001", "domain": "temporal", "premises": decl + sums,
+                                  "queries": [{"id": "q1", "atom": "(<= v0 3)"}]}) + "\n")
+    grounded = []
+
+    def counting(emit):
+        def wrapper(self, name, parts):
+            try:
+                return emit(self, name, parts)
+            finally:
+                grounded.append(len(self.formula.clauses))
+        return wrapper
+
+    monkeypatch.setattr(lia.GroundedTheory, "_emit", counting(lia.GroundedTheory._emit))
+    assert main(["run", "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == 2
+    # one line, naming the case and the unnamed assertion (a1, a2, ...) it reached
+    assert re.fullmatch(r"casecheck run: error: cases\[0\] \(case wide-0001\): a\d+: "
+                        r"order encoding exceeds 200000 clauses\n", capsys.readouterr().err)
+    assert max(grounded) == MAX_CLAUSES
+    assert not (tmp_path / "run").exists()

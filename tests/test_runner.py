@@ -249,9 +249,11 @@ def test_every_booked_phase_is_in_the_phase_table(cases, monkeypatch):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
+    # the wording of every other refusal (``schema.must``)
+    with pytest.raises(ValueError, match=r"^method must be one of baseline, check, check\+repair, "
+                                         r"got 'verify'$"):
         RunConfig(corpus="", policy="oracle", method="verify")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mode must be one of set, sequential, got 'parallel'$"):
         RunConfig(corpus="", policy="oracle", mode="parallel")
     with pytest.raises(ValueError):
         RunConfig(corpus="", policy="oracle", method="check+repair", r_max=0)
