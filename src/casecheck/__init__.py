@@ -1,7 +1,14 @@
-"""casecheck: consistency engine and evaluation harness for multi-query case files."""
+"""casecheck: consistency engine and evaluation harness for multi-query case files.
+
+The words the files spell are declared here once: gold and answered labels,
+domains, step statuses, and the methods and modes a run takes. Every
+subcommand executes this module and only the engine modules it uses, so
+scoring compares against these words without executing one.
+"""
 
 import importlib.util
 import sys
+from enum import Enum
 
 __version__ = "0.1.0"
 
@@ -11,6 +18,32 @@ class InputError(ValueError):
     base of ``casefile.CaseError``, ``answerers.PolicyError`` and
     ``metrics.ReportFormatError``, so that catching them executes none of
     those modules."""
+
+
+# Each member is the string a corpus or report holds, and ``json.dumps``
+# writes it as that string.
+class Label(str, Enum):
+    ENTAILED = "entailed"
+    CONTRADICTED = "contradicted"
+    UNKNOWN = "unknown"
+
+
+class Domain(str, Enum):
+    RELATIONAL = "relational"
+    TEMPORAL = "temporal"
+    POLICY = "policy"
+    ABDUCTIVE = "abductive"
+
+
+class SolveStatus(str, Enum):
+    SAT = "sat"
+    UNSAT = "unsat"
+    TIMEOUT = "timeout"
+
+
+# the methods and modes a run takes (``runner.RunConfig`` checks them)
+METHODS = ("baseline", "check", "check+repair")
+MODES = ("set", "sequential")
 
 
 # The engine modules are registered in ``sys.modules`` and bound here at once

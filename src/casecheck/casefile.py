@@ -12,21 +12,14 @@ kept verbatim, so files from other producers round-trip.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import InputError, schema
+from . import Domain, InputError, Label, schema
 from .lia import GroundedTheory, TheoryError, ground, parse_theory
 from .logic import Formula, LogicError, parse_dimacs
 from .schema import member, must
 from .solver import SolveResult, SolveStatus, SolverSession
-
-
-class Label(str, Enum):
-    ENTAILED = "entailed"
-    CONTRADICTED = "contradicted"
-    UNKNOWN = "unknown"
 
 
 OPPOSITE_LABEL = {Label.ENTAILED: Label.CONTRADICTED, Label.CONTRADICTED: Label.ENTAILED}
@@ -39,13 +32,6 @@ def majority_label(labels: Sequence[Label]) -> Label:
     best = max(counts.values())
     top = [label for label, n in counts.items() if n == best]
     return top[0] if len(top) == 1 else Label.UNKNOWN
-
-
-class Domain(str, Enum):
-    RELATIONAL = "relational"
-    TEMPORAL = "temporal"
-    POLICY = "policy"
-    ABDUCTIVE = "abductive"
 
 
 class CaseError(InputError):

@@ -18,14 +18,13 @@ import os
 import sys
 from pathlib import Path
 
-# Modules, not names: each is executed on its first use inside a handler (see
-# the package's ``__init__``), so ``score`` and ``report`` execute ``metrics``
-# alone. A name imported from one of them here would execute it at once.
-from . import InputError, casefile, generator, metrics, runner
+# Engine modules, not names: each is executed on its first use inside a
+# handler (see the package's ``__init__``), so ``score`` and ``report`` execute
+# ``metrics`` alone. A name imported from one of them here would execute it at
+# once; the words come from the package itself.
+from . import METHODS, MODES, Domain, InputError, casefile, generator, metrics, runner
 
 ENV_CORPUS_DIR = "CASECHECK_CORPUS_DIR"
-# ``casefile.Domain`` values in order, for the ``--mix`` help; the tests check it.
-MIX_ORDER = "relational,temporal,policy,abductive"
 
 
 def _resolve_corpus_path(path: str) -> str:
@@ -46,13 +45,12 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _parse_mix(text: str) -> dict[casefile.Domain, int]:
-    domains = list(casefile.Domain)
+def _parse_mix(text: str) -> dict[Domain, int]:
     parts = [int(x) for x in text.split(",")]
-    if len(parts) != len(domains) or min(parts) < 0 or sum(parts) == 0:
+    if len(parts) != len(Domain) or min(parts) < 0 or sum(parts) == 0:
         raise argparse.ArgumentTypeError(
-            f"mix needs {len(domains)} counts >= 0 with a positive sum: {MIX_ORDER}")
-    return dict(zip(domains, parts))
+            f"mix needs {len(Domain)} counts >= 0 with a positive sum: {','.join(Domain)}")
+    return dict(zip(Domain, parts))
 
 
 def _parse_ratios(text: str) -> tuple[float, ...]:
@@ -65,7 +63,7 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     return ratios
 
 
-def _apportion(total: int) -> dict[casefile.Domain, int]:
+def _apportion(total: int) -> dict[Domain, int]:
     weights = generator.DEFAULT_DOMAIN_MIX
     wsum = sum(weights.values())
     exact = {d: total * w / wsum for d, w in weights.items()}
@@ -171,22 +169,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-class _Choices:
-    """The tuple ``metrics.<name>``, read only when argparse checks a value
-    against it or lists it in the help, so that building the parser executes
-    no engine module. Give the option a ``metavar``: without one, argparse
-    lists the choices as it adds the option."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __iter__(self):
-        return iter(getattr(metrics, self.name))
-
-    def __contains__(self, value) -> bool:
-        return value in getattr(metrics, self.name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casecheck",
@@ -200,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cases", type=_at_least_one, default=None,
                    help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
     g.add_argument("--mix", type=_parse_mix, default=None,
-                   help=f"per-domain counts: {MIX_ORDER}")
+                   help=f"per-domain counts: {','.join(Domain)}")
     g.add_argument("--split", type=_parse_ratios, default="0.8,0.1,0.1",
                    help="train,dev,test shares, each >= 0, summing to 1")
     g.set_defaults(func=cmd_generate)
@@ -218,10 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True, help="run directory")
     r.add_argument("--policy", default="oracle",
                    help="preset name or policy config file (default: oracle)")
-    r.add_argument("--method", choices=_Choices("METHODS"), metavar="METHOD",
-                   help="one of %(choices)s")
-    r.add_argument("--mode", choices=_Choices("MODES"), metavar="MODE",
-                   help="one of %(choices)s")
+    r.add_argument("--method", choices=METHODS, metavar="METHOD", help="one of %(choices)s")
+    r.add_argument("--mode", choices=MODES, metavar="MODE", help="one of %(choices)s")
     r.add_argument("--split")
     r.add_argument("--seed", type=int)
     r.add_argument("--r-max", type=_at_least_one)

@@ -212,7 +212,7 @@ def format_constraint(c: LinConstraint) -> str:
     return f"({c.relation} {lhs} {c.constant})"
 
 
-def parse_theory(text: str, max_width: int = DEFAULT_DOMAIN_WIDTH) -> Theory:
+def parse_theory(text: str) -> Theory:
     """Parse declarations and named assertions into a Theory."""
     theory = Theory()
     var_map: dict[str, IntVar] = {}
@@ -234,8 +234,9 @@ def parse_theory(text: str, max_width: int = DEFAULT_DOMAIN_WIDTH) -> Theory:
             if name in var_map:
                 raise TheoryError(f"duplicate declaration of {name!r}")
             var = IntVar(name, lo, hi)
-            if var.width > max_width:
-                raise TheoryError(f"{name}: domain width {var.width} exceeds bound {max_width}")
+            if var.width > DEFAULT_DOMAIN_WIDTH:
+                raise TheoryError(
+                    f"{name}: domain width {var.width} exceeds bound {DEFAULT_DOMAIN_WIDTH}")
             var_map[name] = var
             theory.variables.append(var)
         elif head in ("declare-const", "declare-fun"):
@@ -401,14 +402,15 @@ def _negate_terms(terms):
     return tuple((-co, name) for co, name in terms)
 
 
-def ground(theory: Theory, max_width: int = DEFAULT_DOMAIN_WIDTH) -> GroundedTheory:
+def ground(theory: Theory) -> GroundedTheory:
     """Ground to an equisatisfiable CNF: the order ladder of every variable,
     then the clauses of each assertion in order."""
     formula = Formula()
     order_vars: dict[tuple[str, int], int] = {}
     for v in theory.variables:
-        if v.width > max_width:
-            raise TheoryError(f"{v.name}: domain width {v.width} exceeds bound {max_width}")
+        if v.width > DEFAULT_DOMAIN_WIDTH:
+            raise TheoryError(
+                f"{v.name}: domain width {v.width} exceeds bound {DEFAULT_DOMAIN_WIDTH}")
         for k in range(v.lower, v.upper):
             formula.num_vars += 1
             order_vars[(v.name, k)] = formula.num_vars

@@ -15,20 +15,12 @@ configuration produce byte-identical report and metric files.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from . import InputError, schema
+from . import InputError, Label, SolveStatus, schema
 from .schema import Count
-
-# The vocabulary of the reports, spelled as they spell it so that scoring
-# needs no engine module: ``SolveStatus`` values, ``Label`` values in their
-# order, and the methods and modes a run takes (``RunConfig`` checks them).
-SAT, UNSAT = "sat", "unsat"
-LABEL_NAMES = ("entailed", "contradicted", "unknown")
-UNKNOWN = LABEL_NAMES[2]
-METHODS = ("baseline", "check", "check+repair")
-MODES = ("set", "sequential")
 
 
 class Phase(NamedTuple):
@@ -37,9 +29,9 @@ class Phase(NamedTuple):
     overhead: bool  # counts toward the solver calls of ``OH``
 
 
-# Every phase the run loop books solver calls to. The revision probe is a
-# measurement, not pipeline cost.
-PHASES = (
+# Every phase the run loop books solver calls to, each bound to the name the
+# run loop books it by. The revision probe is a measurement, not pipeline cost.
+PHASES = FILTER_CALLS, CHECK_CALLS, CORE_CALLS, REPAIR_CALLS, PROBE_CALLS = (
     Phase("filter_solver_calls", capped=False, overhead=True),
     Phase("check_solver_calls", capped=True, overhead=True),
     Phase("core_solver_calls", capped=True, overhead=True),
@@ -49,6 +41,8 @@ PHASES = (
 
 
 # The report records (see ``schema``): every field is required, no other key.
+# A run's records hold ``Label`` and ``SolveStatus`` members, loaded ones the
+# strings they equal.
 class QueryRecord:
     query_id: str
     gold: str | None
@@ -174,7 +168,7 @@ def auc_prefix_cons(report: BundleReport) -> float | None:
         return None
     if not report.statuses_after:
         return 1.0
-    return sum(1 for s in report.statuses_after if s == SAT) / len(report.statuses_after)
+    return report.statuses_after.count(SolveStatus.SAT) / len(report.statuses_after)
 
 
 def contradiction_density(report: BundleReport) -> float:
@@ -185,10 +179,11 @@ def contradiction_density(report: BundleReport) -> float:
         return 0.0
     transitions = 0
     running_sat = True  # premises are satisfiable by construction
+    sat, unsat = SolveStatus.SAT, SolveStatus.UNSAT
     for before, after in zip(report.statuses_before, report.statuses_after):
-        if running_sat and before == UNSAT:
+        if running_sat and before == unsat:
             transitions += 1
-        running_sat = after == SAT
+        running_sat = after == sat
     return transitions / len(report.queries)
 
 
@@ -241,15 +236,18 @@ def aggregate(reports: Sequence[BundleReport],
     predictions scores F1 = 1; the set-level metrics; and ``OH``, the solver
     plus answerer calls against ``baseline``'s. Reports without a
     gold-labelled query raise ReportFormatError."""
-    pairs = [(q.gold, q.final) for r in reports for q in r.queries if q.gold is not None]
-    if not pairs:
+    # how often each (gold, final) pair occurs, so that each label is compared
+    # with a handful of pairs, not with every query
+    pairs = Counter((q.gold, q.final) for r in reports for q in r.queries if q.gold is not None)
+    scored = pairs.total()
+    if not scored:
         raise ReportFormatError("no gold-labelled query to score")
     f1s = {}
-    for name in LABEL_NAMES:
-        tp = sum(1 for g, f in pairs if g == name and f == name)
-        fp = sum(1 for g, f in pairs if g != name and f == name)
-        fn = sum(1 for g, f in pairs if g == name and f != name)
-        f1s[name] = _f1(tp, fp, fn)
+    for label in Label:
+        tp = pairs[label, label]
+        fp = sum(n for (_, final), n in pairs.items() if final == label) - tp
+        fn = sum(n for (gold, _), n in pairs.items() if gold == label) - tp
+        f1s[label] = _f1(tp, fp, fn)
     solver = sum(r.solver_calls for r in reports)
     answerer = sum(r.answerer_calls for r in reports)
     base = sum(r.solver_calls + r.answerer_calls for r in baseline) if baseline is not None else 0
@@ -257,10 +255,10 @@ def aggregate(reports: Sequence[BundleReport],
     report = MetricsReport(
         bundles=len(reports),
         queries=sum(r.n for r in reports),
-        accuracy=sum(1 for gold, final in pairs if gold == final) / len(pairs),
+        accuracy=sum(n for (gold, final), n in pairs.items() if gold == final) / scored,
         macro_f1=sum(f1s.values()) / len(f1s),
-        unknown_f1=f1s[UNKNOWN],
-        unknown_rate=sum(1 for _, f in pairs if f == UNKNOWN) / len(pairs),
+        unknown_f1=f1s[Label.UNKNOWN],
+        unknown_rate=sum(n for (_, final), n in pairs.items() if final == Label.UNKNOWN) / scored,
         set_cons_rate=set_cons_rate(reports),
         auc_prefix_cons=sum(aucs) / len(aucs) if aucs else None,
         revision_cost=revision_cost(reports),

@@ -27,18 +27,15 @@ import time
 from itertools import repeat
 from pathlib import Path
 
+from . import METHODS, MODES, Label, SolveStatus
 from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
-from .casefile import CaseError, CaseFile, Label, Query, load_corpus
+from .casefile import CaseError, CaseFile, Query, load_corpus
 from .commitments import BeliefState, extract_commitment
-from .metrics import (METHODS, MODES, PHASES, SAT, UNSAT, BundleReport, QueryRecord,
-                      RepairLogEntry, save_reports)
+from .metrics import (CHECK_CALLS, CORE_CALLS, FILTER_CALLS, PHASES, PROBE_CALLS, REPAIR_CALLS,
+                      BundleReport, Phase, QueryRecord, RepairLogEntry, save_reports)
 from .repair import attempt_repair, logic_filtered_vote, min_revision_cost
 from .schema import must
-from .solver import DEFAULT_MAX_CONFLICTS, SolveStatus
-
-# the report spelling of each label and step status, read once: ``Enum.value``
-# is a Python-level property, and a run reads these per step
-_VALUE = {member: member.value for enum in (Label, SolveStatus) for member in enum}
+from .solver import DEFAULT_MAX_CONFLICTS
 
 
 class RunConfig:
@@ -79,8 +76,9 @@ class RunConfig:
 class _Ledger:
     """Solver calls of one bundle, read off the session's own counter.
 
-    ``take(phase)`` books every call since the previous take to ``phase``,
-    one of ``metrics.PHASES``, which says which phases the cap counts."""
+    ``take(phase)`` books every call since the previous take under the name
+    of ``phase``, an entry of ``metrics.PHASES``, which says which phases the
+    cap counts."""
 
     def __init__(self, stats, cap: int):
         self.stats = stats
@@ -88,10 +86,10 @@ class _Ledger:
         self.counts: dict[str, int] = {}
         self._mark = stats.solver_calls
 
-    def take(self, phase: str) -> int:
+    def take(self, phase: Phase) -> int:
         delta = self.stats.solver_calls - self._mark
         self._mark += delta
-        self.counts[phase] = self.counts.get(phase, 0) + delta
+        self.counts[phase.name] = self.counts.get(phase.name, 0) + delta
         return delta
 
     @property
@@ -118,8 +116,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                   and config.method != "baseline")
 
     records: list[QueryRecord] = []
-    statuses_before: list[str] = []
-    statuses_after: list[str] = []
+    statuses_before: list[SolveStatus] = []
+    statuses_after: list[SolveStatus] = []
     repair_log: list[RepairLogEntry] = []
     invariants: list[str] = []
     history: list[tuple[Query, Label]] = []
@@ -135,7 +133,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                                              vocabulary_size=state.base_vars)
                           for d in draws]
             answer = Answer(logic_filtered_vote(candidates, state))
-            ledger.take("filter_solver_calls")
+            ledger.take(FILTER_CALLS)
         else:
             answer = answerer.answer(case, query, history=seen)
             answerer_calls += answer.calls
@@ -147,8 +145,8 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
 
         # ------------------------------------------------------------- check
         pending, result = state.append_and_check(commitment)
-        ledger.take("check_solver_calls")
-        statuses_before.append(_VALUE[result.status])
+        ledger.take(CHECK_CALLS)
+        statuses_before.append(result.status)
         if result.status is SolveStatus.TIMEOUT:
             if config.method != "baseline":
                 final = Label.UNKNOWN
@@ -157,7 +155,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                 state.activate(pending, sat=False)
             else:
                 core = state.unsat_core(pending, result.failed_assumptions, ledger.slack(n - t - 1))
-                ledger.take("core_solver_calls")
+                ledger.take(CORE_CALLS)
                 core_qids = [state.commitments[i].query_id for i in core.commitment_indices]
                 if config.method == "check":
                     if core.minimal and core.commitment_indices == (pending,):
@@ -176,7 +174,7 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                 else:  # check+repair
                     accepted, tried = attempt_repair(state, commitment,
                                                      min(config.r_max, ledger.slack(n - t - 1)))
-                    repair_calls = ledger.take("repair_solver_calls")
+                    repair_calls = ledger.take(REPAIR_CALLS)
                     final = accepted.label if accepted else Label.UNKNOWN
                     repair_log.append(RepairLogEntry(
                         query_id=query.id, core_query_ids=core_qids,
@@ -186,20 +184,20 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
                         outcome="repaired" if accepted else "fallback-unknown",
                         solver_calls=repair_calls))
         # a SAT trial keeps ``sat``; baseline and check clear it to go past a violation
-        statuses_after.append(SAT if state.sat else UNSAT)
+        statuses_after.append(SolveStatus.SAT if state.sat else SolveStatus.UNSAT)
 
         records.append(QueryRecord(
             query_id=query.id,
-            gold=_VALUE.get(query.gold_label),
-            predicted=_VALUE[predicted],
-            final=_VALUE[final],
+            gold=query.gold_label,
+            predicted=predicted,
+            final=final,
         ))
         history.append((query, final))
 
     # -------------------------------------------------------------- scoring
     final_sat = state.sat
     rev = min_revision_cost(state)
-    ledger.take("revision_probe_calls")  # measurement, not pipeline cost
+    ledger.take(PROBE_CALLS)  # measurement, not pipeline cost
 
     if state.rebuild_check(case.id) != state.sat:
         invariants.append("incremental status disagrees with fresh rebuild")

@@ -19,11 +19,11 @@ randomized component, and the one budget counts conflicts, not seconds.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappush, heappop
 from typing import Iterable, Sequence
 
+from . import SolveStatus
 from .logic import Formula, LogicError
 
 TRUE = 1
@@ -31,12 +31,6 @@ FALSE = 0
 UNDEF = -1
 
 DEFAULT_MAX_CONFLICTS = 20_000  # per call; 18-26 s of hard random 3-SAT on a 2-vCPU host
-
-
-class SolveStatus(Enum):
-    SAT = "sat"
-    UNSAT = "unsat"
-    TIMEOUT = "timeout"
 
 
 class SolverStats:

@@ -13,15 +13,16 @@ from contextlib import contextmanager
 
 import pytest
 
+from casecheck import SolveStatus
 from casecheck.casefile import Label, literal_gold_label
 from casecheck.commitments import BeliefState, Commitment
 from casecheck.generator import generate_corpus
 from casecheck.lia import IntVar, LinConstraint, Theory, enumerate_int_solutions, ground
 from casecheck.logic import Formula, count_models, truth_table
-from casecheck.metrics import UNSAT, aggregate, contradiction_density
+from casecheck.metrics import aggregate, contradiction_density
 from casecheck.repair import logic_filtered_vote, min_revision_cost
 from casecheck.runner import RunConfig, evaluate_bundle
-from casecheck.solver import SolveStatus, SolverSession
+from casecheck.solver import SolverSession
 
 from test_commitments import rebuild_formula, selector
 
@@ -267,7 +268,7 @@ def test_criterion_10_monotone_prefix(sweep):
             assert report.statuses_before == report.statuses_after
             seen_unsat = False
             for status in report.statuses_after:
-                if status == UNSAT:
+                if status == SolveStatus.UNSAT:
                     seen_unsat = True
                 else:
                     assert not seen_unsat, f"{report.case_id}: SAT after UNSAT"

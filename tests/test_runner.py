@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from casecheck import SolveStatus
 from casecheck.answerers import PRESETS, Answerer, PolicyConfig, policy_to_dict
 from casecheck.casefile import Domain, Label
 from casecheck.generator import GeneratorSpec, generate_corpus
-from casecheck.metrics import UNSAT, aggregate, load_reports, save_reports
+from casecheck.metrics import aggregate, load_reports, save_reports
 from casecheck.runner import METHODS, RunConfig, evaluate_bundle, run, write_run
 
 
@@ -52,7 +53,7 @@ def test_baseline_statuses_monotone(cases):
         report = evaluate_bundle(case, config("baseline"))
         seen_unsat = False
         for s in report.statuses_after:
-            if s == UNSAT:
+            if s == SolveStatus.UNSAT:
                 seen_unsat = True
             else:
                 assert not seen_unsat, "sat status after unsat in a no-intervention run"
@@ -194,6 +195,31 @@ def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, d
                                                  for c in sorted(cases, key=lambda c: c.id))
     out = write_run(tmp_path / "run", cfg, reports, timings)
     assert json.loads((out / "manifest.json").read_text())["config"]["policy"] == str(policy)
+
+
+def test_in_process_and_loaded_reports_score_alike(tmp_path, cases):
+    # a report holds label and status members in process and their strings
+    # once loaded; both score alike, and both save to the same bytes
+    cases = sorted(cases, key=lambda c: c.id)  # the order save_reports writes
+    runs = {method: [evaluate_bundle(c, config(method)) for c in cases] for method in METHODS}
+    loaded = {}
+    for method, reports in runs.items():
+        path = tmp_path / f"{method}.jsonl"
+        save_reports(reports, path)
+        loaded[method] = load_reports(path)
+        again = tmp_path / f"{method}-again.jsonl"
+        save_reports(loaded[method], again)
+        assert again.read_bytes() == path.read_bytes()
+    statuses = [pair for r, l in zip(runs["check"], loaded["check"])
+                for pair in zip(r.statuses_before, l.statuses_before)]
+    assert {s for s, _ in statuses} >= {SolveStatus.SAT, SolveStatus.UNSAT}
+    assert all(type(s) is SolveStatus and type(t) is str for s, t in statuses)
+    q, loaded_q = runs["check"][0].queries[0], loaded["check"][0].queries[0]
+    assert type(q.final) is Label and type(loaded_q.final) is str
+    for method in METHODS:
+        assert vars(aggregate(runs[method])) == vars(aggregate(loaded[method]))
+        assert (vars(aggregate(runs[method], baseline=runs["baseline"]))
+                == vars(aggregate(loaded[method], baseline=loaded["baseline"])))
 
 
 def test_split_filter(tmp_path, cases):
