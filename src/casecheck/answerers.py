@@ -10,7 +10,6 @@ draw index), so outputs are reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from bisect import bisect
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import InputError, schema
-from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label
+from .casefile import OPPOSITE_LABEL, CaseError, CaseFile, Label, Query, majority_label, subseed
 
 LABELS = tuple(Label)
 KINDS = ("oracle", "noisy", "replay", "self-consistency", "history")
@@ -150,8 +149,7 @@ class Answerer:
     def _rng_for(self, case_id: str, query_id: str, draw: int | str) -> random.Random:
         """The answerer's generator in the state ``random.Random(s)`` would
         start in, ``s`` derived from (policy seed, case id, query id, draw)."""
-        digest = hashlib.sha256(f"{self.seed}:{case_id}:{query_id}:{draw}".encode()).digest()
-        self._rng.seed(int.from_bytes(digest[:8], "big"))
+        self._rng.seed(subseed(self.seed, case_id, query_id, draw))
         return self._rng
 
     # history: ordered (query, final label) pairs from earlier steps

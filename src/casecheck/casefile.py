@@ -11,6 +11,7 @@ kept verbatim, so files from other producers round-trip.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,6 +33,13 @@ def majority_label(labels: Sequence[Label]) -> Label:
     best = max(counts.values())
     top = [label for label, n in counts.items() if n == best]
     return top[0] if len(top) == 1 else Label.UNKNOWN
+
+
+def subseed(*parts) -> int:
+    """The seed derived from ``parts``: the first 8 bytes, big-endian, of the
+    sha256 of their ``:``-joined text."""
+    digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class CaseError(InputError):
@@ -197,23 +205,6 @@ def case_to_record(case: CaseFile) -> dict:
     return {**schema.dump(case), "domain": case.domain.value, "queries": queries}
 
 
-def case_from_record(record: dict, index: int = 0) -> CaseFile:
-    """The compiled case a corpus record describes. A bad record raises
-    CorpusFormatError naming ``cases[index]`` and the field."""
-    try:
-        [case] = schema.build(CaseFile, [record])
-    except schema.Unfit as exc:
-        raise CorpusFormatError(str(exc.under(f"cases[{index}]"))) from None
-    return _compiled(case, index)
-
-
-def _compiled(case: CaseFile, index: int) -> CaseFile:
-    try:
-        return compile_case(case)
-    except (CorpusFormatError, TheoryError, LogicError) as exc:
-        raise CorpusFormatError(f"cases[{index}] (case {case.id}): {exc}") from exc
-
-
 def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -223,13 +214,26 @@ def save_corpus(cases: Iterable[CaseFile], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[CaseFile]:
-    """The compiled cases of a corpus file, line ``i + 1`` being ``cases[i]``."""
+    """The compiled cases of a corpus file, line ``i + 1`` being ``cases[i]``.
+    A bad record raises CorpusFormatError naming ``cases[i]`` and the field,
+    or the case whose premises or atoms do not compile; so does a case id
+    that an earlier line holds."""
     try:
         linenos, cases = schema.read_lines(CaseFile, path)
     except schema.Unfit as exc:
         raise CorpusFormatError(str(exc.under(f"cases[{exc.line - 1}]")) if exc.line
                                 else f"{path}{exc.problem}") from None
-    return [_compiled(case, lineno - 1) for lineno, case in zip(linenos, cases)]
+    ids = set()
+    for lineno, case in zip(linenos, cases):
+        if case.id in ids:
+            raise CorpusFormatError(str(must(f"cases[{lineno - 1}].id", "unique in the corpus",
+                                             case.id)))
+        ids.add(case.id)
+        try:
+            compile_case(case)
+        except (CorpusFormatError, TheoryError, LogicError) as exc:
+            raise CorpusFormatError(f"cases[{lineno - 1}] (case {case.id}): {exc}") from exc
+    return cases
 
 
 # --------------------------------------------------------------------- splits

@@ -23,11 +23,10 @@ no solve.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 from .casefile import (OPPOSITE_LABEL, CaseFile, Domain, Label, Query, compile_case,
-                       compile_premises, literal_gold_label)
+                       compile_premises, literal_gold_label, subseed)
 from .lia import format_constraint
 from .logic import Formula, emit_dimacs
 from .solver import SolverSession
@@ -53,11 +52,6 @@ class GeneratorSpec:
                  bundle_min: int = 5, bundle_max: int = 8):
         self.domain_mix = dict(DEFAULT_DOMAIN_MIX) if domain_mix is None else domain_mix
         self.bundle_min, self.bundle_max = bundle_min, bundle_max
-
-
-def _subseed(*parts) -> int:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _plan_counts(rng: random.Random, size: int, domain: Domain) -> dict[Label, int]:
@@ -330,7 +324,7 @@ def generate_casefile(domain: Domain, seed: int, case_id: str | None = None,
     case_id = case_id or f"{domain.value[:3]}-{seed & 0xFFFF:05d}"
     last_error: Exception | None = None
     for attempt in range(MAX_ATTEMPTS):
-        attempt_seed = seed if attempt == 0 else _subseed(seed, "retry", attempt)
+        attempt_seed = seed if attempt == 0 else subseed(seed, "retry", attempt)
         try:
             if domain is Domain.TEMPORAL:
                 return _generate_temporal_case(attempt_seed, case_id, spec)
@@ -347,7 +341,7 @@ def generate_corpus(spec: GeneratorSpec | None = None, seed: int = 0) -> list[Ca
     for domain in Domain:
         count = spec.domain_mix.get(domain, 0)
         for i in range(count):
-            case_seed = _subseed(seed, domain.value, i)
+            case_seed = subseed(seed, domain.value, i)
             cases.append(generate_casefile(domain, case_seed,
                                            case_id=f"{domain.value[:3]}-{i:04d}", spec=spec))
     return cases

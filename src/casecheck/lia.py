@@ -270,22 +270,20 @@ class GroundedTheory:
     """Order-encoded CNF for a theory, with the atom map needed to translate
     cores back to named constraints and to encode further atoms later."""
 
-    __slots__ = ("theory", "formula", "order_vars", "var_map", "atoms")
+    __slots__ = ("formula", "order_vars", "var_map", "atoms")
 
-    def __init__(self, theory: Theory, formula: Formula,
+    def __init__(self, formula: Formula,
                  order_vars: dict[tuple[str, int], int],  # (var name, k) -> prop var for x <= k
                  var_map: dict[str, IntVar],  # the theory's variables by name, built once
                  # atom text -> its constraint; shared by copies, which have the same variables
                  atoms: dict[str, LinConstraint] | None = None):
-        self.theory, self.formula = theory, formula
-        self.order_vars, self.var_map = order_vars, var_map
+        self.formula, self.order_vars, self.var_map = formula, order_vars, var_map
         self.atoms = {} if atoms is None else atoms
 
     def copy(self) -> "GroundedTheory":
         """The same grounding over a copy of the formula, so atoms reified on
         the copy leave this one unchanged."""
-        return GroundedTheory(self.theory, self.formula.copy(), self.order_vars,
-                              self.var_map, self.atoms)
+        return GroundedTheory(self.formula.copy(), self.order_vars, self.var_map, self.atoms)
 
     def constraint(self, text: str) -> LinConstraint:
         """The constraint an atom text denotes over the theory's variables,
@@ -415,7 +413,7 @@ def ground(theory: Theory) -> GroundedTheory:
             formula.num_vars += 1
             order_vars[(v.name, k)] = formula.num_vars
 
-    gt = GroundedTheory(theory, formula, order_vars, theory.var_map)
+    gt = GroundedTheory(formula, order_vars, theory.var_map)
     for v in theory.variables:
         for k in range(v.lower, v.upper - 1):
             formula.clauses.append((-order_vars[(v.name, k)], order_vars[(v.name, k + 1)]))

@@ -26,14 +26,6 @@ class LogicError(ValueError):
     pass
 
 
-class DimacsError(LogicError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class EnumerationGuardError(LogicError):
     pass
 
@@ -90,29 +82,29 @@ def parse_dimacs(text: str) -> Formula:
             continue
         if line.startswith("p"):
             if num_vars is not None:
-                raise DimacsError("duplicate problem header", lineno)
+                raise LogicError(f"line {lineno}: duplicate problem header")
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"malformed header {line!r}", lineno)
+                raise LogicError(f"line {lineno}: malformed header {line!r}")
             try:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
-                raise DimacsError(f"non-integer counts in header {line!r}", lineno)
+                raise LogicError(f"line {lineno}: non-integer counts in header {line!r}")
             if num_vars < 0 or num_clauses < 0:
-                raise DimacsError("negative counts in header", lineno)
+                raise LogicError(f"line {lineno}: negative counts in header")
             if num_vars > MAX_DIMACS_VARS:
-                raise DimacsError(f"header declares {num_vars} variables, "
-                                  f"more than {MAX_DIMACS_VARS}", lineno)
+                raise LogicError(f"line {lineno}: header declares {num_vars} variables, "
+                                 f"more than {MAX_DIMACS_VARS}")
             if num_clauses > MAX_CLAUSES:
-                raise DimacsError(f"header declares {num_clauses} clauses, "
-                                  f"more than {MAX_CLAUSES}", lineno)
+                raise LogicError(f"line {lineno}: header declares {num_clauses} clauses, "
+                                 f"more than {MAX_CLAUSES}")
             continue
         if num_vars is None:
-            raise DimacsError("clause before problem header", lineno)
+            raise LogicError(f"line {lineno}: clause before problem header")
         try:
             lits = [int(tok) for tok in line.split()]
         except ValueError:
-            raise DimacsError(f"non-integer literal in {line!r}", lineno)
+            raise LogicError(f"line {lineno}: non-integer literal in {line!r}")
         if not pending:
             pending_line = lineno
         for l in lits:
@@ -122,18 +114,19 @@ def parse_dimacs(text: str) -> Formula:
                 if clause is not TAUTOLOGY:
                     for c in clause:
                         if abs(c) > num_vars:
-                            raise DimacsError(f"literal {c} out of declared range 1..{num_vars}", pending_line)
+                            raise LogicError(f"line {pending_line}: literal {c} "
+                                             f"out of declared range 1..{num_vars}")
                     clauses.append(clause)
                 pending = []
             else:
                 pending.append(l)
 
     if num_vars is None:
-        raise DimacsError("missing problem header")
+        raise LogicError("missing problem header")
     if pending:
-        raise DimacsError("clause missing terminating 0", pending_line)
+        raise LogicError(f"line {pending_line}: clause missing terminating 0")
     if read != num_clauses:
-        raise DimacsError(f"header declares {num_clauses} clauses, found {read}")
+        raise LogicError(f"header declares {num_clauses} clauses, found {read}")
     return Formula(num_vars, clauses)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from math import fsum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -235,7 +236,9 @@ def aggregate(reports: Sequence[BundleReport],
     gold-labelled queries, where a class missing from both gold and
     predictions scores F1 = 1; the set-level metrics; and ``OH``, the solver
     plus answerer calls against ``baseline``'s. Reports without a
-    gold-labelled query raise ReportFormatError."""
+    gold-labelled query raise ReportFormatError. Floats are summed with
+    ``fsum``, correctly rounded, since ``sum`` of floats rounds differently
+    from Python 3.12 on and the scores must not depend on the interpreter."""
     # how often each (gold, final) pair occurs, so that each label is compared
     # with a handful of pairs, not with every query
     pairs = Counter((q.gold, q.final) for r in reports for q in r.queries if q.gold is not None)
@@ -256,13 +259,13 @@ def aggregate(reports: Sequence[BundleReport],
         bundles=len(reports),
         queries=sum(r.n for r in reports),
         accuracy=sum(n for (gold, final), n in pairs.items() if gold == final) / scored,
-        macro_f1=sum(f1s.values()) / len(f1s),
+        macro_f1=fsum(f1s.values()) / len(f1s),
         unknown_f1=f1s[Label.UNKNOWN],
         unknown_rate=sum(n for (_, final), n in pairs.items() if final == Label.UNKNOWN) / scored,
         set_cons_rate=set_cons_rate(reports),
-        auc_prefix_cons=sum(aucs) / len(aucs) if aucs else None,
+        auc_prefix_cons=fsum(aucs) / len(aucs) if aucs else None,
         revision_cost=revision_cost(reports),
-        contradiction_density=sum(map(contradiction_density, reports)) / len(reports),
+        contradiction_density=fsum(map(contradiction_density, reports)) / len(reports),
         solver_calls=solver,
         answerer_calls=answerer,
         overhead_calls=(solver + answerer) / base if base else None,

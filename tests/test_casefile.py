@@ -11,7 +11,6 @@ from casecheck.casefile import (
     Domain,
     Label,
     Query,
-    case_from_record,
     case_to_record,
     compile_case,
     label_case,
@@ -28,6 +27,19 @@ def make_case(premises: str, atoms, case_id="t-1", domain=Domain.RELATIONAL) -> 
     case = CaseFile(id=case_id, domain=domain, premises=premises,
                     premises_format="dimacs", queries=queries)
     return compile_case(case)
+
+
+def load_records(tmp_path, *records) -> list[CaseFile]:
+    """The cases of a corpus file that holds ``records``, one a line."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return load_corpus(corpus)
+
+
+def load_at(tmp_path, index: int, record) -> CaseFile:
+    """``record`` loaded as ``cases[index]``, after ``index`` good cases."""
+    good = [{**_GOOD, "id": f"good-{i}"} for i in range(index)]
+    return load_records(tmp_path, *good, record)[-1]
 
 
 def test_gold_label_entailed():
@@ -188,7 +200,7 @@ def test_roundtrip_preserves_unknown_fields(tmp_path):
                      "depends_on": [], "annotator": "a3"}],
         "provenance": {"source": "manual"},
     }
-    case = case_from_record(record)
+    [case] = load_records(tmp_path, record)
     assert case.extra["provenance"] == {"source": "manual"}
     assert case.queries[0].extra["annotator"] == "a3"
     out = case_to_record(case)
@@ -196,16 +208,16 @@ def test_roundtrip_preserves_unknown_fields(tmp_path):
     assert out["queries"][0]["annotator"] == "a3"
 
 
-def test_schema_errors_carry_field_path():
+def test_schema_errors_carry_field_path(tmp_path):
     record = {"id": "x", "domain": "nope", "premises": "p cnf 1 0\n", "queries": []}
     with pytest.raises(CorpusFormatError) as exc:
-        case_from_record(record, index=3)
+        load_at(tmp_path, 3, record)
     assert "cases[3].domain" in str(exc.value)
 
     record = {"id": "x", "domain": "relational", "premises": "p cnf 1 0\n",
               "queries": [{"id": "q1", "atom": 1, "gold_label": "maybe"}]}
     with pytest.raises(CorpusFormatError) as exc:
-        case_from_record(record, index=0)
+        load_at(tmp_path, 0, record)
     assert "queries[0].gold_label" in str(exc.value)
 
 
@@ -234,11 +246,11 @@ _GOOD = {"id": "r-0001", "domain": "relational", "premises": "p cnf 2 1\n1 2 0\n
      r"cases\[5\]\.premises_format must be one of dimacs, theory, got 'cnf'"),
 ], ids=["record", "premises", "queries", "query", "depends_on", "depends-on-id", "dimacs-atom",
         "theory-atom", "format"])
-def test_records_of_the_wrong_type_name_their_field(record, message):
+def test_records_of_the_wrong_type_name_their_field(tmp_path, record, message):
     # each used to end in a raw AttributeError or TypeError
-    case_from_record(_GOOD, index=5)
+    load_at(tmp_path, 5, _GOOD)
     with pytest.raises(CorpusFormatError, match=f"^{message}$"):
-        case_from_record(record, index=5)
+        load_at(tmp_path, 5, record)
 
 
 @pytest.mark.parametrize("queries, message", [
@@ -250,10 +262,10 @@ def test_records_of_the_wrong_type_name_their_field(record, message):
     ([{"id": "q1", "atom": True}],
      r"cases\[5\]\.queries\[0\]\.atom must be an integer or a string, got True"),
 ], ids=["same-id", "same-id-as-text", "bool-atom"])
-def test_queries_a_report_could_not_tell_apart_are_refused(queries, message):
+def test_queries_a_report_could_not_tell_apart_are_refused(tmp_path, queries, message):
     # each used to load: one id for two queries, or True as the literal 1
     with pytest.raises(CorpusFormatError, match=f"^{message}$"):
-        case_from_record({**_GOOD, "queries": queries}, index=5)
+        load_at(tmp_path, 5, {**_GOOD, "queries": queries})
 
 
 def test_record_classes_take_their_fields_first():
@@ -275,16 +287,14 @@ def test_compile_errors_name_their_case(tmp_path):
     bad = dict(good, id="t-0002", queries=[{"id": "q1", "atom": "(<= y 3)"}])
     with pytest.raises(CorpusFormatError,
                        match=r"^cases\[4\] \(case t-0002\): undeclared variable 'y'$"):
-        case_from_record(bad, index=4)
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps(r) + "\n" for r in (good, bad)))
+        load_at(tmp_path, 4, bad)
     with pytest.raises(CorpusFormatError, match=r"^cases\[1\] \(case t-0002\): "):
-        load_corpus(corpus)
+        load_records(tmp_path, good, bad)
     dimacs = {"id": "r-0007", "domain": "relational", "premises": "p cnf 1 1\n2 0\n",
               "queries": []}
     with pytest.raises(CorpusFormatError,
                        match=r"^cases\[2\] \(case r-0007\): line 2: literal 2 out of"):
-        case_from_record(dimacs, index=2)
+        load_at(tmp_path, 2, dimacs)
 
 
 @pytest.mark.parametrize("assertion", [
@@ -296,11 +306,9 @@ def test_deep_nesting_fails_with_its_case_named(tmp_path, assertion):
     record = {"id": "t-0001", "domain": "temporal", "premises_format": "theory",
               "premises": "(declare-int x 0 9)\n" + assertion,
               "queries": [{"id": "q1", "atom": "(<= x 3)"}]}
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(json.dumps(record) + "\n")
     with pytest.raises(CorpusFormatError, match=r"^cases\[0\] \(case t-0001\): "
                                                 r"expression nested deeper than 64 levels$"):
-        load_corpus(corpus)
+        load_records(tmp_path, record)
 
 
 def test_oversized_dimacs_header_fails_at_load_with_its_case_named(tmp_path):
@@ -310,19 +318,16 @@ def test_oversized_dimacs_header_fails_at_load_with_its_case_named(tmp_path):
     good = {"id": "r-0001", "domain": "relational", "premises": "p cnf 2 1\n1 2 0\n",
             "queries": [{"id": "q1", "atom": 1}]}
     bad = dict(good, id="r-0002", premises="p cnf 300000000 1\n1 2 0\n")
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps(r) + "\n" for r in (good, bad)))
     with pytest.raises(CorpusFormatError, match=r"^cases\[1\] \(case r-0002\): line 1: "
                                                 r"header declares 300000000 variables, "
                                                 r"more than 200000$"):
-        load_corpus(corpus)
+        load_records(tmp_path, good, bad)
     # the case formula's clause budget: a header may declare no more, so a
     # body with that many clauses is refused before it is read
-    corpus.write_text(json.dumps(dict(good, premises="p cnf 2 200001\n1 2 0\n")) + "\n")
     with pytest.raises(CorpusFormatError, match=r"^cases\[0\] \(case r-0001\): line 1: "
                                                 r"header declares 200001 clauses, "
                                                 r"more than 200000$"):
-        load_corpus(corpus)
+        load_records(tmp_path, dict(good, premises="p cnf 2 200001\n1 2 0\n"))
 
 
 def test_scheduling_fixture_loads_with_capacity_query():

@@ -494,10 +494,16 @@ def test_malformed_corpus_exits_2_naming_the_case(tmp_path, corpus, capsys, comm
         # used to name the case but not its cases[i] index
         records[1]["queries"][0]["atom"] = 999
 
+    def repeated_id(records):
+        # used to load: a run wrote two reports for one case id and one
+        # timings entry, so total_seconds undercounted
+        records[1] = records[0]
+
     for corrupt, message in [
             (no_premises, "cases[3].premises: missing required field"),
             (atom_outside_vocabulary,
-             "cases[1] (case rel-0001): query q1: atom 999 outside premise vocabulary")]:
+             "cases[1] (case rel-0001): query q1: atom 999 outside premise vocabulary"),
+            (repeated_id, "cases[1].id must be unique in the corpus, got 'rel-0000'")]:
         records = [json.loads(line) for line in Path(corpus).read_text().splitlines()]
         corrupt(records)
         bad = tmp_path / f"{corrupt.__name__}.jsonl"

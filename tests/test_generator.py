@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from casecheck import casefile, generator, schema
-from casecheck.casefile import (Domain, Label, case_from_record, case_to_record,
-                                literal_gold_label, save_corpus)
+from casecheck.casefile import (Domain, Label, case_to_record, literal_gold_label, load_corpus,
+                                save_corpus)
 from casecheck.cli import _apportion
 from casecheck.generator import (
     GeneratorSpec,
@@ -169,12 +169,13 @@ def test_long_bundle_corpus_is_pinned(tmp_path):
     GeneratorSpec(domain_mix=_apportion(40)),
     GeneratorSpec(bundle_min=14, bundle_max=16, domain_mix={d: 4 for d in Domain}),
 ], ids=["default-40", "long-16"])
-def test_generated_cases_compile_as_the_loader_compiles_them(spec, seed):
+def test_generated_cases_compile_as_the_loader_compiles_them(tmp_path, spec, seed):
     # generation builds its cases on premises compiled once per attempt and
     # without the JSON checker; the saved record must read back to the same
     # record, formula and atoms
-    for case in generate_corpus(spec, seed=seed):
-        loaded = case_from_record(case_to_record(case))
+    cases = generate_corpus(spec, seed=seed)
+    save_corpus(cases, tmp_path / "corpus.jsonl")
+    for case, loaded in zip(cases, load_corpus(tmp_path / "corpus.jsonl"), strict=True):
         assert case_to_record(loaded) == case_to_record(case), case.id
         assert loaded.formula.num_vars == case.formula.num_vars, case.id
         assert loaded.formula.clauses == case.formula.clauses, case.id

@@ -23,7 +23,7 @@ def decode(gt, true_literals: frozenset[int]) -> dict[str, int]:
     by the literals it makes true: the least k with ``x <= k`` true, or the
     upper bound when none is."""
     out = {}
-    for v in gt.theory.variables:
+    for v in gt.var_map.values():
         out[v.name] = next((k for k in range(v.lower, v.upper)
                             if gt.order_vars[(v.name, k)] in true_literals), v.upper)
     return out
@@ -210,21 +210,25 @@ def test_reify_matches_integer_semantics():
     assert res.status is SolveStatus.SAT and decode(gt, res.true_literals)["x"] < 3
 
 
-def test_oversized_grounding_fails_fast_and_names_its_group():
+def test_oversized_grounding_fails_fast_and_names_its_group(tmp_path):
+    import json
     import time
 
-    from casecheck.casefile import CorpusFormatError, case_from_record
+    from casecheck.casefile import CorpusFormatError, load_corpus
 
     decl = "".join(f"(declare-int {v} 0 63)" for v in "abcd")
     wide = "(<= (+ a b c d) 126)"  # 216,384 order-encoding clauses
     start = time.perf_counter()
     with pytest.raises(TheoryError, match="^big: order encoding exceeds"):
         ground(parse_theory(decl + f"(assert (! {wide} :named big))"))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "wide-0001", "domain": "temporal", "premises": decl,
+                                  "premises_format": "theory",
+                                  "queries": [{"id": "q1", "atom": "(<= a 3)"},
+                                              {"id": "q2", "atom": wide}]}))
     with pytest.raises(CorpusFormatError,
                        match=r"^cases\[0\] \(case wide-0001\): query:q2: order encoding exceeds"):
-        case_from_record({"id": "wide-0001", "domain": "temporal", "premises": decl,
-                          "premises_format": "theory",
-                          "queries": [{"id": "q1", "atom": "(<= a 3)"}, {"id": "q2", "atom": wide}]})
+        load_corpus(corpus)
     assert time.perf_counter() - start < 10
     # a 3-term sum at the same width stays well under the limit: 248 ladder
     # clauses plus one clause per value pair of a and b that leaves c a bound

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from casecheck.logic import (
-    DimacsError,
     EnumerationGuardError,
     Formula,
+    LogicError,
     count_models,
     emit_dimacs,
     evaluate,
@@ -48,9 +48,30 @@ def test_parse_two_clause_formula():
     ],
 )
 def test_parse_errors_carry_line_info(text, fragment):
-    with pytest.raises(DimacsError) as exc:
+    with pytest.raises(LogicError) as exc:
         parse_dimacs(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 1 0\np cnf 1 0", "line 2: duplicate problem header"),
+    ("p dnf 1 1\n1 0", "line 1: malformed header 'p dnf 1 1'"),
+    ("p cnf x 1\n1 0", "line 1: non-integer counts in header 'p cnf x 1'"),
+    ("p cnf -1 0", "line 1: negative counts in header"),
+    ("p cnf 200001 0", "line 1: header declares 200001 variables, more than 200000"),
+    ("p cnf 1 200001", "line 1: header declares 200001 clauses, more than 200000"),
+    ("1 0", "line 1: clause before problem header"),
+    ("p cnf 1 1\n1 x 0", "line 2: non-integer literal in '1 x 0'"),
+    ("c note\np cnf 1 1\n2 0", "line 3: literal 2 out of declared range 1..1"),
+    ("p cnf 2 1\n1\n2", "line 2: clause missing terminating 0"),
+    ("c note", "missing problem header"),
+    ("p cnf 2 3\n1 0\n2 0", "header declares 3 clauses, found 2"),
+], ids=["duplicate", "malformed", "counts", "negative", "variables", "clauses", "before",
+        "literal", "range", "unterminated", "missing", "found"])
+def test_dimacs_errors_name_their_line_first(text, message):
+    with pytest.raises(LogicError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
 
 
 def test_roundtrip_random_3cnf():
@@ -78,7 +99,7 @@ def test_header_counts_tautological_clauses():
     f = parse_dimacs("p cnf 2 2\n1 -1 0\n1 2 0\n")
     assert f.num_vars == 2
     assert f.clauses == [(1, 2)]
-    with pytest.raises(DimacsError, match="declares 1 clauses, found 2"):
+    with pytest.raises(LogicError, match="declares 1 clauses, found 2"):
         parse_dimacs("p cnf 2 1\n1 -1 0\n1 2 0\n")
 
 

@@ -323,17 +323,59 @@ def long_corpus():
     return generate_corpus(spec, seed=0)
 
 
+@pytest.fixture(scope="module")
+def pinned_reports(default_corpus, long_corpus):
+    """The reports of a REPORT_DIGESTS key, evaluated once per module."""
+    cache = {}
+
+    def reports(key):
+        if key not in cache:
+            corpus_name, mode, method = key
+            corpus = default_corpus if corpus_name == "default" else long_corpus
+            cfg = config(method, mode=mode, seed=7, max_conflicts=200_000)
+            cache[key] = [evaluate_bundle(case, cfg) for case in corpus]
+        return cache[key]
+    return reports
+
+
 @pytest.mark.parametrize("key", sorted(REPORT_DIGESTS), ids=_pin_id)
-def test_run_reports_are_pinned(tmp_path, default_corpus, long_corpus, key):
+def test_run_reports_are_pinned(tmp_path, pinned_reports, key):
     import hashlib
 
-    corpus_name, mode, method = key
-    corpus = default_corpus if corpus_name == "default" else long_corpus
-    reports = [evaluate_bundle(case, config(method, mode=mode, seed=7, max_conflicts=200_000))
-               for case in corpus]
     path = tmp_path / "reports.jsonl"
-    save_reports(reports, path)
+    save_reports(pinned_reports(key), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[key]
+
+
+# sha256 of metrics.json and of table.txt, as ``casecheck score`` writes them
+# for each method's sequential reports of REPORT_DIGESTS on the default
+# corpus, scored against the baseline's: the same bytes under every Python
+# version. The tables read SetCons/Acc 0.551/0.853 (baseline), 0.946/0.799
+# (check) and 1.000/0.856 (check+repair)
+SCORE_DIGESTS = {
+    "baseline": ("5ee75561829b6b03bcae9740dce906bc40ee4cf9d615f3b8322b9091890bd61e",
+                 "90b091daa03fa632bed6e5c698b76e63b3be5d21ae083eaeed2a317a0fea38dd"),
+    "check": ("c39b4ed7ed94810e3b1eb55038a44258d3342a8a4132f5b790da583def2f2021",
+              "d5ee0321dd94ee4ce14d8bd7c3c19502aa3233aa1b06c7aa0334c7343ce47114"),
+    "check+repair": ("cf583805d20907fecdaedd8b358b282175692d27e498d0e60dadbe3a875bb1e3",
+                     "5fd275dc6c7e2ae35a3a1aef0df732b4bd7cc4ce02e4d66fde917373c1d83864"),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_scores_are_pinned(tmp_path, pinned_reports, method):
+    import hashlib
+
+    from casecheck.cli import main
+
+    for name in ("baseline", method):
+        save_reports(pinned_reports(("default", "sequential", name)),
+                     tmp_path / name / "reports.jsonl")
+    run_dir = tmp_path / method
+    assert main(["score", "--run", str(run_dir), "--baseline", str(tmp_path / "baseline")]) == 0
+    digests = [hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in ("metrics.json", "table.txt")]
+    assert tuple(digests) == SCORE_DIGESTS[method]
 
 
 # sha256 of reports.jsonl for the policy paths REPORT_DIGESTS leaves out, each

@@ -456,10 +456,12 @@ TRAJECTORY_DIGEST = "469b66f73aa7287cae9cc5d26d89a39bdb25b736582ab55f13ca8f16056
 STATUS_DIGEST = "cf3ba7b3403e3009e263afa9b554b9d683fd36dc4350e21af0ffd2bace642b9d"
 
 
-def _trajectory() -> list:
+def _trajectory(tmp_path) -> list:
     """Status, model, failed assumptions and counters of every call in a fixed
     sequence of sessions that exercises each path of the search."""
-    from casecheck.casefile import case_from_record
+    import json
+
+    from casecheck.casefile import load_corpus
 
     out = []
 
@@ -512,9 +514,11 @@ def _trajectory() -> list:
     s = SolverSession(pigeonhole(6, 5))
     call(s)
 
-    case = case_from_record({
+    corpus = tmp_path / "pin.jsonl"
+    corpus.write_text(json.dumps({
         "id": "pin-0001", "domain": "temporal", "premises": PIN_THEORY, "premises_format": "theory",
-        "queries": [{"id": f"q{i}", "atom": text} for i, text in enumerate(PIN_QUERIES, 1)]})
+        "queries": [{"id": f"q{i}", "atom": text} for i, text in enumerate(PIN_QUERIES, 1)]}))
+    [case] = load_corpus(corpus)
     s = SolverSession(case.formula)
     call(s)
     atoms = [q.atom for q in case.queries]
@@ -526,17 +530,17 @@ def _trajectory() -> list:
     return out
 
 
-def test_search_trajectory_is_pinned():
+def test_search_trajectory_is_pinned(tmp_path):
     import hashlib
     import json
 
-    blob = json.dumps(_trajectory(), sort_keys=True).encode()
+    blob = json.dumps(_trajectory(tmp_path), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == TRAJECTORY_DIGEST
 
 
-def test_search_statuses_are_pinned():
+def test_search_statuses_are_pinned(tmp_path):
     import hashlib
     import json
 
-    blob = json.dumps([call[0] for call in _trajectory()]).encode()
+    blob = json.dumps([call[0] for call in _trajectory(tmp_path)]).encode()
     assert hashlib.sha256(blob).hexdigest() == STATUS_DIGEST
