@@ -5,7 +5,8 @@ Exit codes separate engine problems from measured phenomena and bad input:
 a run exits 1 only when an internal invariant check failed, never because the
 evaluated policy produced contradictions (those are the data). Bad input
 exits 2 with a one-line message, like argparse: a bad argument, a missing
-file, an input the one JSON checker (``schema``) refuses, named by its place
+file, an ``--out`` that cannot be written (refused before any work), an
+input the one JSON checker (``schema``) refuses, named by its place
 (``cases[i]``, ``file:line`` or the policy file) and the field's path, a
 corpus with unusable premises, nothing to score or a query without the gold
 label its policy needs, and reports with nothing to score.
@@ -74,10 +75,33 @@ def _apportion(total: int) -> dict[Domain, int]:
     return counts
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _refuse_unusable_out(path: str, directory: bool) -> None:
+    """Fail before any work on an ``--out`` that cannot be written: a
+    directory where the file goes, a file where the directory goes, or a
+    file where one of its parent directories goes."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if existing == out and out.is_dir() != directory:
+        raise InputError(f"--out {path} is {'not ' if directory else ''}a directory")
+    if existing != out and not existing.is_dir():
+        raise InputError(f"--out {path}: {existing} is not a directory")
+
+
 def cmd_generate(args) -> int:
+    _refuse_unusable_out(args.out, directory=False)
     mix = args.mix or (_apportion(args.cases) if args.cases else None)
     spec = generator.GeneratorSpec(domain_mix=mix) if mix else generator.GeneratorSpec()
-    cases = generator.generate_corpus(spec, seed=args.seed)
+    # the cases do not depend on the shard count, so every usable CPU builds some
+    cases = generator.generate_corpus(spec, seed=args.seed, workers=_usable_cpus())
     casefile.split_cases(cases, args.split, seed=args.seed)
     casefile.save_corpus(cases, args.out)
     rows = generator.corpus_composition(cases)
@@ -91,6 +115,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_label(args) -> int:
+    _refuse_unusable_out(args.out, directory=False)
     cases = casefile.load_corpus(_resolve_corpus_path(args.corpus))
     timeouts = 0
     for case in cases:
@@ -108,6 +133,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _refuse_unusable_out(args.out, directory=True)
     # the options given; RunConfig supplies every other default
     options = {name: value for name, value in vars(args).items() if name in runner.RunConfig.FIELDS}
     config = runner.RunConfig(**{**options, "corpus": _resolve_corpus_path(args.corpus)})
@@ -136,6 +162,8 @@ def _load_run(run_dir: str):
 
 
 def cmd_score(args) -> int:
+    if args.out:
+        _refuse_unusable_out(args.out, directory=True)
     reports, eval_s = _load_run(args.run)
     baseline_reports, baseline_eval_s = (None, None)
     if args.baseline:  # a run scored against itself is read once
@@ -179,10 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a synthetic corpus")
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cases", type=_at_least_one, default=None,
-                   help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
-    g.add_argument("--mix", type=_parse_mix, default=None,
-                   help=f"per-domain counts: {','.join(Domain)}")
+    size = g.add_mutually_exclusive_group()
+    size.add_argument("--cases", type=_at_least_one, default=None,
+                      help="total case count, at least 1 (default: the full 120/100/80/90 mix)")
+    size.add_argument("--mix", type=_parse_mix, default=None,
+                      help=f"per-domain counts: {','.join(Domain)}")
     g.add_argument("--split", type=_parse_ratios, default="0.8,0.1,0.1",
                    help="train,dev,test shares, each >= 0, summing to 1")
     g.set_defaults(func=cmd_generate)

@@ -59,6 +59,55 @@ def test_generate_rejects_split_shares(tmp_path, capsys, value, message):
     assert not out.exists()
 
 
+def test_generate_refuses_cases_together_with_mix(tmp_path, capsys):
+    # --mix used to win silently: 4 cases written, exit 0
+    out = tmp_path / "c.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--out", str(out), "--cases", "8", "--mix", "1,1,1,1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "casecheck generate: error: argument --mix: not allowed with argument --cases")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out, message", [
+    # ended in an IsADirectoryError traceback
+    pytest.param("generate", "{dir}", "--out {dir} is a directory", id="generate-dir"),
+    # evaluated every bundle, then ended in a FileExistsError traceback, exit 1
+    pytest.param("run", "{file}", "--out {file} is not a directory", id="run-file"),
+    pytest.param("label", "{dir}", "--out {dir} is a directory", id="label-dir"),
+    pytest.param("score", "{file}", "--out {file} is not a directory", id="score-file"),
+    pytest.param("generate", "{file}/c.jsonl", "--out {file}/c.jsonl: {file} is not a directory",
+                 id="generate-under-file"),
+    pytest.param("run", "{file}/run", "--out {file}/run: {file} is not a directory",
+                 id="run-under-file"),
+])
+def test_an_unusable_out_exits_2_before_any_work(tmp_path, corpus, capsys, monkeypatch,
+                                                 command, out, message):
+    from casecheck import casefile, generator, metrics, runner
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    # runner first: executing it binds casefile's load_corpus in it
+    for module, name in ((runner, "run"), (generator, "generate_corpus"),
+                         (casefile, "load_corpus"), (metrics, "load_reports")):
+        monkeypatch.setattr(module, name, no_work)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    paths = {"dir": str(tmp_path / "dir"), "file": str(tmp_path / "file")}
+    out = out.format(**paths)
+    argv = {"generate": ["generate", "--out", out],
+            "run": run_args(corpus, out),
+            "label": ["label", "--corpus", str(corpus), "--out", out],
+            "score": ["score", "--run", str(tmp_path), "--out", out]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"casecheck {command}: error: {message.format(**paths)}\n"
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert not any((tmp_path / "dir").iterdir())
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
@@ -658,12 +707,13 @@ def test_every_session_of_generate_run_and_label_has_a_conflict_budget(tmp_path,
     assert built and {s.max_conflicts for s in built} == {DEFAULT_MAX_CONFLICTS}
 
 
-def fresh(*argv: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with warnings as errors on ``argv``."""
+def fresh(*argv: str, warnings: str = "error") -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with warnings as errors (or as ``warnings``
+    says) on ``argv``."""
     import casecheck
 
     env = dict(os.environ, PYTHONPATH=str(Path(casecheck.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *argv], env=env,
+    return subprocess.run([sys.executable, "-X", "dev", "-W", warnings, *argv], env=env,
                           capture_output=True, text=True, check=True)
 
 
@@ -710,6 +760,13 @@ def test_cli_children_start_without_dataclasses_inspect_or_logging(tmp_path):
                  ["score", "--run", run_dir],
                  ["report", "--run", run_dir]):
         assert fresh_main(argv) == ([], ""), argv[0]
+
+
+def test_generate_forks_its_shards_without_a_warning(tmp_path):
+    # os.fork swallows its fork-with-threads DeprecationWarning (3.12 on) when
+    # warnings are errors, so this child prints every warning instead
+    argv = ["generate", "--cases", "8", "--out", str(tmp_path / "c.jsonl")]
+    assert fresh("-m", "casecheck.cli", *argv, warnings="always").stderr == ""
 
 
 def test_a_timed_out_check_still_logs_its_warning(tmp_path):

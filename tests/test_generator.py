@@ -200,10 +200,63 @@ def test_each_generation_attempt_compiles_its_premises_once(monkeypatch):
         monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
     # the checker of JSON input; generated cases were never JSON
     monkeypatch.setattr(schema, "build", counting("build", schema.build))
-    # seed 3 retries five of the 30 CNF draws
+    # seed 3 retries five of the 30 CNF draws; one shard, the default, so
+    # every call is counted in this process
     cases = generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), seed=3)
     assert calls["_generate_cnf_case"] + calls["_generate_temporal_case"] == len(cases) + 5
     # a CNF draft is built as a formula, never written out and parsed back
     assert calls["parse_dimacs"] == 0
     assert calls["build"] == 0
     assert calls["parse_theory"] == calls["ground"] == calls["_generate_temporal_case"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(domain_mix=_apportion(40)),
+    GeneratorSpec(bundle_min=14, bundle_max=16, domain_mix={d: 10 for d in Domain}),
+], ids=["default-40", "long-40"])
+def test_sharded_generation_gives_the_same_cases(spec, seed):
+    # three workers split the 40 cases unevenly: 14, 13 and 13
+    def compiled(cases):
+        return [(case_to_record(c), c.formula.num_vars, c.formula.clauses,
+                 [q.atom for q in c.queries]) for c in cases]
+
+    reference = compiled(generate_corpus(spec, seed=seed, workers=1))
+    for workers in (2, 3):
+        assert compiled(generate_corpus(spec, seed=seed, workers=workers)) == reference, workers
+    with pytest.raises(ChildProcessError):  # every shard's child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case_id", ["rel-0000", "rel-0001"], ids=["parent", "child"])
+def test_a_failing_shard_raises_its_error_and_leaves_no_child(monkeypatch, case_id):
+    # with two workers, rel-0000 is built in this process and rel-0001 in the
+    # forked child; the recipe is patched before the fork, so the child fails too
+    recipe = generator._generate_cnf_case
+
+    def failing(domain, seed, this_id, spec):
+        if this_id == case_id:
+            raise ValueError(f"recipe failed on {this_id}")
+        return recipe(domain, seed, this_id, spec)
+
+    monkeypatch.setattr(generator, "_generate_cnf_case", failing)
+    with pytest.raises(ValueError) as exc:
+        generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), workers=2)
+    assert str(exc.value) == f"recipe failed on {case_id}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_shard_that_dies_is_named(monkeypatch):
+    recipe = generator._generate_cnf_case
+
+    def dying(domain, seed, case_id, spec):
+        if case_id == "rel-0001":  # built in the child of shard 1
+            os._exit(3)
+        return recipe(domain, seed, case_id, spec)
+
+    monkeypatch.setattr(generator, "_generate_cnf_case", dying)
+    with pytest.raises(generator.GenerationError, match="^generation shard 1 exited without its cases$"):
+        generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
