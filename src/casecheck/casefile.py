@@ -1,5 +1,6 @@
 """Case files and query bundles: data model, on-disk corpus format, gold-label
-derivation by entailment checking, and case-level splits.
+derivation by entailment checking, case-level splits, and the forked map
+that spreads independent cases over processes.
 
 Corpus files are line-delimited JSON, one case per line. Propositional cases
 carry DIMACS premises and integer query atoms; temporal cases carry theory
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,6 +42,71 @@ def subseed(*parts) -> int:
     sha256 of their ``:``-joined text."""
     digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def forked_map(fn, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` over ``workers`` processes: item ``i``
+    goes to shard ``i % workers`` (interleaved, so every shard gets its share
+    of a run of costlier items), shard 0 runs here and each other shard in a
+    child forked from this process, which inherits ``fn`` and ``items``, so
+    nothing is pickled to it. A child pickles its results, or the exception
+    that stopped it, up a pipe; an exception is raised again here. Every
+    child is killed if still running and reaped before this returns or
+    raises. One process does it all when ``workers`` is 1, when there are
+    fewer items than workers, or where ``os.fork`` is missing."""
+    if workers <= 1 or len(items) < workers or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import pickle
+    import signal
+
+    pids, pipes = [], []
+    try:
+        for shard in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # The child leaves with ``os._exit``, so that none of the
+                # parent's ``finally`` blocks, atexit handlers or buffered
+                # output runs twice. It closes the read ends it inherited,
+                # its own included, so its write fails rather than blocks
+                # once the parent has closed its end.
+                status = 1
+                try:
+                    for pipe in pipes:
+                        pipe.close()
+                    try:
+                        result = (True, [fn(item) for item in items[shard::workers]])
+                    except Exception as exc:
+                        result = (False, exc)
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # whole, or nothing is sent
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pids.append(pid)
+        shards = [[fn(item) for item in items[::workers]]]
+        for shard, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"shard {shard} exited without its results")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shards.append(value)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # a child that has exited is still unreaped
+            os.waitpid(pid, 0)
+    return [shards[i % workers][i // workers] for i in range(len(items))]
 
 
 class CaseError(InputError):

@@ -76,9 +76,7 @@ def _apportion(total: int) -> dict[Domain, int]:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
+    """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -23,11 +23,10 @@ no solve.
 
 from __future__ import annotations
 
-import os
 import random
 
 from .casefile import (OPPOSITE_LABEL, CaseFile, Domain, Label, Query, compile_case,
-                       compile_premises, literal_gold_label, subseed)
+                       compile_premises, forked_map, literal_gold_label, subseed)
 from .lia import format_constraint
 from .logic import Formula, emit_dimacs
 from .solver import SolverSession
@@ -339,86 +338,19 @@ def generate_casefile(domain: Domain, seed: int, case_id: str | None = None,
 def generate_corpus(spec: GeneratorSpec | None = None, seed: int = 0,
                     workers: int = 1) -> list[CaseFile]:
     """The cases of ``spec``'s domain mix, in domain order. Each case draws
-    from its own sub-seed, so the cases are independent: with ``workers`` > 1
-    task ``i`` goes to shard ``i % workers`` (interleaved, so every shard gets
-    its share of the costlier temporal cases), shard 0 is built here and each
-    other shard in a forked child. The cases, and so the corpus, do not
-    depend on ``workers``."""
+    from its own sub-seed, so the cases are independent and are built by
+    ``forked_map`` over ``workers`` processes; interleaving gives every shard
+    its share of the costlier temporal cases. The cases, and so the corpus,
+    do not depend on ``workers``."""
     spec = spec or GeneratorSpec()
     tasks = [(domain, i) for domain in Domain for i in range(spec.domain_mix.get(domain, 0))]
-    workers = max(1, min(workers, len(tasks)))
 
-    def build(shard: int) -> list[CaseFile]:
-        return [generate_casefile(domain, subseed(seed, domain.value, i),
-                                  case_id=f"{domain.value[:3]}-{i:04d}", spec=spec)
-                for domain, i in tasks[shard::workers]]
+    def build(task: tuple[Domain, int]) -> CaseFile:
+        domain, i = task
+        return generate_casefile(domain, subseed(seed, domain.value, i),
+                                 case_id=f"{domain.value[:3]}-{i:04d}", spec=spec)
 
-    if workers == 1:
-        return build(0)
-    shards = _in_forked_shards(build, workers)
-    return [shards[i % workers][i // workers] for i in range(len(tasks))]
-
-
-def _in_forked_shards(build, workers: int) -> list[list[CaseFile]]:
-    """``[build(0), ..., build(workers - 1)]``, shard 0 built here and each
-    other in a child forked from this process, which has executed every
-    engine module by now. A child pickles its cases, or the exception that
-    stopped it, down a pipe; an exception is raised again here. Every child
-    is killed if still running and reaped before this returns or raises."""
-    import pickle
-    import signal
-
-    pids, pipes = [], []
-    try:
-        for shard in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            pid = os.fork()
-            if pid == 0:
-                _shard_child(build, shard, pipes, write_fd)
-            os.close(write_fd)
-            pids.append(pid)
-        shards = [build(0)]
-        for shard, pipe in enumerate(pipes, 1):
-            data = pipe.read()
-            if not data:
-                raise GenerationError(f"generation shard {shard} exited without its cases")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            shards.append(value)
-        return shards
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # a child that has exited is still unreaped
-            os.waitpid(pid, 0)
-
-
-def _shard_child(build, shard: int, read_ends: list, write_fd: int) -> None:
-    """The forked child of shard ``shard``: sends ``(True, cases)`` or
-    ``(False, exception)`` and leaves with ``os._exit``, so that none of the
-    parent's ``finally`` blocks, atexit handlers or buffered output runs
-    twice. It closes the read ends it inherited, its own included, so its
-    write fails rather than blocks once the parent has closed its end.
-    Never returns."""
-    import pickle
-
-    status = 1
-    try:
-        for pipe in read_ends:
-            pipe.close()
-        try:
-            result = (True, build(shard))
-        except Exception as exc:
-            result = (False, exc)
-        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # whole, or nothing is sent
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+    return forked_map(build, tasks, workers)
 
 
 def corpus_composition(cases) -> list[dict]:

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import repeat
 from pathlib import Path
 
 from . import METHODS, MODES, Label, SolveStatus
 from .answerers import Answer, Answerer, PolicyConfig, policy_to_dict, resolve_policy
-from .casefile import CaseError, CaseFile, Query, load_corpus
+from .casefile import CaseError, CaseFile, Query, forked_map, load_corpus
 from .commitments import BeliefState, extract_commitment
 from .metrics import (CHECK_CALLS, CORE_CALLS, FILTER_CALLS, PHASES, PROBE_CALLS, REPAIR_CALLS,
                       BundleReport, Phase, QueryRecord, RepairLogEntry, save_reports)
@@ -240,29 +239,20 @@ def evaluate_bundle(case: CaseFile, config: RunConfig,
 # ----------------------------------------------------------------- run level
 
 
-# the answerer of a --jobs worker process, shipped once when the pool starts it
-_worker_answerer: Answerer | None = None
-
-
-def _start_worker(answerer: Answerer) -> None:
-    global _worker_answerer
-    _worker_answerer = answerer
-
-
-def _timed(case: CaseFile, config: RunConfig,
-           answerer: Answerer | None = None) -> tuple[BundleReport, float]:
+def _timed(case: CaseFile, config: RunConfig, answerer: Answerer) -> tuple[BundleReport, float]:
     """One bundle's report and its evaluation time in ms."""
     start = time.perf_counter()
-    report = evaluate_bundle(case, config, answerer or _worker_answerer)
+    report = evaluate_bundle(case, config, answerer)
     return report, (time.perf_counter() - start) * 1000.0
 
 
 def run(config: RunConfig) -> tuple[list[BundleReport], dict[str, float]]:
-    """Evaluate every bundle in the selected split, in case id order, in
-    process or over ``config.jobs`` worker processes. Returns (reports,
-    evaluation ms by case id). The policy is resolved, and a replay trace
-    loaded, once per run; each worker receives the answerer once. Selected
-    cases with no gold-labelled query raise CaseError before any evaluation."""
+    """Evaluate every bundle in the selected split, in case id order, over
+    ``config.jobs`` processes (``forked_map``). Returns (reports, evaluation
+    ms by case id). The policy is resolved, and a replay trace loaded, once
+    per run; forked shards inherit the answerer and the compiled cases.
+    Selected cases with no gold-labelled query raise CaseError before any
+    evaluation."""
     answerer = Answerer(resolve_policy(config.policy), config.seed)  # before the corpus loads
     cases = load_corpus(config.corpus)
     if config.split:
@@ -275,15 +265,7 @@ def run(config: RunConfig) -> tuple[list[BundleReport], dict[str, float]]:
         raise CaseError(f"no query in {where} has a gold label to score")
     cases = sorted(cases, key=lambda c: c.id)
 
-    if config.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up path
-
-        # a few chunks per worker: fewer round-trips, still balanced
-        chunk = -(-len(cases) // (4 * config.jobs))
-        with ProcessPoolExecutor(config.jobs, initializer=_start_worker, initargs=(answerer,)) as pool:
-            results = list(pool.map(_timed, cases, repeat(config), chunksize=chunk))
-    else:
-        results = [_timed(case, config, answerer) for case in cases]
+    results = forked_map(lambda case: _timed(case, config, answerer), cases, config.jobs)
     return [report for report, _ in results], {report.case_id: ms for report, ms in results}
 
 

@@ -729,28 +729,37 @@ def fresh_modules(code: str) -> tuple[set[str], set[str]]:
     return set(registered), set(executed)
 
 
-def test_cli_import_loads_no_process_pool():
-    # only ``run --jobs N`` with N > 1 needs the pool; every other command
-    # starts without multiprocessing
-    out = fresh("-c", "import sys, casecheck.cli; print([m for m in "
-                "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-    assert out.stdout.strip() == "[]"
-
-
 # Standard-library modules no CLI child needs to start: dataclasses imports
 # inspect, ast, dis and tokenize, and logging is imported where a warning is
 # logged.
 LEAN = ("dataclasses", "inspect", "logging")
+POOL = ("multiprocessing", "concurrent.futures")
 
 
-def fresh_main(argv: list[str]) -> tuple[list[str], str]:
-    """The modules of ``LEAN`` a fresh interpreter holds after ``main(argv)``
-    exits 0, and what it wrote to stderr."""
+def fresh_main(argv: list[str], modules: tuple[str, ...] = LEAN,
+               warnings: str = "error") -> tuple[list[str], str]:
+    """The ``modules`` a fresh interpreter holds after ``main(argv)`` exits
+    0, and what it wrote to stderr."""
     out = fresh("-c", "import json, sys\nfrom casecheck.cli import main\n"
                 f"assert main({argv!r}) == 0\n"
-                f"print(json.dumps([m for m in {LEAN!r} if m in sys.modules]), file=sys.stderr)")
+                f"print(json.dumps([m for m in {modules!r} if m in sys.modules]), file=sys.stderr)",
+                warnings=warnings)
     *err, loaded = out.stderr.splitlines()
     return json.loads(loaded), "\n".join(err)
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # no command needs multiprocessing: generate and ``run --jobs N`` fork
+    # their shards themselves. The run prints every warning, since os.fork
+    # swallows its fork-with-threads DeprecationWarning (3.12 on) when
+    # warnings are errors
+    out = fresh("-c", f"import sys, casecheck.cli; print([m for m in {POOL!r} if m in sys.modules])")
+    assert out.stdout.strip() == "[]"
+    corpus = str(tmp_path / "c.jsonl")
+    assert main(["generate", "--cases", "4", "--out", corpus]) == 0
+    argv = ["run", "--corpus", corpus, "--out", str(tmp_path / "run"), "--policy", "nocot-like",
+            "--jobs", "2"]
+    assert fresh_main(argv, POOL, warnings="always") == ([], "")
 
 
 def test_cli_children_start_without_dataclasses_inspect_or_logging(tmp_path):

@@ -256,7 +256,28 @@ def test_a_shard_that_dies_is_named(monkeypatch):
         return recipe(domain, seed, case_id, spec)
 
     monkeypatch.setattr(generator, "_generate_cnf_case", dying)
-    with pytest.raises(generator.GenerationError, match="^generation shard 1 exited without its cases$"):
+    with pytest.raises(RuntimeError, match="^shard 1 exited without its results$"):
         generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc")
+def test_a_fork_that_fails_leaks_no_fd_and_leaves_no_child(monkeypatch):
+    # the second of two forks fails (EAGAIN): the pipe made for it is closed
+    # and the child of the first is reaped
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), workers=3)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

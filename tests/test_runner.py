@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -162,6 +163,29 @@ def test_parallel_jobs_match_sequential(tmp_path, cases):
             r2, t2 = run(config(method, corpus=str(corpus), mode=mode, jobs=2))
             assert report_lines(r1) == report_lines(r2), (method, mode)
             assert list(t1) == list(t2) == sorted(c.id for c in cases)
+
+
+def test_a_failing_job_raises_its_error_and_leaves_no_child(tmp_path, monkeypatch, cases):
+    # at --jobs 2 the second case by id is evaluated in the forked child of
+    # shard 1; the evaluator is patched before the run, so the child fails
+    from casecheck import runner
+    from casecheck.casefile import save_corpus
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(cases, corpus)
+    failing_id = sorted(c.id for c in cases)[1]
+    evaluate = runner.evaluate_bundle
+
+    def failing(case, config, answerer=None):
+        if case.id == failing_id:
+            raise ValueError(f"evaluation failed on {case.id}")
+        return evaluate(case, config, answerer)
+
+    monkeypatch.setattr(runner, "evaluate_bundle", failing)
+    with pytest.raises(ValueError) as exc:
+        run(config("check+repair", corpus=str(corpus), jobs=2))
+    assert str(exc.value) == f"evaluation failed on {failing_id}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_policy_file_and_replay_trace_load_once_per_run(tmp_path, monkeypatch, default_corpus):
