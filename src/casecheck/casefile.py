@@ -44,17 +44,28 @@ def subseed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def forked_map(fn, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` over ``workers`` processes: item ``i``
-    goes to shard ``i % workers`` (interleaved, so every shard gets its share
-    of a run of costlier items), shard 0 runs here and each other shard in a
-    child forked from this process, which inherits ``fn`` and ``items``, so
-    nothing is pickled to it. A child pickles its results, or the exception
-    that stopped it, up a pipe; an exception is raised again here. Every
-    child is killed if still running and reaped before this returns or
-    raises. One process does it all when ``workers`` is 1, when there are
-    fewer items than workers, or where ``os.fork`` is missing."""
-    if workers <= 1 or len(items) < workers or not hasattr(os, "fork"):
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def forked_map(fn, items: Sequence, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]`` over ``workers`` processes, by default
+    one per CPU this process may run on (``usable_cpus``), and never more
+    than there are items: item ``i`` goes to shard ``i % workers``
+    (interleaved, so every shard gets its share of a run of costlier items),
+    shard 0 runs here and each other shard in a child forked from this
+    process, which inherits ``fn`` and ``items``, so nothing is pickled to
+    it. A child pickles its results, or the exception that stopped it, up a
+    pipe; an exception is raised again here, and what cannot be pickled
+    comes back as a RuntimeError naming the shard and its ``Type: message``.
+    Every child is killed if still running and reaped before this returns or
+    raises. One process does it all when ``workers`` comes to 1 or where
+    ``os.fork`` is missing."""
+    workers = min(usable_cpus() if workers is None else workers, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     import pickle
     import signal
@@ -83,7 +94,14 @@ def forked_map(fn, items: Sequence, workers: int) -> list:
                         result = (True, [fn(item) for item in items[shard::workers]])
                     except Exception as exc:
                         result = (False, exc)
-                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # whole, or nothing is sent
+                    try:
+                        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # whole, or nothing
+                    except Exception as exc:  # then what could not be sent is named
+                        ok, value = result
+                        problem = (f"could not send its results: {type(exc).__name__}: {exc}"
+                                   if ok else f"raised {type(value).__name__}: {value}, "
+                                   "which cannot be pickled")
+                        data = pickle.dumps((False, RuntimeError(f"shard {shard} {problem}")))
                     with os.fdopen(write_fd, "wb") as pipe:
                         pipe.write(data)
                     status = 0

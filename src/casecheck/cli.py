@@ -75,13 +75,6 @@ def _apportion(total: int) -> dict[Domain, int]:
     return counts
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _refuse_unusable_out(path: str, directory: bool) -> None:
     """Fail before any work on an ``--out`` that cannot be written: a
     directory where the file goes, a file where the directory goes, or a
@@ -98,8 +91,7 @@ def cmd_generate(args) -> int:
     _refuse_unusable_out(args.out, directory=False)
     mix = args.mix or (_apportion(args.cases) if args.cases else None)
     spec = generator.GeneratorSpec(domain_mix=mix) if mix else generator.GeneratorSpec()
-    # the cases do not depend on the shard count, so every usable CPU builds some
-    cases = generator.generate_corpus(spec, seed=args.seed, workers=_usable_cpus())
+    cases = generator.generate_corpus(spec, seed=args.seed)
     casefile.split_cases(cases, args.split, seed=args.seed)
     casefile.save_corpus(cases, args.out)
     rows = generator.corpus_composition(cases)

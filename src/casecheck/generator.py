@@ -336,12 +336,12 @@ def generate_casefile(domain: Domain, seed: int, case_id: str | None = None,
 
 
 def generate_corpus(spec: GeneratorSpec | None = None, seed: int = 0,
-                    workers: int = 1) -> list[CaseFile]:
+                    workers: int | None = None) -> list[CaseFile]:
     """The cases of ``spec``'s domain mix, in domain order. Each case draws
     from its own sub-seed, so the cases are independent and are built by
-    ``forked_map`` over ``workers`` processes; interleaving gives every shard
-    its share of the costlier temporal cases. The cases, and so the corpus,
-    do not depend on ``workers``."""
+    ``forked_map`` over ``workers`` processes, by default one per usable CPU;
+    interleaving gives every shard its share of the costlier temporal cases.
+    The cases, and so the corpus, do not depend on ``workers``."""
     spec = spec or GeneratorSpec()
     tasks = [(domain, i) for domain in Domain for i in range(spec.domain_mix.get(domain, 0))]
 

@@ -35,6 +35,10 @@ class Unfit(ValueError):
         super().__init__(f"{path or ''}{problem}")
         self.path, self.problem, self.index, self.line = path, problem, 0, line
 
+    def __reduce__(self):
+        # pickled whole, as a forked shard sends it (``casefile.forked_map``)
+        return type(self), (self.path, self.problem, self.line), vars(self)
+
     def under(self, head: str) -> Unfit:
         """The same problem, its path below ``head``."""
         path = self.path or ""

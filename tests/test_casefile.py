@@ -1,9 +1,12 @@
 import json
+import os
 import random
+import threading
 from pathlib import Path
 
 import pytest
 
+from casecheck import schema
 from casecheck.casefile import (
     CaseError,
     CaseFile,
@@ -13,6 +16,7 @@ from casecheck.casefile import (
     Query,
     case_to_record,
     compile_case,
+    forked_map,
     label_case,
     literal_gold_label,
     load_corpus,
@@ -368,3 +372,64 @@ def test_split_10_cases_and_seed_changes_membership_not_sizes():
 def test_split_rejects_bad_ratios():
     with pytest.raises(ValueError):
         split_cases([], (0.5, 0.2), seed=0)
+
+
+# ---------------------------------------------------------------- forked map
+
+
+def test_an_unfit_record_raised_in_a_forked_shard_reaches_the_parent_whole(tmp_path):
+    # the second file is read in the child of shard 1; its second line names
+    # no domain, so the record checker raises Unfit with that line and index
+    record = {"id": "t-1", "domain": "relational", "premises": "p cnf 1 1\n1 0\n", "queries": []}
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(json.dumps(record) + "\n")
+    bad.write_text(json.dumps(record) + "\n" + json.dumps({**record, "domain": "nowhere"}) + "\n")
+    with pytest.raises(schema.Unfit) as here:
+        schema.read_lines(CaseFile, bad)
+    with pytest.raises(schema.Unfit) as there:
+        forked_map(lambda path: schema.read_lines(CaseFile, path), [good, bad], workers=2)
+    whole = [(str(e), e.path, e.problem, e.line, e.index) for e in (here.value, there.value)]
+    assert whole[1] == whole[0]
+    assert (there.value.path, there.value.line, there.value.index) == ("domain", 2, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_what_a_shard_cannot_pickle_is_named():
+    class LocalError(Exception):  # a class pickle cannot find by name
+        pass
+
+    def unsendable_results(item):
+        return threading.Lock() if item else item
+
+    def unsendable_error(item):
+        if item:
+            raise LocalError(f"no item {item}")
+        return item
+
+    # item 1 is mapped in the child of shard 1
+    with pytest.raises(RuntimeError, match=r"^shard 1 could not send its results: "
+                                           r"TypeError: cannot pickle '_thread.lock' object$"):
+        forked_map(unsendable_results, [0, 1], workers=2)
+    with pytest.raises(RuntimeError, match="^shard 1 raised LocalError: no item 1, "
+                                           "which cannot be pickled$"):
+        forked_map(unsendable_error, [0, 1], workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_shard_count_is_clamped_to_the_items(monkeypatch):
+    # three items on four workers make three shards: two forks, not one process
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    results = forked_map(lambda item: (item, os.getpid()), [0, 1, 2], workers=4)
+    assert [item for item, _ in results] == [0, 1, 2]
+    assert len(forks) == 2
+    assert results[0][1] == os.getpid() and len({pid for _, pid in results}) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

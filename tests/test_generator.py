@@ -200,14 +200,20 @@ def test_each_generation_attempt_compiles_its_premises_once(monkeypatch):
         monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
     # the checker of JSON input; generated cases were never JSON
     monkeypatch.setattr(schema, "build", counting("build", schema.build))
-    # seed 3 retries five of the 30 CNF draws; one shard, the default, so
-    # every call is counted in this process
-    cases = generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), seed=3)
+    # seed 3 retries five of the 30 CNF draws; one shard, so every call is
+    # counted in this process
+    cases = generate_corpus(GeneratorSpec(domain_mix=_apportion(40)), seed=3, workers=1)
     assert calls["_generate_cnf_case"] + calls["_generate_temporal_case"] == len(cases) + 5
     # a CNF draft is built as a formula, never written out and parsed back
     assert calls["parse_dimacs"] == 0
     assert calls["build"] == 0
     assert calls["parse_theory"] == calls["ground"] == calls["_generate_temporal_case"]
+
+
+def compiled(cases):
+    """What a built case is: its record, formula and query atoms."""
+    return [(case_to_record(c), c.formula.num_vars, c.formula.clauses,
+             [q.atom for q in c.queries]) for c in cases]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -217,14 +223,29 @@ def test_each_generation_attempt_compiles_its_premises_once(monkeypatch):
 ], ids=["default-40", "long-40"])
 def test_sharded_generation_gives_the_same_cases(spec, seed):
     # three workers split the 40 cases unevenly: 14, 13 and 13
-    def compiled(cases):
-        return [(case_to_record(c), c.formula.num_vars, c.formula.clauses,
-                 [q.atom for q in c.queries]) for c in cases]
-
     reference = compiled(generate_corpus(spec, seed=seed, workers=1))
     for workers in (2, 3):
         assert compiled(generate_corpus(spec, seed=seed, workers=workers)) == reference, workers
     with pytest.raises(ChildProcessError):  # every shard's child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_generation_shards_over_every_usable_cpu_by_default(monkeypatch, cpus):
+    # with no shard count given, one shard per CPU this process may run on
+    spec = GeneratorSpec(domain_mix=_apportion(40))
+    reference = compiled(generate_corpus(spec, seed=0, workers=1))
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(casefile, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert compiled(generate_corpus(spec, seed=0)) == reference
+    assert len(forks) == cpus - 1
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
